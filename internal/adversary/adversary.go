@@ -22,7 +22,7 @@ type Crash struct{}
 
 // Corrupt implements sim.Adversary.
 func (Crash) Corrupt(e *sim.Exec, faulty []int) map[int][]sim.Transmission {
-	out := make(map[int][]sim.Transmission, len(faulty))
+	out := e.Replacements()
 	for _, id := range faulty {
 		out[id] = nil
 	}
@@ -39,18 +39,26 @@ type Flip struct {
 
 func (f Flip) wrong() []byte {
 	if len(f.Wrong) == 0 {
-		return []byte("X")
+		return defaultWrong
 	}
 	return f.Wrong
 }
 
+// Default payloads, shared across rounds: receivers must not mutate
+// delivered payloads (the sim.Node contract).
+var (
+	defaultWrong = []byte("X")
+	defaultNoise = []byte("noise")
+)
+
 // Corrupt implements sim.Adversary.
 func (f Flip) Corrupt(e *sim.Exec, faulty []int) map[int][]sim.Transmission {
-	out := make(map[int][]sim.Transmission, len(faulty))
+	out := e.Replacements()
+	wrong := f.wrong()
 	for _, id := range faulty {
-		ts := make([]sim.Transmission, 0, len(e.Intents[id]))
-		for _, intent := range e.Intents[id] {
-			ts = append(ts, sim.Transmission{To: intent.To, Payload: f.wrong()})
+		ts := e.Transmissions(len(e.Intents[id]))
+		for i, intent := range e.Intents[id] {
+			ts[i] = sim.Transmission{To: intent.To, Payload: wrong}
 		}
 		out[id] = ts
 	}
@@ -75,11 +83,11 @@ func (r RandomNoise) alphabet() [][]byte {
 // Corrupt implements sim.Adversary.
 func (r RandomNoise) Corrupt(e *sim.Exec, faulty []int) map[int][]sim.Transmission {
 	ab := r.alphabet()
-	out := make(map[int][]sim.Transmission, len(faulty))
+	out := e.Replacements()
 	for _, id := range faulty {
-		ts := make([]sim.Transmission, 0, len(e.Intents[id]))
-		for _, intent := range e.Intents[id] {
-			ts = append(ts, sim.Transmission{To: intent.To, Payload: ab[e.Rand.Intn(len(ab))]})
+		ts := e.Transmissions(len(e.Intents[id]))
+		for i, intent := range e.Intents[id] {
+			ts[i] = sim.Transmission{To: intent.To, Payload: ab[e.Rand.Intn(len(ab))]}
 		}
 		out[id] = ts
 	}
@@ -96,16 +104,19 @@ type OutOfTurn struct {
 
 func (o OutOfTurn) noise() []byte {
 	if len(o.Noise) == 0 {
-		return []byte("noise")
+		return defaultNoise
 	}
 	return o.Noise
 }
 
 // Corrupt implements sim.Adversary.
 func (o OutOfTurn) Corrupt(e *sim.Exec, faulty []int) map[int][]sim.Transmission {
-	out := make(map[int][]sim.Transmission, len(faulty))
-	for _, id := range faulty {
-		out[id] = []sim.Transmission{{To: sim.Broadcast, Payload: o.noise()}}
+	out := e.Replacements()
+	ts := e.Transmissions(len(faulty))
+	noise := o.noise()
+	for i, id := range faulty {
+		ts[i] = sim.Transmission{To: sim.Broadcast, Payload: noise}
+		out[id] = ts[i : i+1 : i+1]
 	}
 	return out
 }

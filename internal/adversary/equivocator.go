@@ -37,7 +37,7 @@ type Equivocator struct {
 
 // Corrupt implements sim.Adversary.
 func (a Equivocator) Corrupt(e *sim.Exec, faulty []int) map[int][]sim.Transmission {
-	out := make(map[int][]sim.Transmission, len(faulty))
+	out := e.Replacements()
 	for _, id := range faulty {
 		if a.SourceOnly && id != e.Source {
 			continue // behave exactly as the algorithm intends
@@ -46,12 +46,12 @@ func (a Equivocator) Corrupt(e *sim.Exec, faulty []int) map[int][]sim.Transmissi
 			continue // slowing: deliver the correct message this time
 		}
 		intents := e.Intents[id]
-		ts := make([]sim.Transmission, 0, len(intents))
-		for _, intent := range intents {
-			ts = append(ts, sim.Transmission{
+		ts := e.Transmissions(len(intents))
+		for i, intent := range intents {
+			ts[i] = sim.Transmission{
 				To:      intent.To,
 				Payload: swapPayload(intent.Payload, a.M0, a.M1),
-			})
+			}
 		}
 		out[id] = ts
 	}

@@ -37,20 +37,25 @@ type Star struct {
 
 func (a Star) noise() []byte {
 	if len(a.Noise) == 0 {
-		return []byte{'#'}
+		return defaultJam
 	}
 	return a.Noise
 }
 
-// Corrupt implements sim.Adversary.
+// defaultJam is Star's default jamming payload. Receivers must not mutate
+// delivered payloads (the sim.Node contract), so every round may share it.
+var defaultJam = []byte{'#'}
+
+// Corrupt implements sim.Adversary. It allocates nothing inside an engine:
+// the slowing filter rewrites the engine's faulty scratch in place, and the
+// replacement map and transmissions come from the Exec's scratch.
 func (a Star) Corrupt(e *sim.Exec, faulty []int) map[int][]sim.Transmission {
 	// Slowing: reduce the effective per-node failure probability to the
 	// threshold fixed point p* when the actual p exceeds it.
-	pStar := stat.RadioThreshold(e.G.MaxDegree())
 	eff := faulty
-	if e.P > pStar {
+	if pStar := stat.RadioThreshold(e.G.MaxDegree()); e.P > pStar {
 		keep := pStar / e.P
-		eff = eff[:0:0]
+		eff = faulty[:0]
 		for _, id := range faulty {
 			if e.Rand.Float64() < keep {
 				eff = append(eff, id)
@@ -75,7 +80,7 @@ func (a Star) Corrupt(e *sim.Exec, faulty []int) map[int][]sim.Transmission {
 		return nil // faulty nodes behave as fault-free
 	}
 
-	out := make(map[int][]sim.Transmission, len(eff))
+	out := e.Replacements()
 	sFaulty := false
 	for _, id := range eff {
 		if id == e.Source {
@@ -87,17 +92,21 @@ func (a Star) Corrupt(e *sim.Exec, faulty []int) map[int][]sim.Transmission {
 		// Source equivocates; other faulty nodes keep silent.
 		for _, id := range eff {
 			if id == e.Source {
-				swapped := swapPayload(e.Intents[id][0].Payload, a.M0, a.M1)
-				out[id] = []sim.Transmission{{To: sim.Broadcast, Payload: swapped}}
+				ts := e.Transmissions(1)
+				ts[0] = sim.Transmission{To: sim.Broadcast, Payload: swapPayload(e.Intents[id][0].Payload, a.M0, a.M1)}
+				out[id] = ts
 			} else {
 				out[id] = nil
 			}
 		}
 		return out
 	}
-	// Source healthy: every faulty node jams.
-	for _, id := range eff {
-		out[id] = []sim.Transmission{{To: sim.Broadcast, Payload: a.noise()}}
+	// Source healthy: every faulty node jams, all backed by one slice.
+	jam := e.Transmissions(len(eff))
+	noise := a.noise()
+	for i, id := range eff {
+		jam[i] = sim.Transmission{To: sim.Broadcast, Payload: noise}
+		out[id] = jam[i : i+1 : i+1]
 	}
 	return out
 }

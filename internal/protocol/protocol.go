@@ -7,7 +7,6 @@ package protocol
 
 import (
 	"math"
-	"sort"
 )
 
 // Default is the paper's default message "0": the value a node adopts when
@@ -41,45 +40,63 @@ func WindowLen(c float64, n int) int {
 // Tally counts votes over message payloads and reports the plurality
 // winner. Ties (including an empty tally) resolve to Default, matching the
 // paper's "or 0 if there is no majority".
+//
+// Votes are kept as a short list of distinct payloads: a listening window
+// sees only a handful (the message, the default, an adversary's noise), so
+// a linear scan is cheap and allocates far less per node than a map. The
+// zero value is an empty tally.
 type Tally struct {
-	counts map[string]int
-	total  int
+	votes []vote // distinct payloads, first-seen order
+	total int
+}
+
+type vote struct {
+	payload string
+	n       int
 }
 
 // NewTally returns an empty Tally.
 func NewTally() *Tally {
-	return &Tally{counts: make(map[string]int)}
+	return &Tally{}
 }
 
 // Add records one vote for payload.
 func (t *Tally) Add(payload []byte) {
-	t.counts[string(payload)]++
 	t.total++
+	for i := range t.votes {
+		if t.votes[i].payload == string(payload) {
+			t.votes[i].n++
+			return
+		}
+	}
+	t.votes = append(t.votes, vote{payload: string(payload), n: 1})
 }
 
 // Total returns the number of votes recorded.
 func (t *Tally) Total() int { return t.total }
 
 // Count returns the number of votes for payload.
-func (t *Tally) Count(payload []byte) int { return t.counts[string(payload)] }
+func (t *Tally) Count(payload []byte) int {
+	for _, v := range t.votes {
+		if v.payload == string(payload) {
+			return v.n
+		}
+	}
+	return 0
+}
 
 // Winner returns the payload with strictly the most votes, or Default when
 // the tally is empty or the top count is shared by two or more payloads.
+// The answer does not depend on the order votes are scanned in: the first
+// payload reaching the top count clears the tie flag, and any later one
+// matching it sets the flag for good.
 func (t *Tally) Winner() []byte {
 	best, bestCount, tie := "", -1, false
-	// Iterate in sorted key order so behaviour is deterministic even in
-	// the tie-inspection path.
-	keys := make([]string, 0, len(t.counts))
-	for k := range t.counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		c := t.counts[k]
+	for _, v := range t.votes {
 		switch {
-		case c > bestCount:
-			best, bestCount, tie = k, c, false
-		case c == bestCount:
+		case v.n > bestCount:
+			best, bestCount, tie = v.payload, v.n, false
+		case v.n == bestCount:
 			tie = true
 		}
 	}
@@ -91,7 +108,7 @@ func (t *Tally) Winner() []byte {
 
 // Reset clears the tally for reuse.
 func (t *Tally) Reset() {
-	t.counts = make(map[string]int)
+	t.votes = t.votes[:0]
 	t.total = 0
 }
 

@@ -88,15 +88,16 @@ func (p *Proto) Rounds() int { return p.steps * p.m }
 
 // NewNode returns the protocol instance for node id.
 func (p *Proto) NewNode(id int) sim.Node {
-	return &node{proto: p, tally: protocol.NewTally()}
+	return &node{proto: p}
 }
 
 type node struct {
 	proto     *Proto
 	env       *sim.Env
-	tally     *protocol.Tally
+	tally     protocol.Tally
 	msg       []byte
 	committed bool
+	tx        [1]sim.Transmission // Transmit's reused result (sim.Node contract)
 }
 
 func (n *node) Init(env *sim.Env) {
@@ -135,7 +136,8 @@ func (n *node) Transmit(round int) []sim.Transmission {
 	if payload == nil {
 		payload = protocol.Default
 	}
-	return []sim.Transmission{{To: sim.Broadcast, Payload: payload}}
+	n.tx[0] = sim.Transmission{To: sim.Broadcast, Payload: payload}
+	return n.tx[:]
 }
 
 func (n *node) Deliver(round, from int, payload []byte) {

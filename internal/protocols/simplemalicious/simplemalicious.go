@@ -48,15 +48,16 @@ func (p *Proto) Rounds() int { return p.tree.N() * p.m }
 
 // NewNode returns the protocol instance for node id.
 func (p *Proto) NewNode(id int) sim.Node {
-	return &node{proto: p, tally: protocol.NewTally()}
+	return &node{proto: p}
 }
 
 type node struct {
 	proto     *Proto
 	env       *sim.Env
-	tally     *protocol.Tally
+	tally     protocol.Tally
 	msg       []byte
 	committed bool
+	tx        []sim.Transmission // Transmit's reused result (sim.Node contract)
 }
 
 func (n *node) Init(env *sim.Env) {
@@ -100,14 +101,14 @@ func (n *node) Transmit(round int) []sim.Transmission {
 		payload = protocol.Default
 	}
 	if n.proto.model == sim.Radio {
-		return []sim.Transmission{{To: sim.Broadcast, Payload: payload}}
+		n.tx = append(n.tx[:0], sim.Transmission{To: sim.Broadcast, Payload: payload})
+		return n.tx
 	}
-	children := n.proto.tree.Children[n.env.ID]
-	ts := make([]sim.Transmission, len(children))
-	for i, c := range children {
-		ts[i] = sim.Transmission{To: c, Payload: payload}
+	n.tx = n.tx[:0]
+	for _, c := range n.proto.tree.Children[n.env.ID] {
+		n.tx = append(n.tx, sim.Transmission{To: c, Payload: payload})
 	}
-	return ts
+	return n.tx
 }
 
 // Deliver records a vote if the message falls inside this node's listening

@@ -170,10 +170,10 @@ func (l *Lanes) BernoulliWords(p float64, n int, out []uint64) {
 		return
 	}
 	t := bernoulliThreshold(p)
+	out = out[:n] // hoists the bounds check out of the draw loop
 	for lane := 0; lane < LaneCount; lane++ {
 		s0, s1, s2, s3 := l.s0[lane], l.s1[lane], l.s2[lane], l.s3[lane]
-		bit := uint64(1) << uint(lane)
-		for i := 0; i < n; i++ {
+		for i := range out {
 			x := bits.RotateLeft64(s1*5, 7) * 9
 			tt := s1 << 17
 			s2 ^= s0
@@ -182,9 +182,12 @@ func (l *Lanes) BernoulliWords(p float64, n int, out []uint64) {
 			s0 ^= s3
 			s2 ^= tt
 			s3 = bits.RotateLeft64(s3, 45)
-			if x>>11 < t {
-				out[i] |= bit
-			}
+			// Branch-free x>>11 < t: both operands are below 2⁵³ (t ≥ 1
+			// for p > 0, and t < 2⁵³ for p < 1), so the difference wraps
+			// past 2⁶³ — setting the top bit — exactly when x>>11 < t. A
+			// compare-and-branch here mispredicts about half the time at
+			// mid-range p.
+			out[i] |= (x>>11 - t) >> 63 << uint(lane)
 		}
 		l.s0[lane], l.s1[lane], l.s2[lane], l.s3[lane] = s0, s1, s2, s3
 	}

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"math"
 	"testing"
 )
 
@@ -12,15 +13,32 @@ import (
 // rounds of varying width, across the full p range including the
 // no-consume edge cases, and cross-checks the residual streams afterwards
 // so a hidden extra draw on either side would be caught.
+//
+// The p list includes the edges of the sampler's branch-free compare
+// (x>>11 − t, read off its top bit): the smallest threshold t = 1 (p =
+// 2⁻⁵³), the thresholds on either side of 1/2 and just below 1, and two
+// p values whose t equals lane 0's first drawn x>>11 exactly and exceeds
+// it by one, so the equal-operands case is decided on a real draw.
 func TestBernoulliWordsMatchesScalarStreams(t *testing.T) {
-	ps := []float64{0, -0.5, 1e-12, 0.05, 0.25, 0.5, 0.75, 0.97, 1 - 1e-12, 1, 1.5}
+	seedOf := func(lane int) uint64 { return 0x1234_5678_9abc_def0 + uint64(lane)*0x9e3779b97f4a7c15 }
+	first := New(seedOf(0)).Uint64() >> 11 // lane 0's first 53-bit draw
+	if first == 0 {
+		t.Fatal("degenerate first draw; pick another seed")
+	}
+	onDraw := float64(first) / (1 << 53) // exact: t = first
+	ps := []float64{0, -0.5, 1e-12, 0.05, 0.25, 0.5, 0.75, 0.97, 1 - 1e-12, 1, 1.5,
+		math.Ldexp(1, -53), math.Nextafter(0.5, 0), math.Nextafter(1, 0),
+		onDraw, float64(first+1) / (1 << 53)}
+	if bernoulliThreshold(onDraw) != first {
+		t.Fatalf("threshold of %v is %d, want the drawn %d", onDraw, bernoulliThreshold(onDraw), first)
+	}
 	// Round widths exercise n=0, sub-word, and multi-step accumulation.
 	widths := []int{17, 0, 1, 64, 5, 33}
 	for _, p := range ps {
 		var seeds [LaneCount]uint64
 		scalars := make([]*Source, LaneCount)
 		for lane := range seeds {
-			seeds[lane] = 0x1234_5678_9abc_def0 + uint64(lane)*0x9e3779b97f4a7c15
+			seeds[lane] = seedOf(lane)
 			scalars[lane] = New(seeds[lane])
 		}
 		lanes := NewLanes(&seeds)
@@ -191,5 +209,22 @@ func TestBernoulliThresholdEdges(t *testing.T) {
 				t.Fatalf("p=%v y=%d: scalar=%v integer=%v", p, y, scalar, integer)
 			}
 		}
+	}
+}
+
+// BenchmarkBernoulliWords times one transposed fault-mask fill at a
+// sweep-typical shape: 36 words (a 6x6 grid's vertices) across all 64
+// lanes, at a mid-range p where a compare-and-branch would mispredict
+// about half the time.
+func BenchmarkBernoulliWords(b *testing.B) {
+	var seeds [LaneCount]uint64
+	for lane := range seeds {
+		seeds[lane] = uint64(lane) + 1
+	}
+	l := NewLanes(&seeds)
+	out := make([]uint64, 36)
+	b.ReportAllocs()
+	for b.Loop() {
+		l.BernoulliWords(0.42, len(out), out)
 	}
 }

@@ -38,6 +38,13 @@ func splitmix64(state *uint64) uint64 {
 // construction.
 func New(seed uint64) *Source {
 	var r Source
+	r.Seed(seed)
+	return &r
+}
+
+// Seed re-initializes r in place: its stream becomes identical to a fresh
+// New(seed), so a reused Source is bit-identical to a newly allocated one.
+func (r *Source) Seed(seed uint64) {
 	sm := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&sm)
@@ -47,7 +54,6 @@ func New(seed uint64) *Source {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &r
 }
 
 // Uint64 returns the next 64 random bits.

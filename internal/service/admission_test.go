@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"testing"
 	"time"
@@ -301,6 +302,9 @@ func TestStatsLatencyHistograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Drain the streamed body: the handler records its latency when it
+	// returns, which is only guaranteed once the response has ended.
+	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 
 	st := s.Stats()

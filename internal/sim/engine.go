@@ -70,14 +70,19 @@ type runState struct {
 	cfg      *Config
 	n        int
 	nodes    []Node
-	faultRnd *rng.Source
-	advRnd   *rng.Source
+	faultRnd rng.Source // reseeded in place by Reset, like advRnd
+	advRnd   rng.Source
 	history  *History
+
+	// Per-node streams and environments, rewritten in place by Reset.
+	nodeSrcs []rng.Source
+	envs     []Env
 
 	intents   [][]Transmission
 	actual    [][]Transmission
 	delivered [][]Received
 	faulty    []int
+	advFaulty []int // the adversary's copy of faulty, reused
 
 	// Word-parallel round core scratch (see faultAndDeliver). All sets
 	// live over the vertex universe [0, n) and are reused across rounds
@@ -116,7 +121,12 @@ func allocRunState(cfg *Config) *runState {
 		seenOnce:     bitset.New(n),
 		seenTwice:    bitset.New(n),
 		limSlots:     make([]int, n+1),
+		nodeSrcs:     make([]rng.Source, n),
+		envs:         make([]Env, n),
 		trackDone:    cfg.TrackCompletion,
+	}
+	if cfg.Adversary != nil {
+		st.exec.repl = make(map[int][]Transmission)
 	}
 	if cfg.TrackCompletion {
 		st.informedRound = make([]int, n)
@@ -127,12 +137,14 @@ func allocRunState(cfg *Config) *runState {
 // Reset rewinds the state to the start of a fresh execution with the given
 // seed. The RNG stream derivation (fault stream, adversary stream, one
 // stream per node, in that order) matches a from-scratch run exactly, so a
-// reused state is bit-identical to a freshly allocated one.
+// reused state is bit-identical to a freshly allocated one. Each stream is
+// reseeded in place exactly as Split would seed a new one.
 func (st *runState) Reset(seed uint64) error {
 	cfg := st.cfg
-	master := rng.New(seed)
-	st.faultRnd = master.Split()
-	st.advRnd = master.Split()
+	var master rng.Source
+	master.Seed(seed)
+	st.faultRnd.Seed(master.Uint64())
+	st.advRnd.Seed(master.Uint64())
 	st.history = nil
 	if cfg.RecordHistory {
 		st.history = &History{}
@@ -151,7 +163,9 @@ func (st *runState) Reset(seed uint64) error {
 		P:         cfg.P,
 		Intents:   st.intents,
 		History:   st.history,
-		Rand:      st.advRnd,
+		Rand:      &st.advRnd,
+		repl:      st.exec.repl,
+		txs:       st.exec.txs,
 	}
 	for i := 0; i < st.n; i++ {
 		st.intents[i] = nil
@@ -161,15 +175,18 @@ func (st *runState) Reset(seed uint64) error {
 	for i := range st.informedRound {
 		st.informedRound[i] = -1
 	}
-	nodeSeeds := master.Split()
+	var nodeSeeds rng.Source
+	nodeSeeds.Seed(master.Uint64())
 	for id := 0; id < st.n; id++ {
 		node := cfg.NewNode(id)
 		if node == nil {
 			return fmt.Errorf("sim: NewNode(%d) returned nil", id)
 		}
-		env := &Env{
+		st.nodeSrcs[id].Seed(nodeSeeds.Uint64())
+		env := &st.envs[id]
+		*env = Env{
 			ID: id, N: st.n, G: cfg.Graph, Source: cfg.Source, P: cfg.P,
-			Rand: nodeSeeds.Split(),
+			Rand: &st.nodeSrcs[id],
 		}
 		if id == cfg.Source {
 			env.SourceMsg = cfg.SourceMsg
@@ -274,7 +291,9 @@ func (st *runState) faultAndDeliver(round int) error {
 	case Malicious, LimitedMalicious:
 		if len(st.faulty) > 0 {
 			st.exec.Round = round
-			repl := st.cfg.Adversary.Corrupt(&st.exec, append([]int(nil), st.faulty...))
+			st.exec.recycle()
+			st.advFaulty = append(st.advFaulty[:0], st.faulty...)
+			repl := st.cfg.Adversary.Corrupt(&st.exec, st.advFaulty)
 			if err := st.applyCorruption(repl); err != nil {
 				return fmt.Errorf("sim: round %d: %w", round, err)
 			}
@@ -308,7 +327,8 @@ func (st *runState) faultAndDeliver(round int) error {
 // walking st.faulty (already in increasing id order) instead of sorting the
 // replacement map's keys, and checking membership against the fault mask
 // instead of building a per-round map — the corruption path allocates
-// nothing beyond what the adversary itself returned.
+// nothing beyond what the adversary itself allocated (nothing, for one
+// built on Exec.Replacements and Exec.Transmissions).
 func (st *runState) applyCorruption(repl map[int][]Transmission) error {
 	if len(repl) == 0 {
 		return nil

@@ -83,7 +83,8 @@ type Transmission struct {
 
 // Env is the static per-node environment handed to Init. Nodes know n and
 // p (the paper assumes both), their own id, the topology, and — only at the
-// source — the source message.
+// source — the source message. An Env (and its Rand) is valid for one
+// execution: a Runner rewrites it in place for the next trial.
 type Env struct {
 	ID        int
 	N         int
@@ -110,7 +111,9 @@ func (e *Env) IsSource() bool { return e.ID == e.Source }
 //
 // Implementations must be deterministic — the paper's algorithms are — and
 // must not retain or mutate slices passed to Deliver beyond the call
-// (copy if needed).
+// (copy if needed). In turn, the engine reads the slice Transmit returns
+// only until that node's next Transmit call (recorded histories copy it),
+// so a node may refill and return the same backing array every round.
 type Node interface {
 	Init(env *Env)
 	Transmit(round int) []Transmission
@@ -129,6 +132,11 @@ type Node interface {
 // An Exec is valid only for the duration of the Corrupt call: the engine
 // reuses one value across rounds and trials, so adversaries must not
 // retain the pointer (copy any fields they need beyond the call).
+//
+// Inside an engine, Replacements and Transmissions hand out engine-owned
+// scratch, recycled at the start of the next Corrupt call, so the
+// malicious round allocates nothing at steady state. On a hand-built Exec
+// (tests) they fall back to fresh allocations.
 type Exec struct {
 	G         *graph.Graph
 	Model     Model
@@ -146,6 +154,41 @@ type Exec struct {
 	// Rand is the adversary's private random stream (deterministic per
 	// seed). Randomized adversary policies draw from it.
 	Rand *rng.Source
+
+	repl map[int][]Transmission // Replacements' map, nil on a hand-built Exec
+	txs  []Transmission         // Transmissions' arena, truncated per call
+}
+
+// Replacements returns an empty replacement map for Corrupt to fill and
+// return. The engine clears and reuses it on the next Corrupt call, so an
+// adversary must not keep it, or anything it read from it, beyond the call.
+func (e *Exec) Replacements() map[int][]Transmission {
+	if e.repl == nil {
+		return make(map[int][]Transmission)
+	}
+	return e.repl
+}
+
+// Transmissions returns n Transmission slots for Corrupt's replacement
+// lists, with unspecified contents the caller overwrites. Slices from
+// successive calls within one Corrupt call are disjoint; all of them are
+// recycled on the next Corrupt call, after the engine has delivered (and,
+// when recording, deep-copied) the round they were returned for.
+func (e *Exec) Transmissions(n int) []Transmission {
+	used := len(e.txs)
+	if used+n > cap(e.txs) {
+		// Start a new arena: slices already handed out keep the old one.
+		e.txs = make([]Transmission, 0, max(2*cap(e.txs), n, 8))
+		used = 0
+	}
+	e.txs = e.txs[:used+n]
+	return e.txs[used : used+n : used+n]
+}
+
+// recycle returns the Exec's scratch to empty before a Corrupt call.
+func (e *Exec) recycle() {
+	clear(e.repl)
+	e.txs = e.txs[:0]
 }
 
 // Adversary chooses the actual transmissions of faulty nodes in Malicious
@@ -156,6 +199,14 @@ type Adversary interface {
 	// intent unchanged. Under LimitedMalicious the engine clamps the
 	// result so a faulty node cannot gain transmissions it did not intend
 	// (it may lose some, and payloads may differ).
+	//
+	// Lifetimes: faulty (in increasing id order) is engine scratch the
+	// adversary may reorder or overwrite in place but must not keep. The
+	// returned map and replacement lists are read before the next Corrupt
+	// call and not after it, so they may come from e.Replacements and
+	// e.Transmissions. Replacement payloads are handed to receiving nodes,
+	// which must not mutate them (the Node contract), so an adversary may
+	// return the same payload slice every round.
 	Corrupt(e *Exec, faulty []int) map[int][]Transmission
 }
 

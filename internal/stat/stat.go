@@ -3,17 +3,42 @@ package stat
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 )
+
+// radioMemo caches RadioThreshold per degree. A slot holds
+// math.Float64bits(p*), with 0 meaning "not computed yet" (p* > 0, so no
+// computed value encodes as 0). Racing first callers compute the same
+// value and store the same bits, so the table needs no lock.
+var radioMemo [1024]atomic.Uint64
 
 // RadioThreshold returns the unique p* in (0, 1) solving
 // p = (1−p)^(Δ+1). By Theorem 2.4, almost-safe broadcasting in the radio
 // model with malicious failures on graphs of maximum degree Δ is feasible
 // iff p < p*. The left side is increasing and the right side decreasing in
 // p, so bisection converges to the unique crossing.
+//
+// For Δ below 1024 the bisection runs once per degree and later calls
+// return the memoised value, bit-identical to a fresh bisection, so hot
+// loops (the star adversary asks once per corrupted round) may call it
+// freely. It is safe for concurrent use.
 func RadioThreshold(delta int) float64 {
 	if delta < 0 {
 		panic("stat: negative degree")
 	}
+	if delta >= len(radioMemo) {
+		return radioBisect(delta)
+	}
+	if b := radioMemo[delta].Load(); b != 0 {
+		return math.Float64frombits(b)
+	}
+	p := radioBisect(delta)
+	radioMemo[delta].Store(math.Float64bits(p))
+	return p
+}
+
+// radioBisect is RadioThreshold's uncached 200-step bisection.
+func radioBisect(delta int) float64 {
 	f := func(p float64) float64 {
 		return p - math.Pow(1-p, float64(delta+1))
 	}

@@ -42,6 +42,74 @@ func TestRadioThresholdMonotone(t *testing.T) {
 	}
 }
 
+// referenceRadioThreshold is an un-memoised copy of the bisection, the
+// oracle the memo table must reproduce bit for bit.
+func referenceRadioThreshold(delta int) float64 {
+	f := func(p float64) float64 {
+		return p - math.Pow(1-p, float64(delta+1))
+	}
+	lo, hi := 0.0, 1.0
+	for i := 0; i < 200; i++ {
+		mid := (lo + hi) / 2
+		if f(mid) < 0 {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// TestRadioThresholdMemoBitIdentical: memoised values, first computation
+// and repeat lookups alike, are the exact float64 the bisection yields —
+// across the memo table and past its end.
+func TestRadioThresholdMemoBitIdentical(t *testing.T) {
+	degrees := []int{1023, 1024, 1025, 4096}
+	for delta := 0; delta <= 256; delta++ {
+		degrees = append(degrees, delta)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for _, delta := range degrees {
+			got, want := RadioThreshold(delta), referenceRadioThreshold(delta)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("pass %d, Δ=%d: memoised %v (%#x), bisection %v (%#x)",
+					pass, delta, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// TestRadioThresholdConcurrent hammers the memo table from several
+// goroutines over fresh and already-filled degrees, so the -race run
+// covers the lazily filled slots.
+func TestRadioThresholdConcurrent(t *testing.T) {
+	const workers = 8
+	want := make(map[int]uint64)
+	for _, delta := range []int{3, 300, 700, 1000, 1023} {
+		want[delta] = math.Float64bits(referenceRadioThreshold(delta))
+	}
+	var bad atomic.Int64
+	done := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for i := 0; i < 50; i++ {
+				for delta, bits := range want {
+					if math.Float64bits(RadioThreshold(delta)) != bits {
+						bad.Add(1)
+					}
+				}
+			}
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		<-done
+	}
+	if n := bad.Load(); n != 0 {
+		t.Fatalf("%d concurrent lookups returned a value other than the bisection's", n)
+	}
+}
+
 func TestBinomTailExactSmall(t *testing.T) {
 	// Bin(2, 0.5): P(X>=1) = 0.75, P(X>=2) = 0.25.
 	if got := BinomTail(2, 1, 0.5); math.Abs(got-0.75) > 1e-12 {
