@@ -516,6 +516,30 @@ func BenchmarkEstimatePlanComposedLanes(b *testing.B) {
 	benchEstimatePlan(b, laneCore(composedCfg()))
 }
 
+// BenchmarkEstimatePlanComposedLanesHalfWidth is the ruled-estimate twin
+// of BenchmarkEstimatePlanComposedLanes: the same 64 trials under a
+// half-width rule too tight to stop them early, so they fold in the rule's
+// default 32-trial batches and every lane block is clipped to a half block
+// — the shape every threshold-curve cell runs at. A partial block samples
+// only its own lanes, so the pair should cost about the same.
+func BenchmarkEstimatePlanComposedLanesHalfWidth(b *testing.B) {
+	plan, err := faultcast.Compile(laneCore(composedCfg()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		est, err := plan.Estimate(estimateTrials, faultcast.WithBaseSeed(uint64(i)), faultcast.WithHalfWidth(0.001))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if est.Trials != estimateTrials {
+			b.Fatal("short estimate")
+		}
+	}
+}
+
 // BenchmarkEstimatePlanComposedLanesTraced is the telemetry-overhead
 // twin of BenchmarkEstimatePlanComposedLanes: the identical workload
 // with a live span and batch probe attached, the way the service runs it

@@ -378,8 +378,8 @@ func cmdWorkers(c *client) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Printf("cells distributed %d (local %d), shards dispatched %d, retries %d, local failovers %d, shard size %d trials\n",
-		st.Cluster.CellsDistributed, st.Cluster.LocalCells, st.Cluster.ShardsDispatched,
+	fmt.Printf("cells distributed %d (local %d), shards dispatched %d (discarded %d), retries %d, local failovers %d, shard size %d trials\n",
+		st.Cluster.CellsDistributed, st.Cluster.LocalCells, st.Cluster.ShardsDispatched, st.Cluster.ShardsDiscarded,
 		st.Cluster.ShardRetries, st.Cluster.LocalFailovers, st.Cluster.ShardTrials)
 	return nil
 }

@@ -92,6 +92,7 @@ type Coordinator struct {
 
 	cells      atomic.Uint64
 	dispatched atomic.Uint64
+	discarded  atomic.Uint64
 	retried    atomic.Uint64
 	failovers  atomic.Uint64
 	localCells atomic.Uint64
@@ -211,10 +212,10 @@ type shardRes struct {
 	err   error
 }
 
-// runCell drives one cell: split into shards, dispatch with a bounded
-// speculation window, replay the stopping rule over the contiguous merged
-// prefix, cancel the rest once decided. Returns ok=false only when ctx
-// was cancelled before the cell decided.
+// runCell drives one cell: split into shards, dispatch at most a window
+// of shards ahead of the merged prefix, replay the stopping rule over the
+// contiguous merged prefix, cancel the rest once decided. Returns
+// ok=false only when ctx was cancelled before the cell decided.
 func (c *Coordinator) runCell(ctx context.Context, poolWorkers int, cell *exec.Cell) (stat.Proportion, bool) {
 	cfg, haveWire := cell.Scenario.(faultcast.Config)
 	var template ShardRequest
@@ -273,13 +274,19 @@ func (c *Coordinator) runCell(ctx context.Context, poolWorkers int, cell *exec.C
 		c.mu.Unlock()
 	}()
 
+	// Speculation is bounded by the lead over the merged prefix, not by the
+	// shards in flight: shard next goes out only while it is fewer than
+	// window shards past the first unmerged one. A slow shard at the head
+	// therefore stalls dispatch instead of letting later shards run on
+	// (acquire wakes waiters in no shard order), so at most window-1
+	// dispatched shards lie past the deciding one.
 	window := len(c.workers)*c.opts.WorkerInflight + 1 // +1 keeps a shard ready when a slot frees
 	resCh := make(chan shardRes, nShards)
 	tallies := make([]*stat.Tally, nShards)
 	run := start
-	next, contig, inflight := 0, 0, 0
+	next, contig := 0, 0
 	for contig < nShards {
-		for inflight < window && next < nShards {
+		for next < nShards && next < contig+window {
 			first := start.Trials + next*shardTrials
 			n := min(shardTrials, cell.MaxTrials-first)
 			req := template
@@ -289,11 +296,10 @@ func (c *Coordinator) runCell(ctx context.Context, poolWorkers int, cell *exec.C
 			req.Batch = min(batch, n)
 			go c.dispatchShard(cctx, req, cell.Trace, cell.NewTrial, resCh)
 			next++
-			inflight++
 		}
 		r := <-resCh
-		inflight--
 		if r.err != nil {
+			c.discarded.Add(uint64(next - contig))
 			return stat.Proportion{}, false
 		}
 		tallies[r.index] = &r.tally
@@ -314,6 +320,7 @@ func (c *Coordinator) runCell(ctx context.Context, poolWorkers int, cell *exec.C
 					cell.OnBatch(size, succ)
 				}
 				if run.Trials >= cell.MaxTrials || (rule.Enabled() && rule.Done(run)) {
+					c.discarded.Add(uint64(next - contig - 1))
 					return run, true
 				}
 			}

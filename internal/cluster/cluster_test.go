@@ -8,7 +8,10 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -245,6 +248,72 @@ func TestFailoverMidSweep(t *testing.T) {
 				t.Errorf("healthy worker blamed for failures: %+v", w)
 			}
 		}
+	}
+}
+
+// slowHeadWorker wraps a real worker so that every cell's first shard
+// (wire index 0) answers only after delay; all other shards run at once.
+func slowHeadWorker(t *testing.T, delay time.Duration) *httptest.Server {
+	t.Helper()
+	inner := service.New(service.Options{}).Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/shard" {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			var head struct {
+				Index int `json:"index"`
+			}
+			if json.Unmarshal(body, &head) == nil && head.Index == 0 {
+				time.Sleep(delay)
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestSpeculationBoundedByMergedPrefix: dispatch may run at most a window
+// (workers × WorkerInflight + 1) of shards ahead of the merged prefix.
+// With the head shard answering late and the rule deciding inside it,
+// the coordinator must stall rather than stream the cell's remaining
+// shards out to the free slots — bounding only the shards in flight let
+// later shards keep completing and refilling the slots while shard 0
+// slept, so every one of the cell's 40 shards went out.
+func TestSpeculationBoundedByMergedPrefix(t *testing.T) {
+	const workers, inflight = 2, 2
+	coord := newCoordinator(t, cluster.Options{WorkerInflight: inflight},
+		slowHeadWorker(t, 300*time.Millisecond).URL, slowHeadWorker(t, 300*time.Millisecond).URL)
+	plan := mustCompile(t, faultcast.Config{
+		Graph: faultcast.Line(16), Message: []byte("1"), P: 0.3, Seed: 5,
+	})
+	const budget = 40 * 96 // 40 shards of the test's 96-trial size
+	local, err := plan.Estimate(budget, faultcast.WithHalfWidth(0.2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if local.Trials > 96 {
+		t.Fatalf("the rule decided after %d trials, past the first shard — the test exercises nothing", local.Trials)
+	}
+	dist, err := plan.Estimate(budget, faultcast.WithHalfWidth(0.2), faultcast.WithDispatcher(coord))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dist != local {
+		t.Fatalf("distributed %+v != local %+v", dist, local)
+	}
+	st := coord.Status()
+	if window := uint64(workers*inflight + 1); st.ShardsDispatched > window {
+		t.Fatalf("dispatched %d shards for a cell decided in its first; the lead bound allows %d: %+v", st.ShardsDispatched, window, st)
+	}
+	// Every shard of the first window goes out before shard 0 answers, and
+	// all but the deciding one are speculation the merge never consumed.
+	if want := uint64(workers * inflight); st.ShardsDiscarded != want {
+		t.Fatalf("counted %d discarded shards, want %d: %+v", st.ShardsDiscarded, want, st)
 	}
 }
 

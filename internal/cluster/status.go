@@ -38,6 +38,11 @@ type Status struct {
 	// counts cells that ran wholly in process (no wire form or no fleet).
 	CellsDistributed uint64 `json:"cells_distributed"`
 	LocalCells       uint64 `json:"local_cells"`
+	// ShardsDiscarded counts shards a cell dispatched whose tallies its
+	// merge never consumed: the speculation past the deciding shard (at
+	// most workers × WorkerInflight per cell), or every unmerged shard of
+	// a cancelled cell.
+	ShardsDiscarded uint64 `json:"shards_discarded"`
 	// ShardsDispatched counts remote dispatch attempts, ShardRetries the
 	// re-routes after a failure, and LocalFailovers the shards that ran
 	// out of workers and executed in process.
@@ -55,6 +60,7 @@ func (c *Coordinator) Status() Status {
 		ShardsDispatched: c.dispatched.Load(),
 		ShardRetries:     c.retried.Load(),
 		LocalFailovers:   c.failovers.Load(),
+		ShardsDiscarded:  c.discarded.Load(),
 	}
 	now := c.opts.Now()
 	c.mu.Lock()

@@ -25,15 +25,17 @@ type Lanes struct {
 // NewLanes returns a bank whose lane L is seeded exactly like New(seeds[L]).
 func NewLanes(seeds *[LaneCount]uint64) *Lanes {
 	var l Lanes
-	l.Seed(seeds)
+	l.Seed(seeds[:])
 	return &l
 }
 
-// Seed re-initializes the bank in place: lane L's stream becomes identical
-// to a fresh New(seeds[L]) — the same splitmix64 expansion, including the
-// nonzero-state guard — so a reused bank is bit-identical to a freshly
-// allocated one (the lane runner reseeds one bank per trial block).
-func (l *Lanes) Seed(seeds *[LaneCount]uint64) {
+// Seed re-initializes lanes 0..len(seeds)-1 in place: lane L's stream
+// becomes identical to a fresh New(seeds[L]) — the same splitmix64
+// expansion, including the nonzero-state guard — so a reseeded lane is
+// bit-identical to a freshly allocated one (the lane runner reseeds one
+// bank per trial block, only on the lanes the block uses). Lanes at or
+// above len(seeds) keep their state; len(seeds) must not exceed LaneCount.
+func (l *Lanes) Seed(seeds []uint64) {
 	for lane, seed := range seeds {
 		sm := seed
 		a := splitmix64(&sm)
@@ -70,7 +72,7 @@ func bernoulliThreshold(p float64) uint64 {
 // must reproduce the scalar trial's adversary Source exactly — including
 // rounds in which only some trials' adversaries draw at all.
 //
-// Unlike Lanes (whose Bernoulli transposition always advances every lane
+// Unlike Lanes (whose Bernoulli transposition advances a prefix of lanes
 // in lockstep), a LaneSources advance is data-dependent per lane, so the
 // state lives in the same structure-of-arrays layout but is walked mask-
 // bit by mask-bit. Not safe for concurrent use.
@@ -78,10 +80,11 @@ type LaneSources struct {
 	s0, s1, s2, s3 [LaneCount]uint64
 }
 
-// Seed re-initializes the bank in place: lane L's stream becomes identical
-// to a fresh New(seeds[L]), with the same splitmix64 expansion and
-// nonzero-state guard as Lanes.Seed.
-func (l *LaneSources) Seed(seeds *[LaneCount]uint64) {
+// Seed re-initializes lanes 0..len(seeds)-1 in place: lane L's stream
+// becomes identical to a fresh New(seeds[L]), with the same splitmix64
+// expansion and nonzero-state guard as Lanes.Seed. Lanes at or above
+// len(seeds) keep their state.
+func (l *LaneSources) Seed(seeds []uint64) {
 	for lane, seed := range seeds {
 		sm := seed
 		a := splitmix64(&sm)
@@ -147,16 +150,20 @@ func (l *LaneSources) Intn2Masked(mask uint64) uint64 {
 	return out
 }
 
-// BernoulliWords fills out[0..n-1] with transposed Bernoulli(p) draws: bit
-// L of out[i] is the i-th draw of lane L. Per lane the draws are identical,
-// in number and order, to n successive Bernoulli(p) calls on a Source
-// seeded like that lane — including the p-range rules (p <= 0 consumes no
-// randomness and is always false; p >= 1 consumes none and is always
-// true) — so lane L of a word stream reproduces the scalar fault stream of
-// trial L exactly.
+// BernoulliWords fills out[0..n-1] with transposed Bernoulli(p) draws on
+// lanes 0..lanes-1 (0 <= lanes <= LaneCount): bit L of out[i] is
+// the i-th draw of lane L. Per lane the draws are identical, in number and
+// order, to n successive Bernoulli(p) calls on a Source seeded like that
+// lane — including the p-range rules (p <= 0 consumes no randomness and is
+// always false; p >= 1 consumes none and is always true) — so lane L of a
+// word stream reproduces the scalar fault stream of trial L exactly.
+//
+// Lanes at or above lanes draw nothing: their generators do not advance
+// and their bits of out are zero, so a partial trial block costs in
+// proportion to the lanes it uses.
 //
 // out must have at least n words; the first n are overwritten.
-func (l *Lanes) BernoulliWords(p float64, n int, out []uint64) {
+func (l *Lanes) BernoulliWords(p float64, n, lanes int, out []uint64) {
 	for i := 0; i < n; i++ {
 		out[i] = 0
 	}
@@ -164,14 +171,15 @@ func (l *Lanes) BernoulliWords(p float64, n int, out []uint64) {
 		return
 	}
 	if p >= 1 {
+		all := ^uint64(0) >> uint(LaneCount-lanes)
 		for i := 0; i < n; i++ {
-			out[i] = ^uint64(0)
+			out[i] = all
 		}
 		return
 	}
 	t := bernoulliThreshold(p)
 	out = out[:n] // hoists the bounds check out of the draw loop
-	for lane := 0; lane < LaneCount; lane++ {
+	for lane := 0; lane < lanes; lane++ {
 		s0, s1, s2, s3 := l.s0[lane], l.s1[lane], l.s2[lane], l.s3[lane]
 		for i := range out {
 			x := bits.RotateLeft64(s1*5, 7) * 9

@@ -44,7 +44,7 @@ func TestBernoulliWordsMatchesScalarStreams(t *testing.T) {
 		lanes := NewLanes(&seeds)
 		out := make([]uint64, 64)
 		for step, n := range widths {
-			lanes.BernoulliWords(p, n, out)
+			lanes.BernoulliWords(p, n, LaneCount, out)
 			// The transposed sampler draws lane-major; the scalar reference
 			// draws n values per lane. Compare draw i of lane L.
 			for lane := 0; lane < LaneCount; lane++ {
@@ -60,13 +60,69 @@ func TestBernoulliWordsMatchesScalarStreams(t *testing.T) {
 		// Residual-stream check: if either side consumed a different number
 		// of draws (e.g. a spurious draw at p<=0 or p>=1), the next raw
 		// outputs diverge.
-		lanes.BernoulliWords(0.5, 4, out)
+		lanes.BernoulliWords(0.5, 4, LaneCount, out)
 		for lane := 0; lane < LaneCount; lane++ {
 			for i := 0; i < 4; i++ {
 				want := scalars[lane].Bernoulli(0.5)
 				got := out[i]>>uint(lane)&1 == 1
 				if got != want {
 					t.Fatalf("p=%v residual lane=%d draw=%d: lanes=%v scalar=%v (draw counts diverged)", p, lane, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestBernoulliWordsPartialLanes pins the partial-block contract the lane
+// runner's count-proportional cost rests on: with lanes < LaneCount, lanes
+// below the count draw exactly the scalar streams, every bit at or above it
+// is zero (p >= 1 included), and the generators at or above it do not
+// advance — a later full-width draw continues their untouched streams. A
+// prefix Seed likewise leaves the lanes above the prefix as they were.
+func TestBernoulliWordsPartialLanes(t *testing.T) {
+	for _, count := range []int{0, 1, 7, 31, 32, 33, 63} {
+		for _, p := range []float64{0.05, 0.42, 0.5, 0.97, 1} {
+			// The bank starts on one seed set; a prefix reseed moves only
+			// the first count lanes onto a second.
+			var seeds, reseeds [LaneCount]uint64
+			scalars := make([]*Source, LaneCount)
+			for lane := range seeds {
+				seeds[lane] = 0xc0ffee + uint64(lane)*0x9e3779b97f4a7c15
+				reseeds[lane] = 0xbeef + uint64(lane)*0x9e3779b97f4a7c15
+				if lane < count {
+					scalars[lane] = New(reseeds[lane])
+				} else {
+					scalars[lane] = New(seeds[lane])
+				}
+			}
+			lanes := NewLanes(&seeds)
+			lanes.Seed(reseeds[:count])
+			out := make([]uint64, 40)
+			for step, n := range []int{17, 1, 40} {
+				lanes.BernoulliWords(p, n, count, out)
+				for i := 0; i < n; i++ {
+					if high := out[i] &^ (1<<uint(count) - 1); high != 0 {
+						t.Fatalf("count=%d p=%v step=%d word %d: bits %#x set at or above the lane count", count, p, step, i, high)
+					}
+				}
+				for lane := 0; lane < count; lane++ {
+					for i := 0; i < n; i++ {
+						want := scalars[lane].Bernoulli(p)
+						if got := out[i]>>uint(lane)&1 == 1; got != want {
+							t.Fatalf("count=%d p=%v step=%d lane=%d draw=%d: lanes=%v scalar=%v", count, p, step, lane, i, got, want)
+						}
+					}
+				}
+			}
+			// Residual streams: the drawn lanes continue where the scalars
+			// are, the others from their first draw.
+			lanes.BernoulliWords(0.5, 4, LaneCount, out)
+			for lane := 0; lane < LaneCount; lane++ {
+				for i := 0; i < 4; i++ {
+					want := scalars[lane].Bernoulli(0.5)
+					if got := out[i]>>uint(lane)&1 == 1; got != want {
+						t.Fatalf("count=%d p=%v residual lane=%d draw=%d: lanes=%v scalar=%v (a lane above the count advanced)", count, p, lane, i, got, want)
+					}
 				}
 			}
 		}
@@ -83,13 +139,13 @@ func TestLanesSeedReuse(t *testing.T) {
 	}
 	reused := NewLanes(&a)
 	scratch := make([]uint64, 8)
-	reused.BernoulliWords(0.3, 8, scratch)
-	reused.Seed(&b)
+	reused.BernoulliWords(0.3, 8, LaneCount, scratch)
+	reused.Seed(b[:])
 	fresh := NewLanes(&b)
 	got := make([]uint64, 16)
 	want := make([]uint64, 16)
-	reused.BernoulliWords(0.42, 16, got)
-	fresh.BernoulliWords(0.42, 16, want)
+	reused.BernoulliWords(0.42, 16, LaneCount, got)
+	fresh.BernoulliWords(0.42, 16, LaneCount, want)
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("word %d: reused bank %#x != fresh bank %#x", i, got[i], want[i])
@@ -110,7 +166,7 @@ func TestLaneSourcesMatchScalarStreams(t *testing.T) {
 		scalars[lane] = New(seeds[lane])
 	}
 	var bank LaneSources
-	bank.Seed(&seeds)
+	bank.Seed(seeds[:])
 	masks := []uint64{
 		^uint64(0), 0, 0xaaaa_aaaa_aaaa_aaaa, 1, 1 << 63,
 		0x00ff_ff00_0f0f_0f0f, 0x5555_5555_5555_5555,
@@ -168,10 +224,10 @@ func TestLaneSourcesSeedReuse(t *testing.T) {
 		b[lane] = uint64(lane)*911 + 3
 	}
 	var reused, fresh LaneSources
-	reused.Seed(&a)
+	reused.Seed(a[:])
 	reused.LessMasked(0.5, ^uint64(0))
-	reused.Seed(&b)
-	fresh.Seed(&b)
+	reused.Seed(b[:])
+	fresh.Seed(b[:])
 	for i := 0; i < 5; i++ {
 		if g, w := reused.Intn2Masked(^uint64(0)), fresh.Intn2Masked(^uint64(0)); g != w {
 			t.Fatalf("draw %d: reused %#x != fresh %#x", i, g, w)
@@ -225,6 +281,6 @@ func BenchmarkBernoulliWords(b *testing.B) {
 	out := make([]uint64, 36)
 	b.ReportAllocs()
 	for b.Loop() {
-		l.BernoulliWords(0.42, len(out), out)
+		l.BernoulliWords(0.42, len(out), LaneCount, out)
 	}
 }

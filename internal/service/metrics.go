@@ -183,6 +183,7 @@ func (s *Server) buildMetrics() *telemetry.Registry {
 			st := s.opts.Cluster.Status()
 			emit(nil, v(&clusterStatsView{
 				dispatched: st.ShardsDispatched,
+				discarded:  st.ShardsDiscarded,
 				retries:    st.ShardRetries,
 				failovers:  st.LocalFailovers,
 			}))
@@ -191,6 +192,9 @@ func (s *Server) buildMetrics() *telemetry.Registry {
 	clusterCounter("faultcast_cluster_shards_dispatched_total",
 		"Remote shard dispatch attempts.",
 		func(st *clusterStatsView) float64 { return float64(st.dispatched) })
+	clusterCounter("faultcast_cluster_shards_discarded_total",
+		"Dispatched shards whose tallies the merge never consumed (speculation past a cell's decision, or a cancelled cell).",
+		func(st *clusterStatsView) float64 { return float64(st.discarded) })
 	clusterCounter("faultcast_cluster_shard_retries_total",
 		"Shards re-routed to another worker after a dispatch failure.",
 		func(st *clusterStatsView) float64 { return float64(st.retries) })
@@ -292,7 +296,7 @@ type storeStatsView struct {
 }
 
 type clusterStatsView struct {
-	dispatched, retries, failovers uint64
+	dispatched, discarded, retries, failovers uint64
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

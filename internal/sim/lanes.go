@@ -296,16 +296,19 @@ func NewLaneRunner(spec *LaneSpec) (*LaneRunner, error) {
 // trial baseSeed+L's success, bit-identical to the scalar engine's
 // Result.Success for that seed. Bits at or above count are zero.
 //
-// The runner always advances all 64 lanes — a partial block costs the same
-// as a full one — and masks the verdict, so callers should claim trials in
-// full lane-width chunks whenever the stream allows it.
+// Only the first count lanes are seeded and draw faults, so a partial
+// block's sampling cost — the bulk of a block's work — scales with count.
+// The lanes above count run fault-free: with their fault bits zero the
+// adversary bank never draws for them either (its masks are fault words),
+// and the verdict mask hides their outcome.
 func (r *LaneRunner) Run(baseSeed uint64, count int) uint64 {
 	if count <= 0 {
 		return 0
 	}
+	lanes := min(count, LaneWidth)
 	spec := r.spec
 	n := spec.Graph.N()
-	for lane := 0; lane < LaneWidth; lane++ {
+	for lane := 0; lane < lanes; lane++ {
 		// The scalar trial derives its streams from the trial master
 		// rng.New(seed): the fault stream is the first Split (rng.New of the
 		// master's first output), the adversary stream the second.
@@ -315,9 +318,9 @@ func (r *LaneRunner) Run(baseSeed uint64, count int) uint64 {
 			r.advSeeds[lane] = src.Uint64()
 		}
 	}
-	r.rnd.Seed(&r.seeds)
+	r.rnd.Seed(r.seeds[:lanes])
 	if r.needAdv {
-		r.adv.Seed(&r.advSeeds)
+		r.adv.Seed(r.advSeeds[:lanes])
 	}
 	r.kernel.Reset()
 	for round := 0; round < spec.Rounds; round++ {
@@ -338,7 +341,7 @@ func (r *LaneRunner) Run(baseSeed uint64, count int) uint64 {
 		if spec.Fault == NoFaults {
 			copy(r.act, r.intent)
 		} else {
-			r.rnd.BernoulliWords(spec.P, n, r.fault)
+			r.rnd.BernoulliWords(spec.P, n, lanes, r.fault)
 			switch {
 			case spec.Fault == Omission || spec.Corruption == LaneSilence:
 				for v := 0; v < n; v++ {
@@ -393,11 +396,7 @@ func (r *LaneRunner) Run(baseSeed uint64, count int) uint64 {
 		}
 		r.kernel.Absorb(round, r.heard, r.sym)
 	}
-	v := r.kernel.Verdict()
-	if count >= LaneWidth {
-		return v
-	}
-	return v & (1<<uint(count) - 1)
+	return r.kernel.Verdict() & (^uint64(0) >> uint(LaneWidth-lanes))
 }
 
 // deliverMP is the transposed message-passing rule. heard[u] collects the

@@ -304,9 +304,13 @@ func genDrawCase(i int) diffCase {
 
 const drawCases = 100
 
+// partialCounts are the block sizes below LaneWidth the differential
+// check replays: single-lane, odd, and both sides of the 32-trial batch.
+var partialCounts = []int{1, 7, 31, 32, 33, 63}
+
 // checkLanesVsScalar runs one differential comparison: a full 64-lane
-// block against 64 scalar reference trials, plus partial-block masking
-// and runner reuse.
+// block against 64 scalar reference trials, plus partial blocks at every
+// partialCounts size and runner reuse.
 func checkLanesVsScalar(t *testing.T, c diffCase) {
 	t.Helper()
 	spec := laneSpecFor(c.cfg, advNameOf(c.cfg))
@@ -340,10 +344,13 @@ func checkLanesVsScalar(t *testing.T, c diffCase) {
 		t.Fatalf("%s: lane verdicts %016x != scalar %016x (xor %016x)", c.desc, got, want, got^want)
 	}
 
-	// Partial blocks mask the tail but never change the low lanes, and
-	// a reused runner must reproduce the block bit-identically.
-	if partial := lr.Run(base, 7); partial != want&(1<<7-1) {
-		t.Fatalf("%s: partial block %016x != masked %016x", c.desc, partial, want&(1<<7-1))
+	// Partial blocks draw only their own lanes yet never change them —
+	// 32 is the stop-rule batch width every ruled estimate claims — and a
+	// reused runner must reproduce the block bit-identically.
+	for _, count := range partialCounts {
+		if partial, masked := lr.Run(base, count), want&(1<<uint(count)-1); partial != masked {
+			t.Fatalf("%s: partial block of %d %016x != masked %016x", c.desc, count, partial, masked)
+		}
 	}
 	if again := lr.Run(base, LaneWidth); again != want {
 		t.Fatalf("%s: reused lane runner diverged: %016x != %016x", c.desc, again, want)
