@@ -169,10 +169,9 @@ func (c *Coordinator) Run(ctx context.Context, workers int, cells []exec.Cell, o
 	var wg sync.WaitGroup
 	for i := range cells {
 		cell := &cells[i]
-		start := stat.Proportion{Successes: cell.Start.Successes, Trials: cell.Start.Trials}
-		if start.Trials >= cell.MaxTrials || (cell.Rule.Enabled() && cell.Rule.Done(start)) {
+		if f := (stat.Fold{P: cell.Start, Max: cell.MaxTrials, Rule: cell.Rule}); f.Done() {
 			emitMu.Lock()
-			onDone(i, start)
+			onDone(i, f.P)
 			emitMu.Unlock()
 			continue
 		}
@@ -237,13 +236,9 @@ func (c *Coordinator) runCell(ctx context.Context, poolWorkers int, cell *exec.C
 	}
 	c.cells.Add(1)
 
-	rule := cell.Rule
 	batch := 0
-	if rule.Enabled() {
-		batch = rule.Batch
-		if batch <= 0 {
-			batch = 32
-		}
+	if cell.Rule.Enabled() {
+		batch = cell.Rule.BatchSize()
 	} else if cell.Bucket > 0 {
 		// Un-ruled but observed (a tally store is recording): bucket at
 		// the requested granularity so the persisted decomposition
@@ -260,8 +255,8 @@ func (c *Coordinator) runCell(ctx context.Context, poolWorkers int, cell *exec.C
 		// bucket per shard keeps the wire minimal.
 		batch = shardTrials
 	}
-	start := stat.Proportion{Successes: cell.Start.Successes, Trials: cell.Start.Trials}
-	total := cell.MaxTrials - start.Trials
+	fold := stat.Fold{P: cell.Start, Max: cell.MaxTrials, Rule: cell.Rule}
+	total := cell.MaxTrials - cell.Start.Trials
 	nShards := (total + shardTrials - 1) / shardTrials
 
 	// Cancel outstanding dispatches the moment the replay decides; the
@@ -283,11 +278,10 @@ func (c *Coordinator) runCell(ctx context.Context, poolWorkers int, cell *exec.C
 	window := len(c.workers)*c.opts.WorkerInflight + 1 // +1 keeps a shard ready when a slot frees
 	resCh := make(chan shardRes, nShards)
 	tallies := make([]*stat.Tally, nShards)
-	run := start
 	next, contig := 0, 0
 	for contig < nShards {
 		for next < nShards && next < contig+window {
-			first := start.Trials + next*shardTrials
+			first := cell.Start.Trials + next*shardTrials
 			n := min(shardTrials, cell.MaxTrials-first)
 			req := template
 			req.Index = next
@@ -304,33 +298,28 @@ func (c *Coordinator) runCell(ctx context.Context, poolWorkers int, cell *exec.C
 		}
 		tallies[r.index] = &r.tally
 		for contig < nShards && tallies[contig] != nil {
-			// Inlined stat.Replay, bucket by bucket, so OnBatch observes
-			// exactly the consumed buckets — the deciding one included,
-			// the discarded speculation past it excluded — in the same
-			// trial order a local fold would report them.
+			// Fold bucket by bucket, so OnBatch observes exactly the
+			// consumed buckets — the deciding one included, the discarded
+			// speculation past it excluded — in the same trial order a
+			// local fold would report them.
 			t := tallies[contig]
 			for i, succ := range t.Successes {
-				size := t.Batch
-				if last := t.Trials - i*t.Batch; last < size {
-					size = last
-				}
-				run.Trials += size
-				run.Successes += succ
+				size := min(t.Batch, t.Trials-i*t.Batch)
 				if cell.OnBatch != nil {
 					cell.OnBatch(size, succ)
 				}
-				if run.Trials >= cell.MaxTrials || (rule.Enabled() && rule.Done(run)) {
+				if fold.Add(size, succ) {
 					c.discarded.Add(uint64(next - contig - 1))
-					return run, true
+					return fold.P, true
 				}
 			}
 			contig++
 		}
 	}
 	// Unreachable in practice: consuming every shard reaches MaxTrials,
-	// which Replay reports as done. Kept as a safe landing for a zero-total
-	// cell slipping through.
-	return run, true
+	// which the fold reports as done. Kept as a safe landing for a
+	// zero-total cell slipping through.
+	return fold.P, true
 }
 
 // dispatchShard executes one shard somewhere: each eligible worker is

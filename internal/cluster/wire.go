@@ -17,8 +17,9 @@
 // result the same prefix. S is the coordinator's ShardTrials rounded up
 // to a multiple of the cell's stop-rule batch, and workers return success
 // counts bucketed at exactly that batch, so the concatenated buckets of a
-// sharded run are the local run's batch sequence and stat.Replay
-// reproduces its stop decisions bit-for-bit. Workers never apply a
+// sharded run are the local run's batch sequence and folding them through
+// the same stat.Fold the local scheduler uses reproduces its stop
+// decisions bit-for-bit. Workers never apply a
 // stopping rule themselves — they cannot know the merged prefix a shard
 // lands in — which also makes shards idempotent: a dropped shard is
 // re-dispatched to another worker (or run locally) and whichever copy

@@ -48,7 +48,7 @@ func (Local) Run(ctx context.Context, workers int, cells []Cell, onDone func(i i
 // neither the worker count nor scheduling order can change a bucket.
 // There is deliberately no stopping rule here — a shard cannot know the
 // merged prefix it will land in, so stop decisions belong exclusively to
-// the coordinator's replay (stat.Replay).
+// the coordinator, which folds the merged buckets through a stat.Fold.
 func RunShard(workers int, baseSeed uint64, trials, batch int, newTrial stat.TrialMaker) stat.Tally {
 	if trials <= 0 {
 		return stat.Tally{}

@@ -1,16 +1,13 @@
 // Package exec schedules Monte-Carlo trial streams onto one bounded
 // worker pool shared across many concurrent estimation cells.
 //
-// The previous design gave every estimate its own pool: each call to
-// stat.EstimateStream spun up worker goroutines, ran one cell to its
-// stopping point, and tore the pool down — so a parameter sweep over k
-// cells paid k pool lifecycles, and every cell's stragglers (the tail of
-// a batch, the wind-down after an early stop) left all other cells'
-// work waiting. This package inverts that: callers submit all cells at
-// once, a single pool of workers multiplexes across them, and the
-// moment one cell's interval is decided its workers flow to the cells
-// still undecided. Intra-cell work is still batched (stopping decisions
-// happen only at batch boundaries), but batches from different cells
+// Callers submit all cells at once, a single pool of workers multiplexes
+// across them, and the moment one cell's interval is decided its workers
+// flow to the cells still undecided — a sweep over k cells pays one pool
+// lifecycle, and one cell's stragglers (the tail of a batch, the
+// wind-down after an early stop) never leave the others' work waiting.
+// Intra-cell work is batched, with each cell's stop decisions made by a
+// stat.Fold at batch boundaries, but batches from different cells
 // interleave freely.
 //
 // Determinism contract — identical to stat.EstimateStreamFrom's: the
@@ -144,22 +141,21 @@ func Run(ctx context.Context, workers int, cells []Cell, onDone func(i int, p st
 		c := &cells[i]
 		cs := &s.cells[i]
 		cs.spec = c
-		cs.trials = c.Start.Trials
-		cs.successes = c.Start.Successes
+		cs.fold = stat.Fold{P: c.Start, Max: c.MaxTrials, Rule: c.Rule, Bucket: c.Bucket}
 		cs.next = c.Start.Trials
-		if cs.trials >= c.MaxTrials || (c.Rule.Enabled() && c.Rule.Done(stat.Proportion{Successes: cs.successes, Trials: cs.trials})) {
+		if cs.fold.Done() {
 			cs.done = true
 			immediate = append(immediate, i)
 			continue
 		}
-		cs.batchEnd = cs.next + batchSize(c, cs.trials)
+		cs.batchEnd = cs.next + cs.fold.Next()
 		if c.Probe != nil {
 			cs.opened = time.Now()
 		}
 		s.active++
 	}
 	for _, i := range immediate {
-		s.emit(i, stat.Proportion{Successes: s.cells[i].successes, Trials: s.cells[i].trials})
+		s.emit(i, s.cells[i].fold.P)
 	}
 	if s.active == 0 {
 		return ctx.Err()
@@ -210,37 +206,14 @@ func EstimateCell(workers int, c Cell) stat.Proportion {
 	return out
 }
 
-// batchSize mirrors stat.StopRule's batching: with a stopping rule,
-// trials run in fixed batches (Rule.Batch, default 32) so the executed
-// count is machine-independent; without one, the whole remaining budget
-// is a single batch unless Cell.Bucket asks for observation granularity.
-func batchSize(c *Cell, trials int) int {
-	rest := c.MaxTrials - trials
-	b := c.Rule.Batch
-	if !c.Rule.Enabled() {
-		if c.Bucket <= 0 {
-			return rest
-		}
-		b = c.Bucket
-	}
-	if b <= 0 {
-		b = 32
-	}
-	if b > rest {
-		b = rest
-	}
-	return b
-}
-
-// cellState is the scheduler-private progress of one cell. trials and
-// successes are decided totals (through the last completed batch,
-// including the cell's Start); the open batch accumulates separately and
-// is folded in only when its last trial lands.
+// cellState is the scheduler-private progress of one cell. fold holds the
+// decided totals (through the last completed batch, including the cell's
+// Start); the open batch accumulates separately and is folded in only
+// when its last trial lands.
 type cellState struct {
 	spec      *Cell
 	done      bool
-	trials    int
-	successes int
+	fold      stat.Fold
 	batchEnd  int // open batch: trial indices [next-inflight..batchEnd)
 	next      int // next unclaimed trial index
 	inflight  int // claimed, not yet reported
@@ -362,13 +335,14 @@ func (s *sched) worker(w int) {
 		var finished *stat.Proportion
 		if cs.next == cs.batchEnd && cs.inflight == 0 {
 			// Batch boundary: fold it in and decide.
+			size := cs.batchEnd - cs.fold.P.Trials
 			if spec.OnBatch != nil {
-				spec.OnBatch(cs.batchEnd-cs.trials, cs.batchSucc)
+				spec.OnBatch(size, cs.batchSucc)
 			}
 			if spec.Probe != nil {
 				spec.Probe(BatchStat{
 					Cell:      ci,
-					Trials:    cs.batchEnd - cs.trials,
+					Trials:    size,
 					Successes: cs.batchSucc,
 					Engine:    time.Duration(cs.engineNs),
 					Wall:      time.Since(cs.opened),
@@ -376,14 +350,13 @@ func (s *sched) worker(w int) {
 				cs.engineNs = 0
 				cs.opened = time.Now()
 			}
-			cs.trials = cs.batchEnd
-			cs.successes += cs.batchSucc
+			decided := cs.fold.Add(size, cs.batchSucc)
 			cs.batchSucc = 0
-			p := stat.Proportion{Successes: cs.successes, Trials: cs.trials}
 			switch {
-			case cs.trials >= spec.MaxTrials || (spec.Rule.Enabled() && spec.Rule.Done(p)):
+			case decided:
 				cs.done = true
 				s.active--
+				p := cs.fold.P
 				finished = &p
 			case s.cancelled:
 				// Wind-down: the cell is mid-stream, neither budget nor
@@ -392,7 +365,7 @@ func (s *sched) worker(w int) {
 				// passing a truncated estimate off as a decided one.
 				cs.done = true
 			default:
-				cs.batchEnd = cs.next + batchSize(spec, cs.trials)
+				cs.batchEnd = cs.next + cs.fold.Next()
 			}
 			// Either way there is news: fresh trials to claim, or one
 			// fewer active cell (possibly zero, releasing all waiters).

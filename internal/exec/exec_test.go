@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -66,6 +67,72 @@ func TestRunMatchesEstimateStream(t *testing.T) {
 			}
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d cell %d: shared pool %+v != stream %+v", workers, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestRunBlocksMatchTrials: block claiming must be invisible in every
+// result — the same batches folded, the same stop decisions, the same
+// Proportion as per-trial claiming and as stat.EstimateStreamFrom — for
+// starts that are not block- or batch-aligned, budgets that end mid-block
+// or mid-batch, and un-ruled cells with and without observation buckets.
+func TestRunBlocksMatchTrials(t *testing.T) {
+	const threshold = 3 << 62 // ≈ 0.75 success rate
+	rules := map[string]stat.StopRule{
+		"none":      {},
+		"target":    {UseTarget: true, Target: 0.6, Z: 2.576},
+		"halfwidth": {HalfWidth: 0.08},
+	}
+	type cse struct {
+		name string
+		cell Cell
+	}
+	var cases []cse
+	for name, rule := range rules {
+		for _, start := range []stat.Proportion{{}, {Successes: 5, Trials: 7}} {
+			for _, budget := range []int{1, 31, 33, 200, 1000} {
+				for _, bucket := range []int{0, 32} {
+					cases = append(cases, cse{
+						name: fmt.Sprintf("%s/start=%d/max=%d/bucket=%d", name, start.Trials, budget, bucket),
+						cell: Cell{MaxTrials: budget, BaseSeed: 11, Start: start, Rule: rule, Bucket: bucket},
+					})
+				}
+			}
+		}
+	}
+	newTrial := func() stat.Trial { return synthTrial(threshold) }
+	newBlock := func() stat.TrialBlock { return synthBlock(threshold) }
+	run := func(workers int, blocks bool) ([]stat.Proportion, [][][2]int) {
+		cells := make([]Cell, len(cases))
+		batches := make([][][2]int, len(cases))
+		for i, c := range cases {
+			i := i
+			cells[i] = c.cell
+			cells[i].NewTrial = newTrial
+			if blocks {
+				cells[i].NewBlock = newBlock
+			}
+			cells[i].OnBatch = func(trials, successes int) {
+				batches[i] = append(batches[i], [2]int{trials, successes})
+			}
+		}
+		got := make([]stat.Proportion, len(cases))
+		if err := Run(context.Background(), workers, cells, func(i int, p stat.Proportion) { got[i] = p }); err != nil {
+			t.Fatal(err)
+		}
+		return got, batches
+	}
+	for _, workers := range []int{1, 3} {
+		trialP, trialB := run(workers, false)
+		blockP, blockB := run(workers, true)
+		for i, c := range cases {
+			want := stat.EstimateStreamFrom(c.cell.Start, c.cell.MaxTrials, c.cell.BaseSeed, workers, c.cell.Rule, newTrial)
+			if trialP[i] != want || blockP[i] != want {
+				t.Errorf("workers=%d %s: trials %+v, blocks %+v, stream %+v", workers, c.name, trialP[i], blockP[i], want)
+			}
+			if fmt.Sprint(trialB[i]) != fmt.Sprint(blockB[i]) {
+				t.Errorf("workers=%d %s: batches differ: trials %v, blocks %v", workers, c.name, trialB[i], blockB[i])
 			}
 		}
 	}

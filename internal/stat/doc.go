@@ -2,9 +2,11 @@
 // harness and the serving layer: Monte-Carlo success-rate estimation with
 // Wilson confidence intervals, binomial/Chernoff tail helpers (also used
 // by the Kučera composition calculus), the radio feasibility threshold
-// solver, least-squares fits for scaling experiments, and the streaming
-// estimator (EstimateStream / EstimateStreamFrom) with deterministic
-// early stopping and resumption.
+// solver, least-squares fits for scaling experiments, Fold — the
+// batch-boundary stop-rule fold every execution layer shares — and the
+// reference streaming estimator (EstimateStream / EstimateStreamFrom)
+// with deterministic early stopping and resumption that Fold is tested
+// against.
 //
 // # Invariants
 //
@@ -16,8 +18,9 @@
 //   - Resuming a stream from a prior Proportion visits exactly the seed
 //     suffix a one-shot run of the combined budget would, and a start
 //     that already satisfies the rule runs zero trials
-//     (TestEstimateStreamFromResume) — the contract faultcastd's
-//     confidence-aware cache reuse and refinement are built on.
+//     (TestEstimateStreamFromResume) — the contract Plan.EstimateFrom,
+//     and with it faultcastd's confidence-aware cache reuse and
+//     refinement, honors through the scheduler's Fold.
 //   - Stopping on a target is a sequential test on a band strictly wider
 //     than the reported 95% interval, so an early-stopped estimate is
 //     always decided the same way as its reported interval (see

@@ -18,26 +18,39 @@ type Trial func(seed uint64) bool
 // which is only ever called from that single worker.
 type TrialMaker func() Trial
 
+// BlockWidth is the number of trials a TrialBlock can run per call — one
+// bit lane per trial in a machine word.
+const BlockWidth = 64
+
+// TrialBlock runs up to BlockWidth consecutive trials — seeds baseSeed+0
+// .. baseSeed+count-1 — and returns their success verdicts as a bit mask
+// (bit i = trial baseSeed+i succeeded; bits >= count are zero). Each
+// trial's verdict must be the pure function of its own seed that the
+// equivalent Trial computes: callers claim blocks from arbitrary (not
+// necessarily aligned) offsets of a seed sequence and mix block and
+// per-trial execution freely, relying on bit-identical verdicts.
+//
+// Like Trial, a TrialBlock may hold reusable per-worker state and is only
+// ever called from the single worker that owns it.
+type TrialBlock func(baseSeed uint64, count int) uint64
+
+// TrialBlockMaker builds the TrialBlock for one worker goroutine.
+type TrialBlockMaker func() TrialBlock
+
 // Estimate runs `trials` independent trials with seeds baseSeed+0,
 // baseSeed+1, ... spread across GOMAXPROCS workers, and returns the
 // estimated success proportion. Seed assignment is deterministic, so the
-// estimate is reproducible regardless of parallelism.
+// estimate is reproducible regardless of parallelism. The trial function
+// is shared by all workers and must be concurrency-safe; use EstimateWith
+// when workers need private state.
 func Estimate(trials int, baseSeed uint64, trial Trial) Proportion {
-	return EstimateParallel(trials, baseSeed, runtime.GOMAXPROCS(0), trial)
+	return EstimateWith(trials, baseSeed, 0, func() Trial { return trial })
 }
 
-// EstimateParallel is Estimate with an explicit worker count (used by
-// tests and by benchmarks that manage parallelism themselves). The trial
-// function is shared by all workers and must be concurrency-safe; use
-// EstimateWith when workers need private state.
-func EstimateParallel(trials int, baseSeed uint64, workers int, trial Trial) Proportion {
-	return EstimateWith(trials, baseSeed, workers, func() Trial { return trial })
-}
-
-// EstimateWith is EstimateParallel with per-worker trial state: newTrial is
-// called once per worker, and the resulting Trial is used by that worker
-// alone. workers <= 0 selects GOMAXPROCS. The estimate depends only on
-// (trials, baseSeed), not on the worker count.
+// EstimateWith is Estimate with an explicit worker count and per-worker
+// trial state: newTrial is called once per worker, and the resulting Trial
+// is used by that worker alone. workers <= 0 selects GOMAXPROCS. The
+// estimate depends only on (trials, baseSeed), not on the worker count.
 func EstimateWith(trials int, baseSeed uint64, workers int, newTrial TrialMaker) Proportion {
 	if trials <= 0 {
 		return Proportion{}

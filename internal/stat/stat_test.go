@@ -234,8 +234,9 @@ func TestProportionEmpty(t *testing.T) {
 
 func TestEstimateDeterministicAcrossParallelism(t *testing.T) {
 	trial := func(seed uint64) bool { return seed%3 == 0 }
-	a := EstimateParallel(1000, 5, 1, trial)
-	b := EstimateParallel(1000, 5, 8, trial)
+	shared := func() Trial { return trial }
+	a := EstimateWith(1000, 5, 1, shared)
+	b := EstimateWith(1000, 5, 8, shared)
 	if a != b {
 		t.Fatalf("parallelism changed the estimate: %v vs %v", a, b)
 	}

@@ -31,14 +31,27 @@ type StopRule struct {
 	// decided exceeds the band's nominal level. Callers whose downstream
 	// verdict reads a z-band should stop on a strictly wider one.
 	Z float64
-	// Batch is the number of trials between stopping checks (default 32 —
-	// a fixed constant, so the executed trial count does not depend on
-	// the machine's core count).
+	// Batch is the number of trials between stopping checks (default
+	// DefaultBatch — a fixed constant, so the executed trial count does
+	// not depend on the machine's core count).
 	Batch int
 }
 
+// DefaultBatch is the stopping-check interval of a StopRule whose Batch
+// is unset, and the bucket size tally stores file un-ruled streams under.
+const DefaultBatch = 32
+
 // Enabled reports whether the rule can ever stop a stream early.
 func (r StopRule) Enabled() bool { return r.UseTarget || r.HalfWidth > 0 }
+
+// BatchSize returns the number of trials between stopping checks: Batch,
+// or DefaultBatch when unset.
+func (r StopRule) BatchSize() int {
+	if r.Batch > 0 {
+		return r.Batch
+	}
+	return DefaultBatch
+}
 
 // Done reports whether the estimate so far satisfies the rule.
 func (r StopRule) Done(p Proportion) bool {
@@ -112,10 +125,7 @@ func EstimateStreamFrom(start Proportion, maxTrials int, baseSeed uint64, worker
 		p.Successes += rest.Successes
 		return p
 	}
-	batch := rule.Batch
-	if batch <= 0 {
-		batch = 32
-	}
+	batch := rule.BatchSize()
 	if workers > batch {
 		workers = batch // a batch can't occupy more workers than trials
 	}

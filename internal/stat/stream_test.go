@@ -20,8 +20,9 @@ func coinTrial(p float64) Trial {
 
 func TestEstimateStreamNoRuleMatchesEstimate(t *testing.T) {
 	trial := coinTrial(0.7)
-	want := EstimateParallel(500, 99, 4, trial)
-	got := EstimateStream(500, 99, 4, StopRule{}, func() Trial { return trial })
+	shared := func() Trial { return trial }
+	want := EstimateWith(500, 99, 4, shared)
+	got := EstimateStream(500, 99, 4, StopRule{}, shared)
 	if got != want {
 		t.Fatalf("stream %+v != plain %+v", got, want)
 	}

@@ -7,14 +7,14 @@ import "fmt"
 // the unit of result the cluster layer moves between machines — a worker
 // executes a shard's full trial range with no stopping rule of its own
 // (it cannot know the merged prefix) and returns the per-batch counts;
-// the coordinator concatenates tallies in shard order and replays the
-// stopping rule over the merged prefixes with Replay.
+// the coordinator concatenates tallies in shard order and folds their
+// buckets through a Fold, discarding those past the deciding one.
 //
 // Bucketing at batch granularity, rather than one count per shard, is
 // what preserves the single-process determinism contract: the
 // concatenated bucket sequence of a sharded run is exactly the batch
 // sequence a local EstimateStreamFrom would have produced, so the
-// replayed stop decisions — and therefore the executed trial count and
+// folded stop decisions — and therefore the executed trial count and
 // the final Proportion — are bit-identical, no matter how many machines
 // ran the shards or in what order they finished.
 type Tally struct {
@@ -70,35 +70,48 @@ func (t Tally) Check() error {
 	return nil
 }
 
-// Replay folds shard tallies, in shard order, into the running estimate,
-// re-applying rule at every bucket boundary exactly as the single-process
-// stream does, and returns the resulting Proportion plus whether the
-// stream is decided (rule satisfied or maxTrials reached). Buckets beyond
-// the deciding boundary are discarded — they are speculative work a
-// coordinator dispatched before the decision was known, and counting them
-// would make the estimate depend on how much speculation happened.
+// Fold is the batch-boundary stop-rule fold: the running estimate of one
+// trial stream, checked against its budget and stopping rule only when a
+// whole batch is added. The scheduler, the cluster merge and tally-store
+// replay all fold through it, so each makes the stop decision at the
+// same boundary with the same totals — the reason a local, sharded or
+// store-resumed stream ends on bit-identical results.
 //
-// For the replayed decisions to be bit-identical to a local run resumed
-// at start, the tallies must partition the local batch sequence: every
-// shard but the last must hold a multiple of the rule's batch size, each
-// bucketed at exactly that size (the coordinator enforces both).
-func Replay(start Proportion, maxTrials int, rule StopRule, tallies []Tally) (Proportion, bool) {
-	p := start
-	if p.Trials >= maxTrials || (rule.Enabled() && rule.Done(p)) {
-		return p, true
+// Batches are Rule.BatchSize() trials when the rule is enabled. An
+// un-ruled stream has no decisions to make and folds Bucket-sized
+// batches, or its whole remaining budget as one when Bucket <= 0. The
+// last batch is clipped to the budget.
+type Fold struct {
+	P      Proportion // totals through the last added batch, start included
+	Max    int        // trial budget, P's start included
+	Rule   StopRule
+	Bucket int
+}
+
+// Done reports whether the stream is decided: budget reached, or the
+// rule satisfied.
+func (f *Fold) Done() bool {
+	return f.P.Trials >= f.Max || (f.Rule.Enabled() && f.Rule.Done(f.P))
+}
+
+// Next returns the size of the next batch. It is only meaningful while
+// the stream is not Done.
+func (f *Fold) Next() int {
+	rest := f.Max - f.P.Trials
+	b := f.Bucket
+	if f.Rule.Enabled() {
+		b = f.Rule.BatchSize()
 	}
-	for _, t := range tallies {
-		for i, s := range t.Successes {
-			size := t.Batch
-			if last := t.Trials - i*t.Batch; last < size {
-				size = last
-			}
-			p.Trials += size
-			p.Successes += s
-			if p.Trials >= maxTrials || (rule.Enabled() && rule.Done(p)) {
-				return p, true
-			}
-		}
+	if b <= 0 || b > rest {
+		return rest
 	}
-	return p, false
+	return b
+}
+
+// Add folds in one batch's trial and success counts and reports whether
+// the stream is now decided.
+func (f *Fold) Add(trials, successes int) bool {
+	f.P.Trials += trials
+	f.P.Successes += successes
+	return f.Done()
 }

@@ -35,8 +35,70 @@ func shardTallies(trial Trial, baseSeed uint64, start, maxTrials, shardTrials, b
 	return out
 }
 
+// replay folds shard tallies, in shard order, through a Fold resumed at
+// start — the cluster coordinator's merge — and reports the estimate and
+// whether the stream is decided. Buckets past the deciding one are
+// discarded.
+func replay(start Proportion, maxTrials int, rule StopRule, tallies []Tally) (Proportion, bool) {
+	f := Fold{P: start, Max: maxTrials, Rule: rule}
+	if f.Done() {
+		return f.P, true
+	}
+	for _, t := range tallies {
+		for i, s := range t.Successes {
+			if f.Add(min(t.Batch, t.Trials-i*t.Batch), s) {
+				return f.P, true
+			}
+		}
+	}
+	return f.P, false
+}
+
+func TestFoldNext(t *testing.T) {
+	ruled := StopRule{HalfWidth: 0.01}
+	cases := []struct {
+		name string
+		f    Fold
+		want int
+	}{
+		{"default batch", Fold{Max: 1000, Rule: ruled}, DefaultBatch},
+		{"explicit batch", Fold{Max: 1000, Rule: StopRule{HalfWidth: 0.01, Batch: 8}}, 8},
+		{"rule batch wins over bucket", Fold{Max: 1000, Rule: StopRule{HalfWidth: 0.01, Batch: 8}, Bucket: 32}, 8},
+		{"unaligned start", Fold{P: Proportion{Trials: 7}, Max: 1000, Rule: ruled}, DefaultBatch},
+		{"ruled last batch clipped", Fold{P: Proportion{Trials: 32}, Max: 40, Rule: ruled}, 8},
+		{"un-ruled bucket", Fold{Max: 1000, Bucket: 32}, 32},
+		{"un-ruled bucket clipped", Fold{P: Proportion{Trials: 20}, Max: 40, Bucket: 32}, 20},
+		{"un-ruled whole rest", Fold{P: Proportion{Trials: 7}, Max: 1000}, 993},
+		{"disabled rule batch ignored", Fold{Max: 1000, Rule: StopRule{Batch: 8}}, 1000},
+	}
+	for _, c := range cases {
+		if got := c.f.Next(); got != c.want {
+			t.Errorf("%s: Next() = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// TestFoldAdd: Add reports the decision at the boundary it folds (starts
+// that are already exhausted or decided are TestReplayStartAlreadyDecided).
+func TestFoldAdd(t *testing.T) {
+	fresh := Fold{Max: 1000, Rule: StopRule{HalfWidth: 0.5}}
+	if fresh.Done() {
+		t.Error("empty start done before any trial")
+	}
+	if !fresh.Add(32, 30) || fresh.P != (Proportion{Successes: 30, Trials: 32}) {
+		t.Errorf("first batch under a loose half-width: %+v done=%v", fresh.P, fresh.Done())
+	}
+	unruled := Fold{Max: 40, Bucket: 32}
+	if unruled.Add(32, 5) {
+		t.Error("un-ruled stream done before its budget")
+	}
+	if !unruled.Add(unruled.Next(), 3) || unruled.P != (Proportion{Successes: 8, Trials: 40}) {
+		t.Errorf("un-ruled stream at its budget: %+v", unruled.P)
+	}
+}
+
 // TestReplayMatchesStream pins the cluster determinism contract at the
-// statistics level: replaying per-batch shard tallies reproduces the exact
+// statistics level: folding per-batch shard tallies reproduces the exact
 // Proportion (successes AND executed trials) of the sequential stream, for
 // stopping rules of every kind, shard sizes that do and do not divide the
 // budget, and resumed starts.
@@ -51,10 +113,7 @@ func TestReplayMatchesStream(t *testing.T) {
 	for name, rule := range rules {
 		for _, shardBatches := range []int{1, 3, 7} {
 			for _, start := range []Proportion{{}, {Successes: 37, Trials: 50}} {
-				batch := rule.Batch
-				if batch <= 0 {
-					batch = 32
-				}
+				batch := rule.BatchSize()
 				const maxTrials = 1000
 				trial := hashTrial(3 << 61) // ≈ 0.75 success rate, near the target
 				maker := func() Trial { return trial }
@@ -67,7 +126,7 @@ func TestReplayMatchesStream(t *testing.T) {
 					batch = shardTr
 				}
 				tallies := shardTallies(trial, 99, start.Trials, maxTrials, shardTr, batch)
-				got, done := Replay(start, maxTrials, rule, tallies)
+				got, done := replay(start, maxTrials, rule, tallies)
 				if !done {
 					t.Errorf("%s/shard=%d/start=%v: replay of the full budget not done", name, shardTr, start)
 				}
@@ -81,11 +140,11 @@ func TestReplayMatchesStream(t *testing.T) {
 
 func TestReplayStartAlreadyDecided(t *testing.T) {
 	start := Proportion{Successes: 90, Trials: 100}
-	p, done := Replay(start, 100, StopRule{}, nil)
+	p, done := replay(start, 100, StopRule{}, nil)
 	if !done || p != start {
 		t.Fatalf("exhausted start: got %+v done=%v", p, done)
 	}
-	p, done = Replay(start, 1000, StopRule{UseTarget: true, Target: 0.2}, nil)
+	p, done = replay(start, 1000, StopRule{UseTarget: true, Target: 0.2}, nil)
 	if !done || p != start {
 		t.Fatalf("decided start: got %+v done=%v", p, done)
 	}
@@ -99,7 +158,7 @@ func TestReplayDiscardsSpeculation(t *testing.T) {
 		{Trials: 64, Batch: 32, Successes: []int{30, 1}},
 		{Trials: 64, Batch: 32, Successes: []int{0, 0}},
 	}
-	p, done := Replay(Proportion{}, 1000, rule, tallies)
+	p, done := replay(Proportion{}, 1000, rule, tallies)
 	if !done {
 		t.Fatal("not done")
 	}

@@ -2,8 +2,8 @@
 // append-only, disk-backed log of per-batch trial tallies keyed by the
 // seed-less plan fingerprint + base seed + batch size — the exact triple
 // that makes a trial stream bit-reproducible. Any stored prefix can seed
-// the stopping-rule replay machinery (stat.Replay / faultcast's
-// WithTallyStore), so a restarted daemon answers previously-served
+// the stopping-rule replay (faultcast's WithTallyStore, folding through
+// stat.Fold), so a restarted daemon answers previously-served
 // estimates with zero trials and a refinement simulates only the
 // marginal batches, bit-identical to an uninterrupted run.
 //

@@ -281,26 +281,10 @@ func (p *Plan) EstimateFrom(prev Estimate, trials int, opts ...EstimateOption) (
 	// the same machinery with the same determinism contract. A configured
 	// dispatcher (WithDispatcher) replaces the in-process pool; the cell
 	// carries its Config so a remote dispatcher can ship the scenario.
-	start := stat.Proportion{Successes: prev.Succeeds, Trials: prev.Trials}
-	var rec *tallyRecorder
-	if o.store != nil && prev.Trials == 0 {
-		// Durable resume: replay the stored prefix through the rule at
-		// cold batch boundaries and start simulation where it runs out.
-		// A load error just means a cold run; the append then restocks.
-		batch := storeBatch(o.rule)
-		planKey := p.StoreKey()
-		replaySpan := o.span.StartChild("store-replay")
-		if stored, err := o.store.LoadTally(planKey, baseSeed, batch); err == nil {
-			start, _ = replayStored(stored, trials, o.rule)
-		}
-		replaySpan.SetAttr("resumed_trials", start.Trials)
-		replaySpan.End()
-		rec = &tallyRecorder{store: o.store, planKey: planKey, baseSeed: baseSeed, batch: batch, start: start.Trials}
-	}
 	cell := exec.Cell{
 		MaxTrials: trials,
 		BaseSeed:  baseSeed,
-		Start:     start,
+		Start:     stat.Proportion{Successes: prev.Succeeds, Trials: prev.Trials},
 		Rule:      o.rule,
 		NewTrial:  p.newTrialMaker(),
 		NewBlock:  p.newBlockMaker(),
@@ -308,12 +292,12 @@ func (p *Plan) EstimateFrom(prev Estimate, trials int, opts ...EstimateOption) (
 		Trace:     o.span,
 		Probe:     o.probe,
 	}
-	if rec != nil {
-		// Store granularity even without a rule: un-ruled streams fold in
-		// store-batch buckets (no stop decisions depend on it) so the
-		// persisted decomposition is shared with ruled requests.
-		cell.Bucket = rec.batch
-		cell.OnBatch = rec.observe
+	var rec *tallyRecorder
+	if o.store != nil && prev.Trials == 0 {
+		replaySpan := o.span.StartChild("store-replay")
+		rec = resumeFromStore(o.store, p.StoreKey(), &cell)
+		replaySpan.SetAttr("resumed_trials", cell.Start.Trials)
+		replaySpan.End()
 	}
 	var prop stat.Proportion
 	d := o.dispatcher
@@ -326,7 +310,7 @@ func (p *Plan) EstimateFrom(prev Estimate, trials int, opts ...EstimateOption) (
 	}
 	rec.flush()
 	if o.resumeReport != nil {
-		o.resumeReport(start.Trials)
+		o.resumeReport(cell.Start.Trials)
 	}
 	lo, hi := prop.Wilson(1.96)
 	return Estimate{

@@ -142,6 +142,21 @@ func TestStoreBackedEstimateBitIdentity(t *testing.T) {
 					t.Fatalf("reopened store simulated %d trials, want 0", cold.Trials-resumed)
 				}
 
+				// A smaller budget against the full stored stream: replay
+				// must stop at the smaller budget's own cold boundaries and
+				// never consume a bucket that overshoots it.
+				half, err := plan.Estimate(storeMatrixTrials/2, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err = plan.Estimate(storeMatrixTrials/2, withStore2...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, half) {
+					t.Fatalf("smaller budget over a fuller store: %+v != cold %+v", got, half)
+				}
+
 				// Partial budget first, then the full budget against a
 				// fresh directory: the refinement resumes the stored
 				// prefix (the first full batch is always aligned) and must

@@ -423,12 +423,11 @@ func (sp *SweepPlan) Run(ctx context.Context, emit func(CellResult), opts ...Swe
 				prevs[gi] = e
 			}
 		}
-		rule := sp.budget.rule(c.plan)
 		execCells[gi] = exec.Cell{
 			MaxTrials: sp.budget.Trials,
 			BaseSeed:  c.Config.Seed,
 			Start:     stat.Proportion{Successes: prevs[gi].Succeeds, Trials: prevs[gi].Trials},
-			Rule:      rule,
+			Rule:      sp.budget.rule(c.plan),
 			NewTrial:  c.plan.newTrialMaker(),
 			NewBlock:  c.plan.newBlockMaker(),
 			SharedKey: c.PlanKey,
@@ -437,20 +436,9 @@ func (sp *SweepPlan) Run(ctx context.Context, emit func(CellResult), opts ...Swe
 			Probe:     o.probe,
 		}
 		if o.store != nil && prevs[gi].Trials == 0 {
-			// Durable resume, exactly as in EstimateFrom: replay the
-			// stored prefix at cold boundaries, simulate the rest, and
-			// append the marginal batches once the cell completes.
-			batch := storeBatch(rule)
-			start := stat.Proportion{}
-			if stored, err := o.store.LoadTally(c.PlanKey, c.Config.Seed, batch); err == nil {
-				start, _ = replayStored(stored, sp.budget.Trials, rule)
-			}
+			recs[gi] = resumeFromStore(o.store, c.PlanKey, &execCells[gi])
+			start := execCells[gi].Start
 			prevs[gi] = Estimate{Trials: start.Trials, Succeeds: start.Successes}
-			execCells[gi].Start = start
-			execCells[gi].Bucket = batch
-			rec := &tallyRecorder{store: o.store, planKey: c.PlanKey, baseSeed: c.Config.Seed, batch: batch, start: start.Trials}
-			execCells[gi].OnBatch = rec.observe
-			recs[gi] = rec
 			resumedTotal += start.Trials
 		}
 	}

@@ -1,6 +1,7 @@
 package faultcast
 
 import (
+	"faultcast/internal/exec"
 	"faultcast/internal/stat"
 )
 
@@ -55,10 +56,10 @@ func (p *Plan) StoreKey() string {
 // bucketing them identically lets ruled and un-ruled requests share one
 // stored stream.
 func storeBatch(rule stat.StopRule) int {
-	if rule.Enabled() && rule.Batch > 0 {
-		return rule.Batch
+	if rule.Enabled() {
+		return rule.BatchSize()
 	}
-	return 32
+	return stat.DefaultBatch
 }
 
 // replayStored folds a stored bucket sequence into the estimate a cold
@@ -70,40 +71,50 @@ func storeBatch(rule stat.StopRule) int {
 //
 // The bit-identity contract is enforced bucket by bucket. With a rule, a
 // stored bucket is consumed only if its size equals the cold run's next
-// batch, min(batch, maxTrials−covered) — the rule is then consulted at
-// the same boundary with the same totals, reproducing the cold decision
-// exactly. The first differently-sized bucket (a short tail persisted by
-// a smaller budget, say) stops the replay there: that position is a cold
+// batch (the fold's Next) — the rule is then consulted at the same
+// boundary with the same totals, reproducing the cold decision exactly.
+// The first differently-sized bucket (a short tail persisted by a
+// smaller budget, say) stops the replay there: that position is a cold
 // batch boundary by construction, so simulation resumes on exactly the
 // trials the cold run would batch next, and the freshly-appended aligned
 // buckets supersede the mismatched tail. Without a rule there are no
 // decisions to reproduce — any contiguous prefix that fits the budget is
 // consumed whole.
 func replayStored(buckets []TallyBucket, maxTrials int, rule stat.StopRule) (p stat.Proportion, done bool) {
-	if maxTrials <= 0 {
-		return p, true
+	f := stat.Fold{Max: maxTrials, Rule: rule}
+	if f.Done() {
+		return f.P, true
 	}
-	batch := storeBatch(rule)
-	ruled := rule.Enabled()
 	for _, b := range buckets {
-		if ruled {
-			want := batch
-			if rest := maxTrials - p.Trials; want > rest {
-				want = rest
-			}
-			if b.Trials != want {
-				return p, false
-			}
-		} else if p.Trials+b.Trials > maxTrials {
-			return p, false
+		// Un-ruled, Next is the whole remaining budget.
+		if next := f.Next(); b.Trials > next || (rule.Enabled() && b.Trials != next) {
+			return f.P, false
 		}
-		p.Trials += b.Trials
-		p.Successes += b.Successes
-		if p.Trials >= maxTrials || (ruled && rule.Done(p)) {
-			return p, true
+		if f.Add(b.Trials, b.Successes) {
+			return f.P, true
 		}
 	}
-	return p, false
+	return f.P, false
+}
+
+// resumeFromStore is the durable resume of a cell with no prior trials:
+// it loads the stream's stored prefix, replays it through the cell's
+// rule at cold batch boundaries, and sets the cell to start simulating
+// where the replay runs out. The cell folds in store-batch buckets even
+// without a rule — no stop decision depends on it there — so the
+// persisted decomposition is shared with ruled requests; the returned
+// recorder collects those buckets for one append once the cell
+// completes. A load error just means a cold run; the append then
+// restocks.
+func resumeFromStore(store TallyStore, planKey string, cell *exec.Cell) *tallyRecorder {
+	batch := storeBatch(cell.Rule)
+	if stored, err := store.LoadTally(planKey, cell.BaseSeed, batch); err == nil {
+		cell.Start, _ = replayStored(stored, cell.MaxTrials, cell.Rule)
+	}
+	rec := &tallyRecorder{store: store, planKey: planKey, baseSeed: cell.BaseSeed, batch: batch, start: cell.Start.Trials}
+	cell.Bucket = batch
+	cell.OnBatch = rec.observe
+	return rec
 }
 
 // tallyRecorder accumulates the batches a cell folds beyond its stored
