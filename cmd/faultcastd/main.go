@@ -29,11 +29,13 @@
 // work is refused with 503 while in-flight work finishes, then the
 // listener closes.
 //
-// With -store=DIR the daemon additionally keeps a durable tally store:
-// every estimate and sweep cell resumes from the store's persisted trial
-// prefix and appends its marginal batches back, so a restarted daemon
-// answers previously-served requests with zero trials, bit-identical
-// (warm restart), and refinements only ever simulate what is not on disk.
+// Every estimate and sweep cell resumes from a tally store's trial
+// prefix and appends its marginal batches back, so refinements only ever
+// simulate what is not stored and answer bit-identically to a cold run.
+// Without -store that store is bounded and in memory (-result-cache
+// streams). With -store=DIR it is durable, so a restarted daemon answers
+// previously-served requests with zero trials, bit-identical (warm
+// restart).
 // The latency histograms in /v1/stats are snapshotted to DIR/stats.json
 // on drain and restored at startup. Inspect the store offline with
 // faultcastctl store ls|verify|gc -dir DIR.
@@ -72,14 +74,13 @@ func main() {
 		maxQueue      = flag.Int("max-queue", 0, "requests waiting for a slot before 429 (0 = 64, negative = no queue)")
 		workers       = flag.Int("workers-per-run", 0, "worker goroutines per estimation (0 = GOMAXPROCS)")
 		planCache     = flag.Int("plan-cache", 0, "compiled plans kept in the LRU (0 = 256)")
-		resultCache   = flag.Int("result-cache", 0, "estimates kept in the result cache (0 = 4096)")
-		resultTTL     = flag.Duration("result-ttl", 0, "lifetime of a cached estimate (0 = 5m)")
+		resultCache   = flag.Int("result-cache", 0, "estimates kept in the result cache, and trial streams in the in-memory tally store without -store (0 = 4096)")
 		maxNodes      = flag.Int("max-nodes", 0, "largest served graph (0 = 4096 vertices)")
 		maxTrials     = flag.Int("max-trials", 0, "per-request trial cap (0 = 200000)")
 		defaultTrials = flag.Int("default-trials", 0, "trial budget when a request names none (0 = 1000)")
 		workerURLs    = flag.String("workers", "", "comma-separated worker base URLs; enables coordinator mode")
 		shardTrials   = flag.Int("shard-trials", 0, "trials per dispatched shard in coordinator mode (0 = 512)")
-		storeDir      = flag.String("store", "", "durable tally store directory; enables warm restart (empty = in-memory caches only)")
+		storeDir      = flag.String("store", "", "durable tally store directory; enables warm restart (empty = bounded in-memory tally store)")
 		traceRing     = flag.Int("trace-ring", 0, "finished request traces retained for /v1/trace (0 = 256, negative disables tracing)")
 		traceSlowest  = flag.Int("trace-slowest", 0, "slowest traces retained beyond ring eviction (0 = 16)")
 		debugAddr     = flag.String("debug-addr", "", "optional second listener for net/http/pprof profiling (e.g. 127.0.0.1:8348); empty disables")
@@ -92,7 +93,6 @@ func main() {
 		DefaultTrials:   *defaultTrials,
 		PlanCacheSize:   *planCache,
 		ResultCacheSize: *resultCache,
-		ResultTTL:       *resultTTL,
 		MaxInflight:     *maxInflight,
 		MaxQueue:        *maxQueue,
 		Workers:         *workers,

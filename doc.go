@@ -22,16 +22,18 @@
 //     schedules, spanning trees), and Plan.Run / Plan.Estimate stream any
 //     number of trials against it, with optional early-stopped estimation;
 //     Run and EstimateSuccess are one-shot wrappers over the same path;
-//   - resumable estimation: Plan.EstimateFrom tops an existing Estimate up
-//     to a larger budget or tighter band by continuing its seed sequence —
-//     the refinement primitive of the faultcastd serving layer;
+//   - resumable estimation: WithTallyStore / WithSweepTallyStore resume a
+//     trial stream from a TallyStore's stored per-batch tallies and append
+//     the marginal batches back, so a larger budget or tighter band costs
+//     only the new trials — the one reuse path of the faultcastd serving
+//     layer, in memory or on disk (internal/store);
 //   - declarative parameter sweeps: a SweepSpec names axes (graphs, p,
 //     model, fault, adversary, algorithm, message, window constant) and a
 //     per-cell budget; CompileSweep expands the cross product into keyed
 //     cells that share compiled plans, and SweepPlan.Run streams every
 //     cell's estimate from one shared worker pool — early-stopped cells
-//     hand their workers to undecided ones, and cached results feed back
-//     in via WithCellPrev for zero-trial or marginal-trial answers;
+//     hand their workers to undecided ones, and stored tallies feed back
+//     in for zero-trial or marginal-trial answers;
 //   - adaptive threshold search: ThresholdSearch brackets a scenario's
 //     empirical feasibility threshold by bisection on p with sequential
 //     Wilson tests, for comparison against the closed-form Threshold;
@@ -62,10 +64,10 @@
 //     TestPlanCoresAndEnginesEquivalent) — which is why Config.Concurrent
 //     and Config.ScalarCore are excluded from Config.Fingerprint.
 //   - Estimates are independent of the worker count, early stopping cuts
-//     the seed sequence only at deterministic batch boundaries, and
-//     EstimateFrom visits exactly the seed suffix a one-shot run of the
-//     combined budget would (TestEstimateStreamStopsPrefix,
-//     TestEstimateFromMatchesEstimate).
+//     the seed sequence only at deterministic batch boundaries, and an
+//     estimate resumed from a TallyStore equals a cold run of the same
+//     budget and rule bit for bit (TestEstimateStreamStopsPrefix,
+//     TestEstimateFromMatchesEstimate, TestStoreBackedEstimateBitIdentity).
 //   - A sweep cell's estimate equals plan.Estimate run cell-by-cell with
 //     the same budget and the cell's derived seed, regardless of worker
 //     count or co-scheduled cells (TestSweepMatchesPerCellEstimate), and

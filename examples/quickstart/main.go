@@ -5,8 +5,10 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"faultcast"
+	"faultcast/internal/store"
 )
 
 func main() {
@@ -45,8 +47,19 @@ func main() {
 		res.Success, res.Rounds, res.Faults)
 
 	// Monte-Carlo on the same plan: is it ALMOST-SAFE, i.e. does it
-	// succeed with probability at least 1 - 1/n?
-	est, err := plan.Estimate(500)
+	// succeed with probability at least 1 - 1/n? The per-batch tallies go
+	// into a tally store (here a throwaway directory), so the estimate can
+	// be refined later.
+	dir, err := os.MkdirTemp("", "quickstart-tallies")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	tallies, err := store.Open(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	est, err := plan.Estimate(500, faultcast.WithTallyStore(tallies))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,11 +67,14 @@ func main() {
 	fmt.Printf("almost-safe (target %.4f): %v\n", plan.AlmostSafeTarget(), est.AlmostSafe(g.N()))
 
 	// Need a tighter interval later? Resume instead of restarting: the
-	// top-up continues the same seed sequence, so this equals one big
-	// 4000-trial estimate — for 3500 trials of marginal cost.
-	tighter, err := plan.EstimateFrom(est, 4000)
+	// stored 500 trials are replayed and the stream continues the same
+	// seed sequence, so this equals one big 4000-trial estimate — for
+	// 3500 trials of marginal cost.
+	resumed := 0
+	tighter, err := plan.Estimate(4000, faultcast.WithTallyStore(tallies),
+		faultcast.WithResumeReport(func(n int) { resumed = n }))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("refined to %d trials: %v\n", tighter.Trials, tighter)
+	fmt.Printf("refined to %d trials (%d replayed from the store): %v\n", tighter.Trials, resumed, tighter)
 }

@@ -288,7 +288,7 @@ func (c *Coordinator) runCell(ctx context.Context, poolWorkers int, cell *exec.C
 			req.BaseSeed = cell.BaseSeed + uint64(first)
 			req.Trials = n
 			req.Batch = min(batch, n)
-			go c.dispatchShard(cctx, req, cell.Trace, cell.NewTrial, resCh)
+			go c.dispatchShard(cctx, req, cell, resCh)
 			next++
 		}
 		r := <-resCh
@@ -325,15 +325,15 @@ func (c *Coordinator) runCell(ctx context.Context, poolWorkers int, cell *exec.C
 // dispatchShard executes one shard somewhere: each eligible worker is
 // tried at most once, failures re-route immediately, and when no worker
 // remains (all tried, down, or the fleet is empty) the shard runs locally
-// on the cell's own trial maker — bit-identical, since a tally is a pure
-// function of the shard spec.
+// on the cell's own trial and block makers — the plan's own core, and
+// bit-identical, since a tally is a pure function of the shard spec.
 //
 // When the cell carries a trace span, the shard gets one "shard" child
 // recording its trial range, the worker that finally answered (or
 // "local"), the retry count, and — grafted in — the worker's own span
 // tree from the ShardResponse.
-func (c *Coordinator) dispatchShard(ctx context.Context, req ShardRequest, parent *telemetry.Span, newTrial stat.TrialMaker, resCh chan<- shardRes) {
-	sp := parent.StartChild("shard")
+func (c *Coordinator) dispatchShard(ctx context.Context, req ShardRequest, cell *exec.Cell, resCh chan<- shardRes) {
+	sp := cell.Trace.StartChild("shard")
 	sp.SetAttr("index", req.Index)
 	sp.SetAttr("trials", req.Trials)
 	defer sp.End()
@@ -379,7 +379,10 @@ func (c *Coordinator) dispatchShard(ctx context.Context, req ShardRequest, paren
 	if retries > 0 {
 		sp.SetAttr("retries", retries)
 	}
-	resCh <- shardRes{index: req.Index, tally: exec.RunShard(c.opts.LocalWorkers, req.BaseSeed, req.Trials, req.Batch, newTrial)}
+	resCh <- shardRes{index: req.Index, tally: exec.TallyCell(c.opts.LocalWorkers, exec.Cell{
+		MaxTrials: req.Trials, BaseSeed: req.BaseSeed, Bucket: req.Batch,
+		NewTrial: cell.NewTrial, NewBlock: cell.NewBlock,
+	})}
 }
 
 // acquire picks an eligible worker — not yet tried for this shard, not

@@ -20,7 +20,10 @@ import (
 
 	"faultcast"
 	"faultcast/internal/cluster"
+	"faultcast/internal/exec"
 	"faultcast/internal/service"
+	"faultcast/internal/stat"
+	"faultcast/internal/store"
 )
 
 // newWorker spins up one in-process faultcastd worker.
@@ -94,28 +97,47 @@ func TestDistributedEstimateBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDistributedEstimateResumes: EstimateFrom through the cluster must
-// continue a cached prefix exactly like the local path (the serving
-// layer's refinement flow in coordinator mode).
+// TestDistributedEstimateResumes: a tally-store refinement through the
+// cluster must continue a stored prefix exactly like the local path (the
+// serving layer's refinement flow in coordinator mode).
 func TestDistributedEstimateResumes(t *testing.T) {
 	coord := newCoordinator(t, cluster.Options{}, newWorker(t).URL)
 	plan := mustCompile(t, faultcast.Config{
 		Graph: faultcast.Line(24), Message: []byte("1"), P: 0.3, Seed: 11,
 	})
-	prefix, err := plan.Estimate(500)
-	if err != nil {
-		t.Fatal(err)
+	// Two stores holding the same 500-trial prefix, one per refinement.
+	var stores [2]*store.Store
+	for i := range stores {
+		st, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := plan.Estimate(500, faultcast.WithTallyStore(st)); err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = st
 	}
-	local, err := plan.EstimateFrom(prefix, 1300)
-	if err != nil {
-		t.Fatal(err)
+	resumed := map[string]int{}
+	refine := func(name string, st *store.Store, opts ...faultcast.EstimateOption) faultcast.Estimate {
+		t.Helper()
+		opts = append(opts, faultcast.WithTallyStore(st),
+			faultcast.WithResumeReport(func(n int) { resumed[name] = n }))
+		est, err := plan.Estimate(1300, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return est
 	}
-	dist, err := plan.EstimateFrom(prefix, 1300, faultcast.WithDispatcher(coord))
-	if err != nil {
-		t.Fatal(err)
-	}
+	local := refine("local", stores[0])
+	dist := refine("dist", stores[1], faultcast.WithDispatcher(coord))
 	if dist != local {
 		t.Fatalf("resumed distributed %+v != local %+v", dist, local)
+	}
+	if resumed["local"] != 500 || resumed["dist"] != 500 {
+		t.Fatalf("resumed %v stored trials, want 500 each", resumed)
+	}
+	if coord.Status().ShardsDispatched == 0 {
+		t.Fatal("the distributed refinement dispatched no shards")
 	}
 }
 
@@ -346,6 +368,61 @@ func TestAllWorkersLost(t *testing.T) {
 	}
 	if len(st.Workers) != 1 || st.Workers[0].Healthy {
 		t.Fatalf("dead worker still marked healthy: %+v", st)
+	}
+}
+
+// TestDeadFleetFailsOverOnBlockCore: a shard that falls over to local
+// execution runs on the cell's block maker — the plan's own lane core —
+// not one trial at a time, and the estimate still equals the local one.
+func TestDeadFleetFailsOverOnBlockCore(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	coord := newCoordinator(t, cluster.Options{FailAfter: 1, DownFor: time.Hour}, dead.URL)
+
+	verdict := func(seed uint64) bool { // a deterministic ≈0.75 success rate
+		z := seed + 0x9e3779b97f4a7c15
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		return z^(z>>31) < 3<<62
+	}
+	var trialCalls, blockCalls atomic.Int64
+	cell := exec.Cell{
+		MaxTrials: 1000, BaseSeed: 17, Rule: stat.StopRule{HalfWidth: 0.03},
+		NewTrial: func() stat.Trial {
+			return func(seed uint64) bool { trialCalls.Add(1); return verdict(seed) }
+		},
+		NewBlock: func() stat.TrialBlock {
+			return func(base uint64, count int) uint64 {
+				blockCalls.Add(1)
+				var word uint64
+				for i := 0; i < count; i++ {
+					if verdict(base + uint64(i)) {
+						word |= 1 << uint(i)
+					}
+				}
+				return word
+			}
+		},
+		// A wire form, so shards are offered to the (dead) fleet first.
+		Scenario: faultcast.Config{Graph: faultcast.Line(8), Message: []byte("1"), P: 0.5},
+	}
+	local := exec.EstimateCell(2, cell)
+
+	trialCalls.Store(0)
+	blockCalls.Store(0)
+	var dist stat.Proportion
+	if err := coord.Run(context.Background(), 2, []exec.Cell{cell}, func(_ int, p stat.Proportion) { dist = p }); err != nil {
+		t.Fatal(err)
+	}
+	if dist != local {
+		t.Fatalf("failover estimate %+v != local %+v", dist, local)
+	}
+	if st := coord.Status(); st.LocalFailovers == 0 {
+		t.Fatalf("no local failovers recorded: %+v", st)
+	}
+	if blockCalls.Load() == 0 || trialCalls.Load() != 0 {
+		t.Fatalf("failover ran %d block calls and %d single trials, want blocks only",
+			blockCalls.Load(), trialCalls.Load())
 	}
 }
 

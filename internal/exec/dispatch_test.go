@@ -17,12 +17,18 @@ func synthTrial(threshold uint64) stat.Trial {
 	}
 }
 
+// shardTally is the shard primitive as the cluster drives it: an
+// un-ruled bucketed cell over trials [0, trials) tallied on the pool.
+func shardTally(workers int, baseSeed uint64, trials, batch int, newTrial stat.TrialMaker, newBlock stat.TrialBlockMaker) stat.Tally {
+	return TallyCell(workers, Cell{MaxTrials: trials, BaseSeed: baseSeed, Bucket: batch, NewTrial: newTrial, NewBlock: newBlock})
+}
+
 // TestRunShardWorkerCountIndependent pins the shard primitive's
 // determinism: identical tallies for 1, 3, and 16 workers, including a
 // ragged final bucket.
 func TestRunShardWorkerCountIndependent(t *testing.T) {
 	maker := func() stat.Trial { return synthTrial(1 << 63) }
-	want := RunShard(1, 1000, 100, 32, maker)
+	want := shardTally(1, 1000, 100, 32, maker, nil)
 	if err := want.Check(); err != nil {
 		t.Fatalf("reference tally invalid: %v", err)
 	}
@@ -30,7 +36,7 @@ func TestRunShardWorkerCountIndependent(t *testing.T) {
 		t.Fatalf("100 trials / batch 32: %d buckets", len(want.Successes))
 	}
 	for _, workers := range []int{3, 16, 0} {
-		got := RunShard(workers, 1000, 100, 32, maker)
+		got := shardTally(workers, 1000, 100, 32, maker, nil)
 		if got.Trials != want.Trials || got.Batch != want.Batch {
 			t.Fatalf("workers=%d: shape %+v, want %+v", workers, got, want)
 		}
@@ -53,7 +59,7 @@ func TestRunShardMatchesSequentialLoop(t *testing.T) {
 			want[i/batch]++
 		}
 	}
-	got := RunShard(4, base, trials, batch, func() stat.Trial { return trial })
+	got := shardTally(4, base, trials, batch, func() stat.Trial { return trial }, nil)
 	for i := range want {
 		if got.Successes[i] != want[i] {
 			t.Fatalf("bucket %d = %d, want %d (tally %+v)", i, got.Successes[i], want[i], got)
@@ -63,11 +69,11 @@ func TestRunShardMatchesSequentialLoop(t *testing.T) {
 
 func TestRunShardDegenerate(t *testing.T) {
 	maker := func() stat.Trial { return synthTrial(1 << 63) }
-	if got := RunShard(4, 0, 0, 32, maker); got.Trials != 0 || len(got.Successes) != 0 {
+	if got := shardTally(4, 0, 0, 32, maker, nil); got.Trials != 0 || len(got.Successes) != 0 {
 		t.Fatalf("zero-trial shard: %+v", got)
 	}
 	// batch <= 0 buckets the whole shard as one.
-	got := RunShard(4, 5, 40, 0, maker)
+	got := shardTally(4, 5, 40, 0, maker, nil)
 	if got.Batch != 40 || len(got.Successes) != 1 {
 		t.Fatalf("unbatched shard: %+v", got)
 	}
@@ -111,8 +117,8 @@ func synthBlock(threshold uint64) stat.TrialBlock {
 	}
 }
 
-// TestRunShardBlocksMatchesRunShard pins the block shard primitive to the
-// per-trial one bucket for bucket, including batch sizes that are not
+// TestRunShardBlocksMatchesRunShard pins the shard primitive's block path
+// to its per-trial path bucket for bucket, including batch sizes that are not
 // multiples of the block width (so verdict words straddle buckets) and
 // ragged final blocks.
 func TestRunShardBlocksMatchesRunShard(t *testing.T) {
@@ -123,8 +129,8 @@ func TestRunShardBlocksMatchesRunShard(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, workers := range []int{1, 3, 8} {
-			want := RunShard(workers, 99, c.trials, c.batch, newTrial)
-			got := RunShardBlocks(workers, 99, c.trials, c.batch, newBlock)
+			want := shardTally(workers, 99, c.trials, c.batch, newTrial, nil)
+			got := shardTally(workers, 99, c.trials, c.batch, newTrial, newBlock)
 			if got.Trials != want.Trials || got.Batch != want.Batch {
 				t.Fatalf("trials=%d batch=%d workers=%d: shape %+v vs %+v", c.trials, c.batch, workers, got, want)
 			}

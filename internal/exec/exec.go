@@ -61,20 +61,24 @@ type Cell struct {
 	Start stat.Proportion
 	// Rule is the early-stopping rule; the zero value runs all trials.
 	Rule stat.StopRule
-	// Bucket, when positive and Rule is disabled, folds trials in
-	// Bucket-sized batches instead of one whole-budget batch. Batch
-	// decomposition never changes an un-ruled result (there are no stop
-	// decisions, and success counting is order-free); it only sets the
-	// granularity OnBatch observes — a tally store persists un-ruled
-	// streams at the same bucket size ruled ones replay at. Ignored when
-	// Rule is enabled: the rule's own batch governs there.
+	// Bucket, when positive and Rule is disabled, reports the cell's
+	// trials to OnBatch in Bucket-sized buckets (counted from Start, the
+	// last one clipped to the budget) instead of as one whole-budget
+	// batch — the granularity a tally store persists un-ruled streams at
+	// and a shard tally (TallyCell) is bucketed at. It changes only what
+	// OnBatch observes: an un-ruled cell has no stop decisions, so it
+	// still runs its whole budget as one batch of full-width block
+	// claims, each verdict word split across the buckets it spans.
+	// Ignored when Rule is enabled: the rule's own batch governs there.
 	Bucket int
 	// OnBatch, when non-nil, observes every batch the cell folds in, in
 	// trial order: the batch's own trial and success counts, called once
 	// per batch boundary before the stop decision, serialized per cell
 	// (under the scheduler lock — keep it cheap; buffer, don't block).
-	// Batches of a cell later abandoned by cancellation are still
-	// reported; consumers that persist must gate on cell completion.
+	// A bucketed un-ruled cell reports all its buckets, in trial order,
+	// when its one batch completes. Batches of a cell later abandoned by
+	// cancellation are still reported; consumers that persist must gate
+	// on cell completion.
 	// The resume prefix in Start is prior work, not a fold — it is never
 	// reported.
 	OnBatch func(trials, successes int)
@@ -141,7 +145,7 @@ func Run(ctx context.Context, workers int, cells []Cell, onDone func(i int, p st
 		c := &cells[i]
 		cs := &s.cells[i]
 		cs.spec = c
-		cs.fold = stat.Fold{P: c.Start, Max: c.MaxTrials, Rule: c.Rule, Bucket: c.Bucket}
+		cs.fold = stat.Fold{P: c.Start, Max: c.MaxTrials, Rule: c.Rule}
 		cs.next = c.Start.Trials
 		if cs.fold.Done() {
 			cs.done = true
@@ -149,6 +153,9 @@ func Run(ctx context.Context, workers int, cells []Cell, onDone func(i int, p st
 			continue
 		}
 		cs.batchEnd = cs.next + cs.fold.Next()
+		if c.OnBatch != nil && c.Bucket > 0 && !c.Rule.Enabled() {
+			cs.buckets = make([]int, (cs.batchEnd-cs.next+c.Bucket-1)/c.Bucket)
+		}
 		if c.Probe != nil {
 			cs.opened = time.Now()
 		}
@@ -218,6 +225,9 @@ type cellState struct {
 	next      int // next unclaimed trial index
 	inflight  int // claimed, not yet reported
 	batchSucc int
+	// buckets splits the open batch's successes into Cell.Bucket-sized
+	// buckets for OnBatch; nil unless the cell is un-ruled and bucketed.
+	buckets []int
 	// Probe-only timing state: engineNs accumulates in-engine time of the
 	// open batch, opened is when it opened. Untouched without a Probe.
 	engineNs int64
@@ -250,8 +260,8 @@ func (s *sched) emit(i int, p stat.Proportion) {
 // forward and takes from the next busy cell only when its own runs dry or
 // stops early). Cells with a NewBlock are claimed in stat.BlockWidth-sized
 // chunks (clipped to the open batch), others one trial at a time; either
-// way the claimed range folds into the same batch totals, so results are
-// identical.
+// way the claimed range folds into the same batch totals (and the same
+// observation buckets), so results are identical.
 func (s *sched) worker(w int) {
 	trials := map[string]stat.Trial{}
 	blocks := map[string]stat.TrialBlock{}
@@ -304,14 +314,14 @@ func (s *sched) worker(w int) {
 		if spec.Probe != nil {
 			engStart = time.Now()
 		}
-		var succ int
+		var word uint64 // verdict bit i: trial seedIdx+i succeeded
 		if spec.NewBlock != nil {
 			block := blocks[key]
 			if block == nil {
 				block = spec.NewBlock()
 				blocks[key] = block
 			}
-			succ = bits.OnesCount64(block(spec.BaseSeed+uint64(seedIdx), claim))
+			word = block(spec.BaseSeed+uint64(seedIdx), claim)
 		} else {
 			trial := trials[key]
 			if trial == nil {
@@ -319,7 +329,7 @@ func (s *sched) worker(w int) {
 				trials[key] = trial
 			}
 			if trial(spec.BaseSeed + uint64(seedIdx)) {
-				succ = 1
+				word = 1
 			}
 		}
 
@@ -330,13 +340,20 @@ func (s *sched) worker(w int) {
 
 		s.mu.Lock()
 		cs.inflight -= claim
-		cs.batchSucc += succ
+		cs.batchSucc += bits.OnesCount64(word)
+		if cs.buckets != nil {
+			splitWord(cs.buckets, spec.Bucket, seedIdx-cs.fold.P.Trials, word, claim)
+		}
 		cs.engineNs += engNs
 		var finished *stat.Proportion
 		if cs.next == cs.batchEnd && cs.inflight == 0 {
 			// Batch boundary: fold it in and decide.
 			size := cs.batchEnd - cs.fold.P.Trials
-			if spec.OnBatch != nil {
+			if cs.buckets != nil {
+				for b, succ := range cs.buckets {
+					spec.OnBatch(min(spec.Bucket, size-b*spec.Bucket), succ)
+				}
+			} else if spec.OnBatch != nil {
 				spec.OnBatch(size, cs.batchSucc)
 			}
 			if spec.Probe != nil {
@@ -375,5 +392,22 @@ func (s *sched) worker(w int) {
 		if finished != nil {
 			s.emit(ci, *finished)
 		}
+	}
+}
+
+// splitWord adds the successes of a k-trial verdict word, whose first
+// trial is trial off of the open batch, to the size-trial buckets it
+// spans.
+func splitWord(buckets []int, size, off int, word uint64, k int) {
+	for i := 0; i < k; {
+		b := (off + i) / size
+		lim := min((b+1)*size-off, k)
+		mask := ^uint64(0)
+		if lim < 64 {
+			mask = 1<<uint(lim) - 1
+		}
+		mask &^= 1<<uint(i) - 1
+		buckets[b] += bits.OnesCount64(word & mask)
+		i = lim
 	}
 }

@@ -138,6 +138,83 @@ func TestRunBlocksMatchTrials(t *testing.T) {
 	}
 }
 
+// TestRunBucketedBlocksFullWidth: an un-ruled cell with observation
+// buckets runs its budget as one batch, so block claims stay
+// stat.BlockWidth wide however small the bucket, and each verdict word
+// is split across the buckets it spans — OnBatch sees exactly the
+// buckets per-trial execution reports. A ruled cell's own batch wins
+// over Bucket, and a start that is not bucket-aligned counts buckets
+// from the start, the last one clipped to the budget.
+func TestRunBucketedBlocksFullWidth(t *testing.T) {
+	const threshold = 3 << 62
+	cases := []struct {
+		name      string
+		cell      Cell
+		wantSizes []int // OnBatch trial counts, in order
+		wantClaim int   // widest block claim
+	}{
+		{"un-ruled bucket", Cell{MaxTrials: 1000, Bucket: 32}, repeatSizes(32, 31, 8), stat.BlockWidth},
+		{"un-ruled bucket clipped", Cell{MaxTrials: 40, Start: stat.Proportion{Successes: 9, Trials: 20}, Bucket: 32}, []int{20}, 20},
+		{"un-ruled odd bucket", Cell{MaxTrials: 200, Start: stat.Proportion{Successes: 5, Trials: 7}, Bucket: 24}, repeatSizes(24, 8, 1), stat.BlockWidth},
+		{"rule batch wins over bucket", Cell{MaxTrials: 40, Rule: stat.StopRule{HalfWidth: 1e-9, Batch: 8}, Bucket: 32}, []int{8, 8, 8, 8, 8}, 8},
+	}
+	for _, c := range cases {
+		for _, workers := range []int{1, 3} {
+			run := func(blocks bool) ([][2]int, int, stat.Proportion) {
+				var batches [][2]int
+				var widest atomic.Int64
+				cell := c.cell
+				cell.BaseSeed = 5
+				cell.NewTrial = func() stat.Trial { return synthTrial(threshold) }
+				if blocks {
+					cell.NewBlock = func() stat.TrialBlock {
+						block := synthBlock(threshold)
+						return func(base uint64, count int) uint64 {
+							for w := widest.Load(); int64(count) > w && !widest.CompareAndSwap(w, int64(count)); w = widest.Load() {
+							}
+							return block(base, count)
+						}
+					}
+				}
+				cell.OnBatch = func(trials, successes int) { batches = append(batches, [2]int{trials, successes}) }
+				p := EstimateCell(workers, cell)
+				return batches, int(widest.Load()), p
+			}
+			trialB, _, trialP := run(false)
+			blockB, widest, blockP := run(true)
+			label := fmt.Sprintf("%s/workers=%d", c.name, workers)
+			if widest != c.wantClaim {
+				t.Errorf("%s: widest block claim %d, want %d", label, widest, c.wantClaim)
+			}
+			if fmt.Sprint(trialB) != fmt.Sprint(blockB) || trialP != blockP {
+				t.Errorf("%s: blocks %v %+v, trials %v %+v", label, blockB, blockP, trialB, trialP)
+			}
+			sum := c.cell.Start
+			var sizes []int
+			for _, b := range blockB {
+				sizes = append(sizes, b[0])
+				sum.Trials += b[0]
+				sum.Successes += b[1]
+			}
+			if fmt.Sprint(sizes) != fmt.Sprint(c.wantSizes) {
+				t.Errorf("%s: bucket sizes %v, want %v", label, sizes, c.wantSizes)
+			}
+			if sum != blockP {
+				t.Errorf("%s: buckets sum to %+v, estimate %+v", label, sum, blockP)
+			}
+		}
+	}
+}
+
+// repeatSizes is n buckets of size followed by a tail bucket of tail.
+func repeatSizes(size, n, tail int) []int {
+	out := make([]int, n, n+1)
+	for i := range out {
+		out[i] = size
+	}
+	return append(out, tail)
+}
+
 // TestSharedKeyReusesTrials: cells with one SharedKey must instantiate at
 // most one Trial per worker, not one per (worker, cell).
 func TestSharedKeyReusesTrials(t *testing.T) {

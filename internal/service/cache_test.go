@@ -3,7 +3,6 @@ package service
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"faultcast"
 )
@@ -34,10 +33,6 @@ func TestLRUEviction(t *testing.T) {
 	c.put("b", 20)
 	if v, _ := c.get("b"); v != 20 || c.len() != 2 {
 		t.Fatalf("replace: b=%d len=%d", v, c.len())
-	}
-	c.remove("b")
-	if _, ok := c.get("b"); ok || c.len() != 1 {
-		t.Fatal("remove failed")
 	}
 }
 
@@ -91,21 +86,27 @@ func TestStoreResultKeepsLargerEstimate(t *testing.T) {
 	s := New(Options{})
 	big := faultcast.Estimate{Rate: 1, Low: 0.99, Hi: 1, Trials: 10000, Succeeds: 10000}
 	small := faultcast.Estimate{Rate: 1, Low: 0.9, Hi: 1, Trials: 100, Succeeds: 100}
+	cached := func(key string) (faultcast.Estimate, bool) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		e, ok := s.results.get(key)
+		return e.est, ok
+	}
 	s.storeResult("k", big, 7, "bitset")
 	s.storeResult("k", small, 7, "bitset")
-	if got, ok := s.cachedAny("k"); !ok || got.Trials != big.Trials {
+	if got, ok := cached("k"); !ok || got.Trials != big.Trials {
 		t.Fatalf("large estimate clobbered: %+v ok=%v", got, ok)
 	}
 	// The other direction must still upgrade.
 	s.storeResult("k2", small, 7, "bitset")
 	s.storeResult("k2", big, 7, "bitset")
-	if got, ok := s.cachedAny("k2"); !ok || got.Trials != big.Trials {
+	if got, ok := cached("k2"); !ok || got.Trials != big.Trials {
 		t.Fatalf("upgrade lost: %+v ok=%v", got, ok)
 	}
 }
 
 func TestResultEntrySatisfies(t *testing.T) {
-	e := resultEntry{est: faultcast.Estimate{Rate: 0.9, Low: 0.85, Hi: 0.95, Trials: 500, Succeeds: 450}, expires: time.Now()}
+	e := resultEntry{est: faultcast.Estimate{Rate: 0.9, Low: 0.85, Hi: 0.95, Trials: 500, Succeeds: 450}}
 	if !e.satisfies(500, 0) || !e.satisfies(200, 0) {
 		t.Fatal("trial-count requirement not satisfied by equal/larger cached run")
 	}
@@ -122,5 +123,44 @@ func TestResultEntrySatisfies(t *testing.T) {
 	// a re-execution capped at 400 trials could not improve the answer.
 	if !e.satisfies(400, 0.04) {
 		t.Fatal("exhausted budget with missed half-width should be served from cache")
+	}
+}
+
+// TestMemTallyStore: the in-memory tally store keeps the durable store's
+// contiguity rule (append, rewind at a bucket boundary, refuse a gap),
+// never rewrites a stream a caller already loaded, and holds at most its
+// capacity of streams, least recently used evicted first.
+func TestMemTallyStore(t *testing.T) {
+	m := newMemTallyStore(2)
+	b := func(trials, successes int) faultcast.TallyBucket {
+		return faultcast.TallyBucket{Trials: trials, Successes: successes}
+	}
+	if err := m.AppendTally("p", 1, 32, 0, []faultcast.TallyBucket{b(32, 4), b(4, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	loaded, _ := m.LoadTally("p", 1, 32)
+	if err := m.AppendTally("p", 1, 32, 32, []faultcast.TallyBucket{b(32, 7)}); err != nil {
+		t.Fatalf("rewind over the short tail: %v", err)
+	}
+	if got, _ := m.LoadTally("p", 1, 32); fmt.Sprint(got) != fmt.Sprint([]faultcast.TallyBucket{b(32, 4), b(32, 7)}) {
+		t.Fatalf("after rewind: %v", got)
+	}
+	if fmt.Sprint(loaded) != fmt.Sprint([]faultcast.TallyBucket{b(32, 4), b(4, 1)}) {
+		t.Fatalf("a loaded stream changed under its caller: %v", loaded)
+	}
+	if err := m.AppendTally("p", 1, 32, 100, []faultcast.TallyBucket{b(32, 1)}); err == nil {
+		t.Fatal("gap append accepted")
+	}
+	// Two more streams evict the least recently used one ("p").
+	for _, seed := range []uint64{2, 3} {
+		if err := m.AppendTally("p", seed, 32, 0, []faultcast.TallyBucket{b(32, 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, _ := m.LoadTally("p", 1, 32); len(got) != 0 {
+		t.Fatalf("store holds more than its capacity: %v", got)
+	}
+	if got, _ := m.LoadTally("p", 3, 32); len(got) != 1 {
+		t.Fatalf("newest stream lost: %v", got)
 	}
 }

@@ -27,13 +27,16 @@
 //     excluded because they are proven bit-identical). Semantically
 //     identical requests therefore hash equal and share everything below.
 //
-//  2. Result cache with confidence-aware reuse. Estimates are cached per
-//     key with a TTL. A cached estimate SATISFIES a request if its 95%
-//     half-width is at most the requested one (or, with no half-width
-//     requested, if it ran at least the requested trials); satisfied
-//     requests are answered with zero simulation trials. A fresh-but-loose
-//     entry is REFINED via Plan.EstimateFrom — topped up to the tighter
-//     band for the marginal trials only — never recomputed from scratch.
+//  2. Result cache and tally store. Estimates are cached per key in an
+//     LRU. A cached estimate SATISFIES a request if its 95% half-width is
+//     at most the requested one (or, with no half-width requested, if it
+//     ran at least the requested trials); satisfied requests are answered
+//     with zero simulation trials and no admission slot. Everything else
+//     executes against the tally store — the durable one with -store, a
+//     bounded in-memory one otherwise: the stored per-batch tallies of
+//     the key's trial stream are replayed through the request's stopping
+//     rule at cold batch boundaries, and only the marginal trials run.
+//     A refined answer is therefore bit-identical to a cold server's.
 //
 //  3. Plan LRU + singleflight coalescing. Compiled plans are kept in an
 //     LRU keyed by the same fingerprint, and concurrent identical requests
@@ -58,7 +61,9 @@
 //   - coalesced_errors: followers that inherited a leader's error
 //     instead — counted separately so coalesced remains a pure
 //     amortization metric.
-//   - executions / refines: leader runs, from scratch vs topped up.
+//   - executions / refines: leader runs, and those that topped up a
+//     stored prefix (store_hits / store_refines split tally-store replays
+//     into zero-trial answers and top-ups).
 //   - rejected: exactly the number of 429 responses sent — leaders
 //     refused admission AND followers that shared a leader's 429.
 //   - canceled: requests whose own client disconnected while queued
@@ -72,10 +77,11 @@
 //
 // Sweeps compose with the same machinery at cell granularity: a sweep
 // occupies one admission slot (its cells share one worker pool via the
-// sweep scheduler), every cell is keyed individually in the result
-// cache, cached cells answer with zero simulation, stale-but-close
-// cells are topped up by the marginal trials, and each decided cell is
-// written and flushed immediately so clients watch the grid fill in.
+// sweep scheduler), every cell resumes from the tally store (stored cells
+// answer with zero simulation, partially stored ones are topped up by
+// the marginal trials) and is written back to the result cache, and each
+// decided cell is written and flushed immediately so clients watch the
+// grid fill in.
 //
 // The cluster layer rides the same plan cache: every server is a worker
 // (POST /v1/shard rebuilds a wire scenario, verifies the coordinator's
@@ -88,9 +94,9 @@
 //
 // Invariants (enforced by the package tests): a cache hit or coalesced
 // follower never runs a trial; an answer produced by refinement keeps the
-// cached trials and executes only a continuation of the same seed
-// sequence — for budget-only requests it is bit-identical to a
-// from-scratch run of the combined budget; compiled plans are shared
+// stored trials and executes only a continuation of the same seed
+// sequence, bit-identical to a cold server's answer to the same request
+// (half-width and almost-safe requests included); compiled plans are shared
 // across seeds of a scenario (the seed keys results, not plans);
 // requests are validated before any work is admitted
 // (malformed specs and oversized graphs are rejected with structured

@@ -97,7 +97,7 @@ func (s *Server) buildMetrics() *telemetry.Registry {
 		"Compiled plans currently in the LRU.",
 		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(s.plans.len()) })
 	gauge("faultcast_result_cache_entries",
-		"Estimates currently in the TTL result cache.",
+		"Estimates currently in the result cache.",
 		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(s.results.len()) })
 	counter("faultcast_sweep_cells_total",
 		"Sweep cells decided.",
@@ -128,7 +128,7 @@ func (s *Server) buildMetrics() *telemetry.Registry {
 
 	// Durable-store families: zero (or sample-less) without -store.
 	counter("faultcast_store_hits_total",
-		"Requests and sweep cells fully answered by the durable store's replay.",
+		"Requests and sweep cells fully answered by the tally store's replay (durable or in-memory).",
 		func() float64 { return float64(s.c.storeHits.Load()) })
 	counter("faultcast_store_refines_total",
 		"Requests and sweep cells that resumed a stored prefix and simulated only the marginal batches.",

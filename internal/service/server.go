@@ -36,11 +36,10 @@ type Options struct {
 	// worker pool — so this bounds the work a single slot can hold.
 	MaxSweepCells int
 	// PlanCacheSize bounds the compiled-plan LRU (default 256 plans);
-	// ResultCacheSize bounds the estimate LRU (default 4096 entries);
-	// ResultTTL is the lifetime of a cached estimate (default 5m).
+	// ResultCacheSize bounds the estimate LRU and, without Store, the
+	// in-memory tally store (default 4096 entries and streams each).
 	PlanCacheSize   int
 	ResultCacheSize int
-	ResultTTL       time.Duration
 	// MaxInflight bounds concurrently executing estimations (default
 	// GOMAXPROCS); MaxQueue bounds callers waiting for a slot (default
 	// 64; negative = no waiting). Beyond both, requests get 429.
@@ -65,16 +64,15 @@ type Options struct {
 	TraceRing    int
 	TraceSlowest int
 	// Store, when non-nil, is the durable tally store (faultcastd
-	// -store=DIR). Every estimate and sweep cell then resumes from the
-	// store's persisted trial prefix and appends its marginal batches
-	// back, so a restarted daemon answers previously-served requests
-	// with zero trials, bit-identical — the TTL result cache becomes a
-	// write-through view over it (in-memory hits still short-circuit,
-	// but refinement always resumes from the store's replay, never from
-	// a cache entry the store has not seen). Store counters surface in
-	// /v1/stats under "store".
+	// -store=DIR); without it the server keeps a bounded in-memory one.
+	// Either way every estimate and sweep cell resumes from the tally
+	// store's trial prefix and appends its marginal batches back, so a
+	// refined answer is bit-identical to a cold one; the durable store
+	// also lets a restarted daemon answer previously-served requests
+	// with zero trials. Store counters surface in /v1/stats under
+	// "store".
 	Store *store.Store
-	// Now is the clock, overridable by TTL tests (default time.Now).
+	// Now is the clock, overridable by tests (default time.Now).
 	Now func() time.Time
 }
 
@@ -99,9 +97,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ResultCacheSize <= 0 {
 		o.ResultCacheSize = 4096
-	}
-	if o.ResultTTL <= 0 {
-		o.ResultTTL = 5 * time.Minute
 	}
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = runtime.GOMAXPROCS(0)
@@ -134,6 +129,9 @@ type Server struct {
 	mu      sync.Mutex
 	plans   *lru[*faultcast.Plan]
 	results *lru[resultEntry]
+	// tallies is the one path by which executions reuse trials:
+	// Options.Store, or a bounded in-memory store.
+	tallies faultcast.TallyStore
 	// sweeps caches whole compiled SweepPlans by grid identity, so a
 	// polling client re-sweeping the same grid skips all compilation
 	// (its cells then hit the result cache too). Deliberately small: one
@@ -225,6 +223,11 @@ func New(opts Options) *Server {
 		results: newLRU[resultEntry](opts.ResultCacheSize),
 		sweeps:  newLRU[*faultcast.SweepPlan](16),
 		slots:   make(chan struct{}, opts.MaxInflight),
+	}
+	if opts.Store != nil {
+		s.tallies = opts.Store
+	} else {
+		s.tallies = newMemTallyStore(opts.ResultCacheSize)
 	}
 	if opts.TraceRing > 0 {
 		s.tel = telemetry.NewCollector(opts.TraceRing, opts.TraceSlowest)
@@ -380,9 +383,11 @@ func estimateFlightKey(key string, trials int, halfWidth float64) string {
 }
 
 // execute is the singleflight leader's path: admission, plan lookup or
-// compile, and a fresh or topped-up estimate. The trace gains one span
-// per stage (admission wait, plan lookup/compile, execution) — purely
-// observational, and nil-safe when tracing is disabled.
+// compile, and an estimate resumed from the tally store — fresh, topped
+// up, or (a stored prefix that already decides it) zero-trial. The trace
+// gains one span per stage (admission wait, plan lookup/compile,
+// execution) — purely observational, and nil-safe when tracing is
+// disabled.
 func (s *Server) execute(ctx context.Context, tr *telemetry.Trace, cfg faultcast.Config, key string, trials int, halfWidth float64) outcome {
 	// The result cache may have been filled while this call waited for
 	// an earlier leader on the same key to finish.
@@ -434,21 +439,16 @@ func (s *Server) execute(ctx context.Context, tr *telemetry.Trace, cfg faultcast
 		s.c.badRequests.Add(1)
 		return outcome{status: http.StatusBadRequest, errResp: ErrorResponse{Error: err.Error(), Code: "bad-request"}}
 	}
-	var prev faultcast.Estimate
-	var refining bool
+	// Refinement always resumes from the tally store's replay, never
+	// from a cached estimate: the replay reproduces a cold run's stop
+	// decisions, so the answer depends only on this request. The result
+	// cache stays a write-through view — cachedSatisfying above still
+	// answers repeats without a slot.
 	resumed := 0
-	opts := []faultcast.EstimateOption{faultcast.WithBaseSeed(cfg.Seed)}
-	if s.opts.Store != nil {
-		// Store mode: refinement ALWAYS resumes from the store's replay,
-		// never from an in-memory estimate the store has not persisted —
-		// otherwise a warm restart could not reproduce the answers this
-		// process served. The result cache stays a write-through view:
-		// cachedSatisfying above still answers repeats without disk.
-		opts = append(opts,
-			faultcast.WithTallyStore(s.opts.Store),
-			faultcast.WithResumeReport(func(n int) { resumed = n }))
-	} else {
-		prev, refining = s.cachedAny(key)
+	opts := []faultcast.EstimateOption{
+		faultcast.WithBaseSeed(cfg.Seed),
+		faultcast.WithTallyStore(s.tallies),
+		faultcast.WithResumeReport(func(n int) { resumed = n }),
 	}
 	if s.opts.Workers > 0 {
 		opts = append(opts, faultcast.WithWorkers(s.opts.Workers))
@@ -466,7 +466,7 @@ func (s *Server) execute(ctx context.Context, tr *telemetry.Trace, cfg faultcast
 		// probe costs two clock reads per batch in the scheduler.
 		opts = append(opts, faultcast.WithSpan(xsp), faultcast.WithBatchProbe(agg.observe))
 	}
-	est, err := plan.EstimateFrom(prev, trials, opts...)
+	est, err := plan.Estimate(trials, opts...)
 	if err != nil {
 		xsp.End()
 		return outcome{status: http.StatusInternalServerError, errResp: ErrorResponse{Error: err.Error(), Code: "internal"}}
@@ -477,27 +477,21 @@ func (s *Server) execute(ctx context.Context, tr *telemetry.Trace, cfg faultcast
 	xsp.End()
 	s.c.executions.Add(1)
 	s.c.countCore(core)
-	if s.opts.Store == nil {
-		resumed = prev.Trials
-	}
 	simulated := est.Trials - resumed
 	s.c.trialsSimulated.Add(uint64(simulated))
 	served := "simulated"
 	switch {
-	case s.opts.Store != nil && simulated == 0:
+	case simulated == 0:
 		// The stored prefix already satisfied the request: a cache hit
-		// that happens to live on disk (e.g. the first ask after a warm
+		// that lives in the tally store (e.g. the first ask after a warm
 		// restart, before the result cache refills).
 		served = "cache"
 		s.c.cacheHits.Add(1)
 		s.c.storeHits.Add(1)
-	case s.opts.Store != nil && resumed > 0:
+	case resumed > 0:
 		served = "refined"
 		s.c.refines.Add(1)
 		s.c.storeRefines.Add(1)
-	case refining:
-		served = "refined"
-		s.c.refines.Add(1)
 	}
 	tr.Root().SetAttr("served", served)
 	tr.Root().SetAttr("trials_simulated", simulated)
@@ -580,54 +574,30 @@ func (s *Server) plan(sp *telemetry.Span, key string, cfg faultcast.Config) (pla
 	return plan, false, nil
 }
 
-// cachedSatisfying returns the cached entry for key iff it is fresh and
-// already answers a (trials, halfWidth) requirement; expired entries are
-// dropped on the way.
+// cachedSatisfying returns the cached entry for key iff it already
+// answers a (trials, halfWidth) requirement.
 func (s *Server) cachedSatisfying(key string, trials int, halfWidth float64) (resultEntry, bool) {
-	now := s.opts.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.results.get(key)
-	if !ok {
-		return resultEntry{}, false
-	}
-	if now.After(e.expires) {
-		s.results.remove(key)
-		return resultEntry{}, false
-	}
-	if !e.satisfies(trials, halfWidth) {
+	if !ok || !e.satisfies(trials, halfWidth) {
 		return resultEntry{}, false
 	}
 	return e, true
 }
 
-// cachedAny returns any fresh cached estimate for key — the refinement
-// base: EstimateFrom continues its seed sequence instead of restarting.
-func (s *Server) cachedAny(key string) (faultcast.Estimate, bool) {
-	now := s.opts.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.results.get(key)
-	if !ok || now.After(e.expires) {
-		return faultcast.Estimate{}, false
-	}
-	return e.est, true
-}
-
 func (s *Server) storeResult(key string, est faultcast.Estimate, rounds int, core string) {
-	expires := s.opts.Now().Add(s.opts.ResultTTL)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Concurrent leaders with different budgets share this key. Results
 	// are deterministic prefixes of one seed sequence, so the entry with
 	// more trials subsumes any smaller one — never let a small estimate
-	// overwrite a larger already-paid-for one; just refresh its TTL.
+	// overwrite a larger already-paid-for one (the lookup alone marks it
+	// recently used).
 	if old, ok := s.results.get(key); ok && old.est.Trials > est.Trials {
-		old.expires = expires
-		s.results.put(key, old)
 		return
 	}
-	s.results.put(key, resultEntry{est: est, rounds: rounds, core: core, expires: expires})
+	s.results.put(key, resultEntry{est: est, rounds: rounds, core: core})
 }
 
 func (s *Server) response(cfg faultcast.Config, key string, est faultcast.Estimate, rounds int, core, served string, simulated int) EstimateResponse {
@@ -688,10 +658,11 @@ type Stats struct {
 	ShardsDrained  uint64 `json:"shards_drained"`
 	ShardInflight  int64  `json:"shard_inflight"`
 	Draining       bool   `json:"draining"`
-	// StoreHits counts requests (and sweep cells) fully answered by the
-	// durable store's replay — zero trials simulated; StoreRefines
+	// StoreHits counts executions (and sweep cells) fully answered by
+	// the tally store's replay — zero trials simulated; StoreRefines
 	// counts those that resumed a stored prefix and simulated only the
-	// marginal batches. Both zero unless the daemon runs with -store.
+	// marginal batches. The tally store is the durable one with -store,
+	// the bounded in-memory one otherwise.
 	StoreHits    uint64 `json:"store_hits"`
 	StoreRefines uint64 `json:"store_refines"`
 	// ExecutionsByCore splits simulating work (estimates, sweep cells,
@@ -806,13 +777,12 @@ type GraphFamily struct {
 
 // ScenarioLimits echoes the admission/validation limits of this server.
 type ScenarioLimits struct {
-	MaxNodes      int     `json:"max_nodes"`
-	MaxTrials     int     `json:"max_trials"`
-	DefaultTrials int     `json:"default_trials"`
-	MaxSweepCells int     `json:"max_sweep_cells"`
-	MaxInflight   int     `json:"max_inflight"`
-	MaxQueue      int     `json:"max_queue"`
-	ResultTTLSecs float64 `json:"result_ttl_seconds"`
+	MaxNodes      int `json:"max_nodes"`
+	MaxTrials     int `json:"max_trials"`
+	DefaultTrials int `json:"default_trials"`
+	MaxSweepCells int `json:"max_sweep_cells"`
+	MaxInflight   int `json:"max_inflight"`
+	MaxQueue      int `json:"max_queue"`
 }
 
 func (s *Server) handleScenarios(w http.ResponseWriter, _ *http.Request) {
@@ -843,7 +813,6 @@ func (s *Server) handleScenarios(w http.ResponseWriter, _ *http.Request) {
 			MaxSweepCells: s.opts.MaxSweepCells,
 			MaxInflight:   s.opts.MaxInflight,
 			MaxQueue:      s.opts.MaxQueue,
-			ResultTTLSecs: s.opts.ResultTTL.Seconds(),
 		},
 	})
 }

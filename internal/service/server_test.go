@@ -196,7 +196,7 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
-// TestCachedEstimateZeroTrials: a repeat request within TTL whose
+// TestCachedEstimateZeroTrials: a repeat request whose
 // requested half-width is already met by the cached estimate must perform
 // zero simulation trials.
 func TestCachedEstimateZeroTrials(t *testing.T) {
@@ -301,25 +301,59 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
-// TestResultTTL: cached estimates must expire on the injected clock, after
-// which the same request simulates afresh.
+// TestResultTTL: cached estimates do not expire. Every execution resumes
+// from the tally store, so advancing the injected clock changes neither
+// the answer nor trials_simulated — a repeat stays a zero-trial cache hit.
 func TestResultTTL(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1_750_000_000, 0)}
-	s, ts := testServer(t, Options{ResultTTL: time.Minute, Now: clock.now})
+	s, ts := testServer(t, Options{Now: clock.now})
 	req := EstimateRequest{Graph: "line:16", P: 0.3, Trials: 200}
 
-	if er := postEstimate(t, ts.URL, req); er.Served != "simulated" {
-		t.Fatalf("first: %+v", er)
+	first := postEstimate(t, ts.URL, req)
+	if first.Served != "simulated" {
+		t.Fatalf("first: %+v", first)
 	}
 	if er := postEstimate(t, ts.URL, req); er.Served != "cache" {
-		t.Fatalf("within TTL: %+v", er)
+		t.Fatalf("repeat: %+v", er)
 	}
-	clock.advance(2 * time.Minute)
-	if er := postEstimate(t, ts.URL, req); er.Served != "simulated" {
-		t.Fatalf("after TTL: %+v", er)
+	clock.advance(24 * time.Hour)
+	later := postEstimate(t, ts.URL, req)
+	if later.Served != "cache" || later.TrialsSimulated != 0 {
+		t.Fatalf("after a day on the clock: %+v", later)
 	}
-	if st := s.Stats(); st.Executions != 2 {
-		t.Fatalf("stats after expiry: %+v", st)
+	sameBits(t, "after a day on the clock", later, first)
+	if st := s.Stats(); st.Executions != 1 || st.TrialsSimulated != uint64(first.Trials) {
+		t.Fatalf("stats after advancing the clock: %+v", st)
+	}
+}
+
+// TestMemoryRefinementMatchesCold: without -store, refining a cached
+// estimate to a half-width must land on the trial prefix a cold server
+// picks for the same request — 396/448 on this scenario — because the
+// stored prefix is replayed at the rule's own batch boundaries. Topping
+// the cached 100-trial estimate up as one whole prefix would stop on a
+// different one (400/452).
+func TestMemoryRefinementMatchesCold(t *testing.T) {
+	prime := EstimateRequest{Graph: "line:8", P: 0.5, Rounds: 18, Trials: 100}
+	refine := EstimateRequest{Graph: "line:8", P: 0.5, Rounds: 18, HalfWidth: 0.03}
+
+	_, coldTS := testServer(t, Options{})
+	cold := postEstimate(t, coldTS.URL, refine)
+	if cold.Successes != 396 || cold.Trials != 448 {
+		t.Fatalf("cold answer %d/%d, want 396/448", cold.Successes, cold.Trials)
+	}
+
+	s, ts := testServer(t, Options{})
+	if er := postEstimate(t, ts.URL, prime); er.Trials != 100 {
+		t.Fatalf("prime: %+v", er)
+	}
+	got := postEstimate(t, ts.URL, refine)
+	if got.Served != "refined" {
+		t.Fatalf("second request not refined: %+v", got)
+	}
+	sameBits(t, "memory-mode refinement", got, cold)
+	if st := s.Stats(); st.StoreRefines != 1 || st.TrialsSimulated != uint64(100+got.TrialsSimulated) {
+		t.Fatalf("stats: %+v", st)
 	}
 }
 
@@ -372,7 +406,7 @@ func TestAuxiliaryEndpoints(t *testing.T) {
 	resp.Body.Close()
 }
 
-// fakeClock is a mutex-guarded test clock for TTL tests.
+// fakeClock is a mutex-guarded injectable test clock.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time

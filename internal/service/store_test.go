@@ -218,39 +218,46 @@ func TestStatsSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStoreModeSkipsMemoryPrev: in store mode the refinement prev must
-// come from the store replay, never from the in-memory result cache —
-// otherwise a restarted process could not reproduce this one's answers.
-// Pinned by poisoning the result cache under the request's key: the
-// store-backed execution must ignore the poisoned estimate and land on
-// the cold bits anyway.
+// TestStoreModeSkipsMemoryPrev: the refinement prev must come from the
+// tally store's replay — the durable store, or the in-memory one without
+// -store — never from the result cache; otherwise a restarted process
+// could not reproduce this one's answers, and an answer would depend on
+// what was asked before. Pinned by poisoning the result cache under the
+// request's key: the execution must ignore the poisoned estimate and land
+// on the cold bits anyway.
 func TestStoreModeSkipsMemoryPrev(t *testing.T) {
 	req := EstimateRequest{Graph: "line:10", P: 0.25, Trials: 96, Seed: 3}
+	for _, mode := range []string{"store", "memory"} {
+		t.Run(mode, func(t *testing.T) {
+			options := func() Options {
+				if mode == "memory" {
+					return Options{}
+				}
+				st, err := store.Open(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return Options{Store: st}
+			}
+			// The cold answer, from a throwaway server.
+			_, ts0 := testServer(t, options())
+			cold := postEstimate(t, ts0.URL, req)
 
-	// The cold answer, from a throwaway store-backed server.
-	st0, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+			s, ts := testServer(t, options())
+			cfg, _, err := req.config(s.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A poisoned 64-trial estimate under the real key: too small
+			// for the cachedSatisfying fast path, so only a resume from the
+			// result cache could pick it up — and its absurd success count
+			// would show.
+			s.storeResult(cfg.Fingerprint(), faultcast.Estimate{Rate: 1, Low: 1, Hi: 1, Trials: 64, Succeeds: 64}, 1, "bitset")
+			got := postEstimate(t, ts.URL, req)
+			if got.Served != "simulated" || got.TrialsSimulated != got.Trials {
+				t.Fatalf("execution resumed the result cache: %+v", got)
+			}
+			sameBits(t, "poisoned-cache", got, cold)
+		})
 	}
-	_, ts0 := testServer(t, Options{Store: st0})
-	cold := postEstimate(t, ts0.URL, req)
-
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ts := testServer(t, Options{Store: st})
-	cfg, _, err := req.config(s.opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A poisoned 64-trial estimate under the real key: too small for the
-	// cachedSatisfying fast path, so only a regression to cachedAny
-	// resume could pick it up — and its absurd success count would show.
-	s.storeResult(cfg.Fingerprint(), faultcast.Estimate{Rate: 1, Low: 1, Hi: 1, Trials: 64, Succeeds: 64}, 1, "bitset")
-	got := postEstimate(t, ts.URL, req)
-	if got.Served != "simulated" || got.TrialsSimulated != got.Trials {
-		t.Fatalf("store-mode execution resumed the in-memory cache: %+v", got)
-	}
-	sameBits(t, "poisoned-cache", got, cold)
 }

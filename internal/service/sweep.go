@@ -395,18 +395,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		// overhead per decided batch. Both purely observational.
 		opts = append(opts, faultcast.WithSweepSpan(xsp), faultcast.WithSweepProbe(agg.observe))
 	}
-	if s.opts.Store != nil {
-		// Store mode: every cell resumes from the durable store's replay
-		// instead of the in-memory cache, so a restarted daemon re-runs
-		// the sweep bit-identically with zero trials — and repeat sweeps
-		// answer budget-exact rather than echoing whatever larger
-		// estimate the cache happens to hold.
-		opts = append(opts, faultcast.WithSweepTallyStore(s.opts.Store))
-	} else {
-		opts = append(opts, faultcast.WithCellPrev(func(c *faultcast.SweepCell) (faultcast.Estimate, bool) {
-			return s.cachedAny(c.Key)
-		}))
-	}
+	// Every cell resumes from the tally store's replay, so repeat and
+	// topped-up sweeps answer bit-identically to a cold run of their own
+	// budget — never echoing a larger estimate some earlier request left
+	// in the result cache — and, with -store, so does a restarted daemon.
+	opts = append(opts, faultcast.WithSweepTallyStore(s.tallies))
 	if s.opts.Workers > 0 {
 		opts = append(opts, faultcast.WithSweepWorkers(s.opts.Workers))
 	}
@@ -428,7 +421,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			s.c.refines.Add(1)
 			summary.Refined++
 		}
-		if s.opts.Store != nil && res.Resumed > 0 {
+		if res.Resumed > 0 {
 			if simulated == 0 {
 				s.c.storeHits.Add(1)
 			} else {

@@ -18,9 +18,9 @@
 //   - Resuming a stream from a prior Proportion visits exactly the seed
 //     suffix a one-shot run of the combined budget would, and a start
 //     that already satisfies the rule runs zero trials
-//     (TestEstimateStreamFromResume) — the contract Plan.EstimateFrom,
-//     and with it faultcastd's confidence-aware cache reuse and
-//     refinement, honors through the scheduler's Fold.
+//     (TestEstimateStreamFromResume) — the contract a tally-store
+//     resume, and with it faultcastd's refinement, honors through the
+//     scheduler's Fold.
 //   - Stopping on a target is a sequential test on a band strictly wider
 //     than the reported 95% interval, so an early-stopped estimate is
 //     always decided the same way as its reported interval (see

@@ -77,15 +77,13 @@ func (t Tally) Check() error {
 // same boundary with the same totals — the reason a local, sharded or
 // store-resumed stream ends on bit-identical results.
 //
-// Batches are Rule.BatchSize() trials when the rule is enabled. An
-// un-ruled stream has no decisions to make and folds Bucket-sized
-// batches, or its whole remaining budget as one when Bucket <= 0. The
-// last batch is clipped to the budget.
+// Batches are Rule.BatchSize() trials when the rule is enabled, the last
+// one clipped to the budget. An un-ruled stream has no decisions to make
+// and folds its whole remaining budget as one batch.
 type Fold struct {
-	P      Proportion // totals through the last added batch, start included
-	Max    int        // trial budget, P's start included
-	Rule   StopRule
-	Bucket int
+	P    Proportion // totals through the last added batch, start included
+	Max  int        // trial budget, P's start included
+	Rule StopRule
 }
 
 // Done reports whether the stream is decided: budget reached, or the
@@ -98,14 +96,10 @@ func (f *Fold) Done() bool {
 // the stream is not Done.
 func (f *Fold) Next() int {
 	rest := f.Max - f.P.Trials
-	b := f.Bucket
-	if f.Rule.Enabled() {
-		b = f.Rule.BatchSize()
-	}
-	if b <= 0 || b > rest {
+	if !f.Rule.Enabled() {
 		return rest
 	}
-	return b
+	return min(f.Rule.BatchSize(), rest)
 }
 
 // Add folds in one batch's trial and success counts and reports whether

@@ -63,11 +63,8 @@ func TestFoldNext(t *testing.T) {
 	}{
 		{"default batch", Fold{Max: 1000, Rule: ruled}, DefaultBatch},
 		{"explicit batch", Fold{Max: 1000, Rule: StopRule{HalfWidth: 0.01, Batch: 8}}, 8},
-		{"rule batch wins over bucket", Fold{Max: 1000, Rule: StopRule{HalfWidth: 0.01, Batch: 8}, Bucket: 32}, 8},
 		{"unaligned start", Fold{P: Proportion{Trials: 7}, Max: 1000, Rule: ruled}, DefaultBatch},
 		{"ruled last batch clipped", Fold{P: Proportion{Trials: 32}, Max: 40, Rule: ruled}, 8},
-		{"un-ruled bucket", Fold{Max: 1000, Bucket: 32}, 32},
-		{"un-ruled bucket clipped", Fold{P: Proportion{Trials: 20}, Max: 40, Bucket: 32}, 20},
 		{"un-ruled whole rest", Fold{P: Proportion{Trials: 7}, Max: 1000}, 993},
 		{"disabled rule batch ignored", Fold{Max: 1000, Rule: StopRule{Batch: 8}}, 1000},
 	}
@@ -88,7 +85,7 @@ func TestFoldAdd(t *testing.T) {
 	if !fresh.Add(32, 30) || fresh.P != (Proportion{Successes: 30, Trials: 32}) {
 		t.Errorf("first batch under a loose half-width: %+v done=%v", fresh.P, fresh.Done())
 	}
-	unruled := Fold{Max: 40, Bucket: 32}
+	unruled := Fold{Max: 40}
 	if unruled.Add(32, 5) {
 		t.Error("un-ruled stream done before its budget")
 	}

@@ -186,28 +186,15 @@ func loadSegment(path string, want Key) loadResult {
 			res.corrupt++
 			return res
 		}
-		switch {
-		case start == res.end:
-		case start < res.end:
-			// Rewind: legal only at an existing bucket boundary.
-			pos, keep := 0, -1
-			for i := range res.buckets {
-				if pos == start {
-					keep = i
-					break
-				}
-				pos += res.buckets[i].Trials
-			}
-			if keep < 0 {
-				res.corrupt++
-				return res
-			}
+		keep, err := SpliceAt(res.buckets, start)
+		if err != nil {
+			res.corrupt++
+			return res
+		}
+		if keep < len(res.buckets) {
 			res.buckets = res.buckets[:keep:keep]
 			res.end = start
 			res.rewinds++
-		default: // a gap: trials [res.end, start) were never stored
-			res.corrupt++
-			return res
 		}
 		res.buckets = append(res.buckets, buckets...)
 		for _, b := range buckets {

@@ -182,28 +182,11 @@ func (s *Store) AppendTally(planKey string, baseSeed uint64, batch int, start in
 	defer sg.mu.Unlock()
 	s.ensureLoaded(sg)
 
-	keep := len(sg.buckets)
-	if start != sg.end {
-		if start > sg.end {
-			s.appendErrors.Add(1)
-			return fmt.Errorf("store: append at trial %d leaves a gap (segment %s ends at %d)", start, sg.key, sg.end)
-		}
-		// Rewind: start must land exactly on a stored bucket boundary.
-		pos := 0
-		keep = -1
-		for i := range sg.buckets {
-			if pos == start {
-				keep = i
-				break
-			}
-			pos += sg.buckets[i].Trials
-		}
-		if keep < 0 {
-			s.appendErrors.Add(1)
-			return fmt.Errorf("store: append at trial %d is inside a stored bucket of segment %s", start, sg.key)
-		}
+	keep, err := SpliceAt(sg.buckets, start)
+	if err != nil {
+		s.appendErrors.Add(1)
+		return fmt.Errorf("store: segment %s: %w", sg.key, err)
 	}
-
 	if err := s.writeRecord(sg, start, buckets); err != nil {
 		s.appendErrors.Add(1)
 		return err
@@ -221,6 +204,33 @@ func (s *Store) AppendTally(planKey string, baseSeed uint64, batch int, start in
 	s.bucketsOut.Add(uint64(len(buckets)))
 	s.trialsOut.Add(uint64(sg.end - start))
 	return nil
+}
+
+// SpliceAt is the stream contiguity rule of every tally store, on disk
+// (AppendTally, and loadSegment replaying the log) or in memory: a record
+// starting at trial start either extends the stored bucket sequence at
+// its end, or supersedes it from an earlier stored bucket boundary on (a
+// rewind — the writer re-simulated that suffix at a different batch
+// decomposition). It returns how many stored buckets the record keeps:
+// all of them for an append, fewer for a rewind. Any other start — past
+// the end, or inside a stored bucket — breaks contiguity and is an error.
+func SpliceAt(stored []faultcast.TallyBucket, start int) (keep int, err error) {
+	pos := 0
+	for i, b := range stored {
+		if pos >= start {
+			break
+		}
+		pos += b.Trials
+		keep = i + 1
+	}
+	switch {
+	case pos == start:
+		return keep, nil
+	case pos < start:
+		return 0, fmt.Errorf("record at trial %d leaves a gap (stream ends at %d)", start, pos)
+	default:
+		return 0, fmt.Errorf("record at trial %d is inside a stored bucket", start)
+	}
 }
 
 // writeRecord persists one record frame at the end of the valid prefix,

@@ -108,6 +108,37 @@ func TestStoreRewindSupersedesTail(t *testing.T) {
 	}
 }
 
+// TestSpliceAt pins the one contiguity rule every tally store keeps: an
+// append at the end keeps everything, a record at an earlier bucket
+// boundary keeps the buckets before it, anything else is refused.
+func TestSpliceAt(t *testing.T) {
+	stored := tb(32, 4, 32, 6, 4, 1) // bucket boundaries 0, 32, 64, 68
+	cases := []struct {
+		start, keep int
+		ok          bool
+	}{
+		{68, 3, true}, // append at the end
+		{64, 2, true}, // rewind over the short tail
+		{32, 1, true},
+		{0, 0, true}, // supersede the whole stream
+		{10, 0, false},
+		{66, 0, false}, // inside the tail bucket
+		{69, 0, false}, // a gap past the end
+	}
+	for _, c := range cases {
+		keep, err := SpliceAt(stored, c.start)
+		if (err == nil) != c.ok || keep != c.keep {
+			t.Errorf("start %d: keep=%d err=%v, want keep=%d ok=%v", c.start, keep, err, c.keep, c.ok)
+		}
+	}
+	if keep, err := SpliceAt(nil, 0); keep != 0 || err != nil {
+		t.Errorf("empty stream at 0: keep=%d err=%v", keep, err)
+	}
+	if _, err := SpliceAt(nil, 32); err == nil {
+		t.Error("empty stream accepted a record at 32")
+	}
+}
+
 func TestStoreRejectsGapAndMisalignedStart(t *testing.T) {
 	s, _ := Open(t.TempDir())
 	if err := s.AppendTally(testPlanKey, 1, 32, 0, tb(32, 4, 32, 6)); err != nil {

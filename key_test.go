@@ -83,8 +83,9 @@ func TestPlanKeyMatchesConfigFingerprint(t *testing.T) {
 }
 
 // TestEstimateFromMatchesEstimate pins the serving layer's refinement
-// contract: topping an estimate up to a larger budget visits exactly the
-// seed sequence a from-scratch estimate of the full budget would.
+// contract: topping an estimate up to a larger budget through a tally
+// store replays the stored prefix and visits exactly the seed sequence a
+// from-scratch estimate of the full budget would.
 func TestEstimateFromMatchesEstimate(t *testing.T) {
 	cfg := Config{
 		Graph: Line(16), Source: 0, Message: []byte("1"),
@@ -94,16 +95,22 @@ func TestEstimateFromMatchesEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partial, err := plan.Estimate(256)
+	st := &memTallyStore{}
+	partial, err := plan.Estimate(256, WithTallyStore(st))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if partial.Trials != 256 {
 		t.Fatalf("partial ran %d trials, want 256", partial.Trials)
 	}
-	refined, err := plan.EstimateFrom(partial, 1024)
+	resumed := -1
+	report := WithResumeReport(func(n int) { resumed = n })
+	refined, err := plan.Estimate(1024, WithTallyStore(st), report)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if resumed != 256 {
+		t.Fatalf("refinement resumed %d stored trials, want 256", resumed)
 	}
 	full, err := plan.Estimate(1024)
 	if err != nil {
@@ -114,13 +121,17 @@ func TestEstimateFromMatchesEstimate(t *testing.T) {
 			refined.Succeeds, refined.Trials, full.Succeeds, full.Trials)
 	}
 
-	// An estimate that already covers the budget is returned unchanged —
-	// zero simulation.
-	again, err := plan.EstimateFrom(full, 512)
+	// A budget the store already covers is answered from it with zero
+	// simulation, equal to a cold run of that budget.
+	again, err := plan.Estimate(512, WithTallyStore(st), report)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again != full {
-		t.Fatalf("EstimateFrom with a satisfied budget reran trials: %+v != %+v", again, full)
+	cold, err := plan.Estimate(512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != cold || resumed != 512 {
+		t.Fatalf("covered budget: %+v (resumed %d) != cold %+v", again, resumed, cold)
 	}
 }

@@ -223,7 +223,7 @@ func TestLanesPerTrialIdentity(t *testing.T) {
 // TestLanesEstimateIdentity pins the estimation surface: with an early
 // stopping rule the executed trial count, the success count, and hence
 // every stop decision must be identical across cores, and the cached-
-// estimate refinement path (EstimateFrom) must continue a bitset-core
+// estimate refinement path (a tally store) must continue a bitset-core
 // stream bit-identically on the lane core.
 func TestLanesEstimateIdentity(t *testing.T) {
 	for name, cfg := range laneScenarios() {
@@ -251,13 +251,18 @@ func TestLanesEstimateIdentity(t *testing.T) {
 
 		// Refinement: top an 80-trial bitset estimate up to 200 on lanes;
 		// the combined stream must equal a straight 200-trial run.
-		prev, err := bitset.Estimate(80, WithBaseSeed(cfg.Seed+5))
-		if err != nil {
+		st := &memTallyStore{}
+		if _, err := bitset.Estimate(80, WithBaseSeed(cfg.Seed+5), WithTallyStore(st)); err != nil {
 			t.Fatalf("%s: bitset prefix: %v", name, err)
 		}
-		resumed, err := lanes.EstimateFrom(prev, 200, WithBaseSeed(cfg.Seed+5))
+		stored := 0
+		resumed, err := lanes.Estimate(200, WithBaseSeed(cfg.Seed+5), WithTallyStore(st),
+			WithResumeReport(func(n int) { stored = n }))
 		if err != nil {
 			t.Fatalf("%s: lanes resume: %v", name, err)
+		}
+		if stored != 80 {
+			t.Fatalf("%s: lanes resumed %d stored trials, want 80", name, stored)
 		}
 		full, err := bitset.Estimate(200, WithBaseSeed(cfg.Seed+5))
 		if err != nil {

@@ -185,27 +185,26 @@ func WithDispatcher(d exec.Dispatcher) EstimateOption {
 	return func(o *estimateOptions) { o.dispatcher = d }
 }
 
-// WithTallyStore resumes the estimate from ts's persisted prefix of this
+// WithTallyStore resumes the estimate from ts's stored prefix of this
 // (plan, base seed) trial stream and appends the marginal batches back
-// after the run — the durable analogue of EstimateFrom's in-memory prev.
-// The stored prefix is replayed through the stopping rule at cold batch
+// after the run — the only way an estimate reuses earlier trials. The
+// stored prefix is replayed through the stopping rule at cold batch
 // boundaries, so the result is bit-identical to a cold run with the same
 // budget: a fully-covering prefix answers with zero trials, a partial
 // one simulates only the remainder. Store reads and writes are
 // best-effort — a load or append failure costs re-simulation or
-// persistence, never correctness. Ignored when prev is non-zero (the two
-// resume sources would race for the same seed positions); use
-// WithResumeReport to see how many trials the store supplied.
+// persistence, never correctness. Use WithResumeReport to see how many
+// trials the store supplied.
 func WithTallyStore(ts TallyStore) EstimateOption {
 	return func(o *estimateOptions) { o.store = ts }
 }
 
 // WithResumeReport reports, after the estimate completes, how many of
-// its trials came from a resume source — the prev argument or a
-// WithTallyStore replay — rather than fresh simulation. Estimate.Trials
-// minus the reported count is the simulation this call actually paid
-// for; the Estimate itself deliberately carries no such field, since
-// resuming never changes the result bits, only who computed them.
+// its trials came from a WithTallyStore replay rather than fresh
+// simulation. Estimate.Trials minus the reported count is the simulation
+// this call actually paid for; the Estimate itself deliberately carries
+// no such field, since resuming never changes the result bits, only who
+// computed them.
 func WithResumeReport(f func(resumedTrials int)) EstimateOption {
 	return func(o *estimateOptions) { o.resumeReport = f }
 }
@@ -242,24 +241,10 @@ func WithBatchProbe(f func(exec.BatchStat)) EstimateOption {
 //
 // With a stopping option (WithTarget, WithAlmostSafeTarget,
 // WithHalfWidth), the estimate stops early once decided; Estimate.Trials
-// reports the trials actually executed.
+// reports the trials actually executed. A larger budget or a tighter
+// rule refines an earlier estimate through WithTallyStore: the stored
+// prefix is replayed and only the marginal trials run.
 func (p *Plan) Estimate(trials int, opts ...EstimateOption) (Estimate, error) {
-	return p.EstimateFrom(Estimate{}, trials, opts...)
-}
-
-// EstimateFrom resumes a previous estimate of this plan instead of
-// restarting it: prev's trials and successes are kept, new trials continue
-// the seed sequence at base+prev.Trials, and the stream stops once the
-// combined estimate satisfies the stopping options or the total trial
-// count reaches `trials` (if prev already satisfies them, no trials run).
-// This is the serving layer's refinement path: a cached estimate that is
-// close to a requested precision is topped up to it for the marginal
-// trials only, never recomputed from scratch.
-//
-// prev must come from this plan (or one with an equal Key) with the same
-// base seed, so that the combined stream is a prefix of the same seed
-// sequence; Estimate(trials) is exactly EstimateFrom(Estimate{}, trials).
-func (p *Plan) EstimateFrom(prev Estimate, trials int, opts ...EstimateOption) (Estimate, error) {
 	var o estimateOptions
 	for _, f := range opts {
 		f(&o)
@@ -284,7 +269,6 @@ func (p *Plan) EstimateFrom(prev Estimate, trials int, opts ...EstimateOption) (
 	cell := exec.Cell{
 		MaxTrials: trials,
 		BaseSeed:  baseSeed,
-		Start:     stat.Proportion{Successes: prev.Succeeds, Trials: prev.Trials},
 		Rule:      o.rule,
 		NewTrial:  p.newTrialMaker(),
 		NewBlock:  p.newBlockMaker(),
@@ -293,7 +277,7 @@ func (p *Plan) EstimateFrom(prev Estimate, trials int, opts ...EstimateOption) (
 		Probe:     o.probe,
 	}
 	var rec *tallyRecorder
-	if o.store != nil && prev.Trials == 0 {
+	if o.store != nil {
 		replaySpan := o.span.StartChild("store-replay")
 		rec = resumeFromStore(o.store, p.StoreKey(), &cell)
 		replaySpan.SetAttr("resumed_trials", cell.Start.Trials)
@@ -347,17 +331,15 @@ type ShardTally struct {
 // may re-run a dropped shard anywhere, even concurrently with a straggling
 // first attempt, and fold in whichever copy returns.
 func (p *Plan) TallyShard(baseSeed uint64, trials, batch, workers int) ShardTally {
-	var t stat.Tally
-	if newBlock := p.newBlockMaker(); newBlock != nil {
-		t = exec.RunShardBlocks(workers, baseSeed, trials, batch, newBlock)
-	} else {
-		t = exec.RunShard(workers, baseSeed, trials, batch, p.newTrialMaker())
-	}
+	t := exec.TallyCell(workers, exec.Cell{
+		MaxTrials: trials, BaseSeed: baseSeed, Bucket: batch,
+		NewTrial: p.newTrialMaker(), NewBlock: p.newBlockMaker(),
+	})
 	return ShardTally{Trials: t.Trials, Batch: t.Batch, Successes: t.Successes}
 }
 
 // EstimationCore reports which execution core this plan's estimation
-// paths (Estimate, EstimateFrom, TallyShard) run trials on: "lanes" (the
+// paths (Estimate, TallyShard) run trials on: "lanes" (the
 // trial-parallel lane-transposed core), "bitset" (the word-parallel round
 // core), "scalar" (the scalar reference round core), or "concurrent" (the
 // goroutine-per-node reference engine). The choice is a pure function of

@@ -216,7 +216,7 @@ type Config struct {
 	// the bitset core stays differentially testable end to end).
 	ScalarCore bool
 	// Core selects the engine core for Monte-Carlo estimation (Estimate,
-	// EstimateFrom, TallyShard). The default CoreAuto uses the
+	// sweeps, TallyShard). The default CoreAuto uses the
 	// lane-transposed trial-parallel core — 64 trials per machine word —
 	// whenever the scenario supports it, falling back to the bitset core
 	// otherwise; all cores are proven bit-identical by the differential

@@ -333,11 +333,13 @@ func WithSweepWorkers(n int) SweepOption {
 	return func(o *sweepOptions) { o.workers = n }
 }
 
-// WithCellPrev supplies a prior estimate per cell — a result cache's view
+// WithCellPrev supplies a prior estimate per cell — a caller-held view
 // of SweepCell.Key. A prior that already satisfies the budget completes
 // the cell with zero simulation; otherwise the cell's stream resumes at
-// seed base+prev.Trials and only the marginal trials run, exactly as
-// Plan.EstimateFrom refines a cached estimate.
+// seed base+prev.Trials and only the marginal trials run. The prior is
+// folded in as one whole prefix, so a half-width rule may settle on a
+// different prefix than a cold run; WithSweepTallyStore is the
+// bit-identical resume path.
 func WithCellPrev(f func(c *SweepCell) (Estimate, bool)) SweepOption {
 	return func(o *sweepOptions) { o.prev = f }
 }
@@ -349,8 +351,8 @@ func WithCellPrev(f func(c *SweepCell) (Estimate, bool)) SweepOption {
 // simulation (CellResult.Resumed == Estimate.Trials), so re-running a
 // sweep against a warm store only simulates what changed; results stay
 // bit-identical to a cold run by the same replay contract. A cell with a
-// WithCellPrev prior takes that prior and skips the store, exactly as
-// EstimateFrom's prev disables WithTallyStore.
+// WithCellPrev prior takes that prior and skips the store (the two
+// resume sources would race for the same seed positions).
 func WithSweepTallyStore(ts TallyStore) SweepOption {
 	return func(o *sweepOptions) { o.store = ts }
 }
