@@ -408,7 +408,7 @@ func cmdSmoke(c *client, args []string) error {
 
 	// Phase 1: a concurrent burst of identical requests. The server must
 	// answer every one, executing the underlying plan far fewer times
-	// than it was asked (singleflight + result cache).
+	// than it was asked (singleflight + tally-store recall).
 	burst := service.EstimateRequest{Graph: *graph, P: *p, Trials: *trials}
 	var wg sync.WaitGroup
 	errs := make([]error, *requests)

@@ -1,8 +1,8 @@
 // Command faultcastd is the faultcast estimation service: a long-running
 // HTTP daemon that answers success-probability queries over compiled
-// plans, amortizing compilation and simulation across callers with plan
-// and result caches, request coalescing, confidence-aware estimate reuse,
-// and bounded admission (429 + Retry-After under overload).
+// plans, amortizing compilation and simulation across callers with a
+// plan cache, a tally store of trial prefixes, request coalescing, and
+// bounded admission (429 + Retry-After under overload).
 //
 // Endpoints: POST /v1/estimate, POST /v1/sweep, POST /v1/shard,
 // GET /v1/scenarios, GET /v1/stats, GET /v1/trace, GET /v1/trace/{id},
@@ -31,9 +31,12 @@
 //
 // Every estimate and sweep cell resumes from a tally store's trial
 // prefix and appends its marginal batches back, so refinements only ever
-// simulate what is not stored and answer bit-identically to a cold run.
-// Without -store that store is bounded and in memory (-result-cache
-// streams). With -store=DIR it is durable, so a restarted daemon answers
+// simulate what is not stored, and a repeat whose stored prefix already
+// decides it answers with zero trials and no admission slot — always
+// bit-identically to a cold run, so an answer depends only on its
+// request. Without -store that store is bounded and in memory
+// (-result-cache default-budget streams' worth of buckets). With
+// -store=DIR it is durable, so a restarted daemon answers
 // previously-served requests with zero trials, bit-identical (warm
 // restart).
 // The latency histograms in /v1/stats are snapshotted to DIR/stats.json
@@ -74,7 +77,7 @@ func main() {
 		maxQueue      = flag.Int("max-queue", 0, "requests waiting for a slot before 429 (0 = 64, negative = no queue)")
 		workers       = flag.Int("workers-per-run", 0, "worker goroutines per estimation (0 = GOMAXPROCS)")
 		planCache     = flag.Int("plan-cache", 0, "compiled plans kept in the LRU (0 = 256)")
-		resultCache   = flag.Int("result-cache", 0, "estimates kept in the result cache, and trial streams in the in-memory tally store without -store (0 = 4096)")
+		resultCache   = flag.Int("result-cache", 0, "default-budget trial streams the in-memory tally store holds without -store, counted in buckets: this × ceil(default-trials/32) (0 = 4096)")
 		maxNodes      = flag.Int("max-nodes", 0, "largest served graph (0 = 4096 vertices)")
 		maxTrials     = flag.Int("max-trials", 0, "per-request trial cap (0 = 200000)")
 		defaultTrials = flag.Int("default-trials", 0, "trial budget when a request names none (0 = 1000)")

@@ -25,8 +25,9 @@
 //   - resumable estimation: WithTallyStore / WithSweepTallyStore resume a
 //     trial stream from a TallyStore's stored per-batch tallies and append
 //     the marginal batches back, so a larger budget or tighter band costs
-//     only the new trials — the one reuse path of the faultcastd serving
-//     layer, in memory or on disk (internal/store);
+//     only the new trials, and Plan.Recall answers from the stored prefix
+//     alone when it already decides the request — the one reuse path of
+//     the faultcastd serving layer, in memory or on disk (internal/store);
 //   - declarative parameter sweeps: a SweepSpec names axes (graphs, p,
 //     model, fault, adversary, algorithm, message, window constant) and a
 //     per-cell budget; CompileSweep expands the cross product into keyed

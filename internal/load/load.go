@@ -92,7 +92,7 @@ type Spec struct {
 	// Trials is the fixed per-request budget (0 = server default).
 	// HalfWidthFraction of estimate requests additionally state HalfWidth
 	// as a precision target instead of relying on the raw budget — the
-	// confidence-aware-reuse path.
+	// ruled-replay path over stored prefixes.
 	Trials            int     `json:"trials"`
 	HalfWidth         float64 `json:"half_width,omitempty"`
 	HalfWidthFraction float64 `json:"half_width_fraction,omitempty"`

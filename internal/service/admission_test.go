@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"faultcast/internal/store"
 )
 
 // waitFor polls cond until it holds or the deadline passes. The admission
@@ -319,5 +321,47 @@ func TestStatsLatencyHistograms(t *testing.T) {
 	}
 	if st.Latency["estimate"].MaxMs < st.Latency["estimate"].P50Ms {
 		t.Errorf("estimate latency summary inconsistent: %+v", st.Latency["estimate"])
+	}
+}
+
+// TestRecallTakesNoSlot: with the only execution slot held and no queue,
+// a request whose stored prefix decides it still answers "cache" — recall
+// takes no admission slot — while one whose prefix does not gets 429.
+// The prefix comes from an earlier process over the same store, so only
+// the tally store (not anything this process answered before) can hold
+// it; a request on another seed puts the scenario's plan in the cache.
+func TestRecallTakesNoSlot(t *testing.T) {
+	dir := t.TempDir()
+	open := func() Options {
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Options{Store: st, MaxInflight: 1, MaxQueue: -1}
+	}
+	req := EstimateRequest{Graph: "line:8", P: 0.5, Rounds: 18, Trials: 256, Seed: 1}
+	_, ts1 := testServer(t, open())
+	cold := postEstimate(t, ts1.URL, req)
+
+	s, ts := testServer(t, open())
+	other := req
+	other.Seed = 2
+	postEstimate(t, ts.URL, other)
+	s.slots <- struct{}{} // hold the only execution slot
+	defer func() { <-s.slots }()
+
+	got := postEstimate(t, ts.URL, req)
+	if got.Served != "cache" || got.TrialsSimulated != 0 {
+		t.Fatalf("decided request with the slot held: %+v", got)
+	}
+	sameBits(t, "recalled", got, cold)
+	bigger := req
+	bigger.Trials = 512
+	body, _ := json.Marshal(bigger)
+	if status, _, raw := postJSON(t, ts.URL, string(body)); status != http.StatusTooManyRequests {
+		t.Fatalf("undecided request with the slot held: %d %s", status, raw)
+	}
+	if st := s.Stats(); st.CacheHits != 1 || st.StoreHits != 1 || st.Rejected != 1 {
+		t.Fatalf("stats: cache_hits=%d store_hits=%d rejected=%d", st.CacheHits, st.StoreHits, st.Rejected)
 	}
 }

@@ -8,18 +8,20 @@ import (
 	"faultcast/internal/store"
 )
 
-// lru is a plain least-recently-used map with a fixed capacity. It is not
-// safe for concurrent use; its owners guard it with a mutex (operations
-// are O(1) pointer shuffles, never simulations).
+// lru is a plain least-recently-used map bounded by the total cost of its
+// entries. It is not safe for concurrent use; its owners guard it with a
+// mutex (operations are O(1) pointer shuffles, never simulations).
 type lru[V any] struct {
 	capacity int
+	used     int
 	order    *list.List // front = most recently used
 	entries  map[string]*list.Element
 }
 
 type lruItem[V any] struct {
-	key string
-	val V
+	key  string
+	val  V
+	cost int
 }
 
 func newLRU[V any](capacity int) *lru[V] {
@@ -39,53 +41,32 @@ func (c *lru[V]) get(key string) (V, bool) {
 	return zero, false
 }
 
-// put inserts or replaces key, evicting the least recently used entry
-// beyond capacity.
-func (c *lru[V]) put(key string, val V) {
+// put inserts or replaces key at the given cost, then evicts least
+// recently used entries until the total cost fits the capacity. The entry
+// just put is never evicted, so one entry costlier than the whole
+// capacity is still kept, alone.
+func (c *lru[V]) put(key string, val V, cost int) {
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*lruItem[V]).val = val
-		c.order.MoveToFront(el)
-		return
+		c.used -= c.order.Remove(el).(*lruItem[V]).cost
 	}
-	c.entries[key] = c.order.PushFront(&lruItem[V]{key: key, val: val})
-	if c.order.Len() > c.capacity {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*lruItem[V]).key)
+	c.entries[key] = c.order.PushFront(&lruItem[V]{key: key, val: val, cost: cost})
+	c.used += cost
+	for c.used > c.capacity && c.order.Len() > 1 {
+		oldest := c.order.Remove(c.order.Back()).(*lruItem[V])
+		delete(c.entries, oldest.key)
+		c.used -= oldest.cost
 	}
 }
 
 func (c *lru[V]) len() int { return c.order.Len() }
 
-// resultEntry is one cached estimate with the plan's round horizon and
-// the estimation core that computed it, so a cache hit can answer without
-// touching the plan.
-type resultEntry struct {
-	est    faultcast.Estimate
-	rounds int
-	core   string
-}
-
-// satisfies reports whether the cached estimate already answers a request
-// with the given requirement: either the cached 95% interval is at least
-// as tight as a requested positive halfWidth, or the cached trial count
-// reaches the request's budget — a refinement capped at `trials` could
-// not add a single trial, so re-executing would be a no-op that burns an
-// admission slot (the cached answer is the request's best effort).
-func (e resultEntry) satisfies(trials int, halfWidth float64) bool {
-	if e.est.Trials >= trials {
-		return true
-	}
-	return halfWidth > 0 && (e.est.Hi-e.est.Low)/2 <= halfWidth
-}
-
 // memTallyStore is the bounded in-memory faultcast.TallyStore of a server
 // without -store: the most recently used trial streams, each the bucket
-// sequence a durable store would hold for its key. Estimates and sweeps
-// resume through it exactly as they resume through internal/store, so an
-// answer never depends on which of the two backs the server — or on
-// which requests came before it. An evicted stream only costs
-// re-simulation.
+// sequence a durable store would hold for its key, at most capacity
+// buckets in all. Estimates and sweeps resume through it exactly as they
+// resume through internal/store, so an answer never depends on which of
+// the two backs the server — or on which requests came before it. An
+// evicted stream only costs re-simulation.
 type memTallyStore struct {
 	mu      sync.Mutex
 	streams *lru[[]faultcast.TallyBucket]
@@ -115,6 +96,7 @@ func (m *memTallyStore) AppendTally(planKey string, baseSeed uint64, batch int, 
 	if err != nil {
 		return err
 	}
-	m.streams.put(key, append(stored[:keep:keep], buckets...))
+	spliced := append(stored[:keep:keep], buckets...)
+	m.streams.put(key, spliced, len(spliced))
 	return nil
 }

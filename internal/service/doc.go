@@ -27,16 +27,17 @@
 //     excluded because they are proven bit-identical). Semantically
 //     identical requests therefore hash equal and share everything below.
 //
-//  2. Result cache and tally store. Estimates are cached per key in an
-//     LRU. A cached estimate SATISFIES a request if its 95% half-width is
-//     at most the requested one (or, with no half-width requested, if it
-//     ran at least the requested trials); satisfied requests are answered
+//  2. The tally store, the only cache of answers. It holds the
+//     per-batch success tallies of every trial stream served — the
+//     durable store with -store, a bounded in-memory one otherwise. A
+//     request first RECALLS (Plan.Recall): when its scenario's plan is
+//     already compiled, the stored tallies of its stream are replayed
+//     through its stopping rule at cold batch boundaries, and if they
+//     decide it (the rule stops, or the budget is covered) it is answered
 //     with zero simulation trials and no admission slot. Everything else
-//     executes against the tally store — the durable one with -store, a
-//     bounded in-memory one otherwise: the stored per-batch tallies of
-//     the key's trial stream are replayed through the request's stopping
-//     rule at cold batch boundaries, and only the marginal trials run.
-//     A refined answer is therefore bit-identical to a cold server's.
+//     executes the same replay and simulates only the marginal trials.
+//     Either way the answer is bit-identical to a cold server's: it
+//     depends only on the request, never on what was asked before.
 //
 //  3. Plan LRU + singleflight coalescing. Compiled plans are kept in an
 //     LRU keyed by the same fingerprint, and concurrent identical requests
@@ -56,14 +57,16 @@
 // exactly one of the serving-path counters, so operators can alert on
 // them without double counting):
 //
-//   - cache_hits: answers satisfied from the result cache, zero trials.
+//   - cache_hits: answers decided by the stored prefix, zero trials
+//     (recalled without a slot, or reached by an execution whose plan
+//     was not yet compiled).
 //   - coalesced: followers that shared a leader's SUCCESSFUL answer.
 //   - coalesced_errors: followers that inherited a leader's error
 //     instead — counted separately so coalesced remains a pure
 //     amortization metric.
 //   - executions / refines: leader runs, and those that topped up a
-//     stored prefix (store_hits / store_refines split tally-store replays
-//     into zero-trial answers and top-ups).
+//     stored prefix. store_hits counts the zero-trial answers of the
+//     tally store, estimates and sweep cells alike.
 //   - rejected: exactly the number of 429 responses sent — leaders
 //     refused admission AND followers that shared a leader's 429.
 //   - canceled: requests whose own client disconnected while queued
@@ -79,9 +82,8 @@
 // occupies one admission slot (its cells share one worker pool via the
 // sweep scheduler), every cell resumes from the tally store (stored cells
 // answer with zero simulation, partially stored ones are topped up by
-// the marginal trials) and is written back to the result cache, and each
-// decided cell is written and flushed immediately so clients watch the
-// grid fill in.
+// the marginal trials and append them back), and each decided cell is
+// written and flushed immediately so clients watch the grid fill in.
 //
 // The cluster layer rides the same plan cache: every server is a worker
 // (POST /v1/shard rebuilds a wire scenario, verifies the coordinator's
@@ -93,11 +95,13 @@
 // in-flight work completes — see internal/cluster for the protocol.
 //
 // Invariants (enforced by the package tests): a cache hit or coalesced
-// follower never runs a trial; an answer produced by refinement keeps the
-// stored trials and executes only a continuation of the same seed
-// sequence, bit-identical to a cold server's answer to the same request
-// (half-width and almost-safe requests included); compiled plans are shared
-// across seeds of a scenario (the seed keys results, not plans);
+// follower never runs a trial, and a recalled answer takes no admission
+// slot; every answer — recalled, refined or fresh — is bit-identical to a
+// cold server's answer to the same request (half-width and almost-safe
+// requests included), and a refinement executes only a continuation of
+// the stored seed sequence; a stored stream is never shortened by a
+// smaller request; compiled plans are shared across seeds of a scenario
+// (the seed keys trial streams, not plans);
 // requests are validated before any work is admitted
 // (malformed specs and oversized graphs are rejected with structured
 // errors, never compiled); and the handlers are safe under `go test

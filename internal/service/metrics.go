@@ -62,7 +62,7 @@ func (s *Server) buildMetrics() *telemetry.Registry {
 		"Callers currently queued for an admission slot.",
 		func() float64 { return float64(s.waiting.Load()) })
 	counter("faultcast_cache_hits_total",
-		"Estimates answered from the result cache or the store's replay with zero simulation.",
+		"Estimates answered from the tally store's replay with zero simulation.",
 		func() float64 { return float64(s.c.cacheHits.Load()) })
 	r.Counter("faultcast_coalesced_total",
 		"Requests that rode an identical in-flight execution, by whether the leader succeeded.",
@@ -82,7 +82,7 @@ func (s *Server) buildMetrics() *telemetry.Registry {
 			emit([]telemetry.Label{{Name: "core", Value: "scalar"}}, float64(s.c.coreScalar.Load()))
 		})
 	counter("faultcast_refines_total",
-		"Answers produced by topping up a cached or stored estimate.",
+		"Answers that resumed a stored trial prefix and simulated only the marginal batches.",
 		func() float64 { return float64(s.c.refines.Load()) })
 	counter("faultcast_trials_simulated_total",
 		"Monte-Carlo trials actually executed by this process.",
@@ -96,9 +96,6 @@ func (s *Server) buildMetrics() *telemetry.Registry {
 	gauge("faultcast_plan_cache_entries",
 		"Compiled plans currently in the LRU.",
 		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(s.plans.len()) })
-	gauge("faultcast_result_cache_entries",
-		"Estimates currently in the result cache.",
-		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(s.results.len()) })
 	counter("faultcast_sweep_cells_total",
 		"Sweep cells decided.",
 		func() float64 { return float64(s.c.sweepCells.Load()) })
@@ -126,13 +123,11 @@ func (s *Server) buildMetrics() *telemetry.Registry {
 			return 0
 		})
 
-	// Durable-store families: zero (or sample-less) without -store.
+	// Tally-store replays count in both modes; the durable-store families
+	// below are sample-less without -store.
 	counter("faultcast_store_hits_total",
 		"Requests and sweep cells fully answered by the tally store's replay (durable or in-memory).",
 		func() float64 { return float64(s.c.storeHits.Load()) })
-	counter("faultcast_store_refines_total",
-		"Requests and sweep cells that resumed a stored prefix and simulated only the marginal batches.",
-		func() float64 { return float64(s.c.storeRefines.Load()) })
 	storeCounter := func(name, help string, v func(st *storeStatsView) float64) {
 		r.Counter(name, help, func(emit func([]telemetry.Label, float64)) {
 			if s.opts.Store == nil {

@@ -54,7 +54,7 @@ type EstimateRequest struct {
 
 // EstimateResponse is the body of a successful POST /v1/estimate.
 type EstimateResponse struct {
-	// Key is the canonical cache key (Config.Fingerprint) of the request.
+	// Key is the canonical key (Config.Fingerprint) of the request.
 	Key string `json:"key"`
 	// Rate, Low, High: the point estimate and its 95% Wilson interval.
 	Rate float64 `json:"rate"`
@@ -75,11 +75,11 @@ type EstimateResponse struct {
 	N      int `json:"n"`
 	// Core names the estimation engine the plan selects for this scenario
 	// ("lanes", "bitset", "scalar", or "concurrent"). Cached and coalesced
-	// answers echo the core that originally computed the estimate.
+	// answers echo the core the plan simulates on.
 	Core string `json:"core"`
 	// Served says how the answer was produced: "simulated" (fresh run),
-	// "refined" (cached estimate topped up), "cache" (cached estimate
-	// already satisfied the request — zero trials simulated), or
+	// "refined" (a stored trial prefix topped up), "cache" (the stored
+	// prefix already decided the request — zero trials simulated), or
 	// "coalesced" (this request rode an identical in-flight one).
 	Served string `json:"served"`
 	// TrialsSimulated is the number of trials executed to serve THIS

@@ -15,6 +15,7 @@ import (
 	"faultcast"
 	"faultcast/internal/cluster"
 	"faultcast/internal/hist"
+	"faultcast/internal/stat"
 	"faultcast/internal/store"
 	"faultcast/internal/telemetry"
 )
@@ -35,9 +36,11 @@ type Options struct {
 	// admission slot regardless of cell count — the cells share one
 	// worker pool — so this bounds the work a single slot can hold.
 	MaxSweepCells int
-	// PlanCacheSize bounds the compiled-plan LRU (default 256 plans);
-	// ResultCacheSize bounds the estimate LRU and, without Store, the
-	// in-memory tally store (default 4096 entries and streams each).
+	// PlanCacheSize bounds the compiled-plan LRU (default 256 plans).
+	// Without Store, ResultCacheSize sizes the in-memory tally store: it
+	// holds ResultCacheSize default-budget streams' worth of buckets,
+	// ResultCacheSize × ⌈DefaultTrials/32⌉ in all (default 4096 streams,
+	// 131072 buckets, 2 MiB), least recently used streams evicted first.
 	PlanCacheSize   int
 	ResultCacheSize int
 	// MaxInflight bounds concurrently executing estimations (default
@@ -119,23 +122,22 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Server is the faultcastd request handler: plan/result caches,
-// singleflight coalescing, bounded admission, and the HTTP surface over
-// them. Create with New; all methods are safe for concurrent use.
+// Server is the faultcastd request handler: the plan cache, the tally
+// store, singleflight coalescing, bounded admission, and the HTTP surface
+// over them. Create with New; all methods are safe for concurrent use.
 type Server struct {
 	opts  Options
 	start time.Time
 
-	mu      sync.Mutex
-	plans   *lru[*faultcast.Plan]
-	results *lru[resultEntry]
-	// tallies is the one path by which executions reuse trials:
+	mu    sync.Mutex
+	plans *lru[*faultcast.Plan]
+	// tallies is the one path by which answers reuse trials:
 	// Options.Store, or a bounded in-memory store.
 	tallies faultcast.TallyStore
 	// sweeps caches whole compiled SweepPlans by grid identity, so a
 	// polling client re-sweeping the same grid skips all compilation
-	// (its cells then hit the result cache too). Deliberately small: one
-	// entry can hold up to MaxSweepCells compiled plans.
+	// (its cells then replay from the tally store). Deliberately small:
+	// one entry can hold up to MaxSweepCells compiled plans.
 	sweeps *lru[*faultcast.SweepPlan]
 
 	flight  flightGroup
@@ -189,7 +191,6 @@ type counters struct {
 	shardTrials        atomic.Uint64
 	shardsDrained      atomic.Uint64
 	storeHits          atomic.Uint64
-	storeRefines       atomic.Uint64
 
 	// Per-core execution counters: which engine (Plan.EstimationCore)
 	// actually simulated, across estimates, sweep cells, and shards.
@@ -217,17 +218,17 @@ func (c *counters) countCore(core string) {
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
-		opts:    opts,
-		start:   opts.Now(),
-		plans:   newLRU[*faultcast.Plan](opts.PlanCacheSize),
-		results: newLRU[resultEntry](opts.ResultCacheSize),
-		sweeps:  newLRU[*faultcast.SweepPlan](16),
-		slots:   make(chan struct{}, opts.MaxInflight),
+		opts:   opts,
+		start:  opts.Now(),
+		plans:  newLRU[*faultcast.Plan](opts.PlanCacheSize),
+		sweeps: newLRU[*faultcast.SweepPlan](16),
+		slots:  make(chan struct{}, opts.MaxInflight),
 	}
 	if opts.Store != nil {
 		s.tallies = opts.Store
 	} else {
-		s.tallies = newMemTallyStore(opts.ResultCacheSize)
+		buckets := (opts.DefaultTrials + stat.DefaultBatch - 1) / stat.DefaultBatch
+		s.tallies = newMemTallyStore(opts.ResultCacheSize * buckets)
 	}
 	if opts.TraceRing > 0 {
 		s.tel = telemetry.NewCollector(opts.TraceRing, opts.TraceSlowest)
@@ -301,6 +302,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := cfg.Fingerprint()
+	planKey := seedlessKey(cfg)
 	// clamped: the server reduced the requested budget to MaxTrials.
 	// (trials only ever shrinks below req.Trials by that clamp; the
 	// req.Trials == 0 default path grows it.) Echoed on every successful
@@ -315,12 +317,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 
 	tr.Root().SetAttr("key", key)
 
-	// Fast path: a fresh cached estimate that already satisfies the
-	// confidence requirement answers with zero simulation and no slot.
-	if e, ok := s.cachedSatisfying(key, trials, req.HalfWidth); ok {
-		s.c.cacheHits.Add(1)
-		tr.Root().SetAttr("served", "cache")
-		resp := s.response(cfg, key, e.est, e.rounds, e.core, "cache", 0)
+	// Fast path: a stored prefix that already decides the request
+	// answers with zero simulation and no slot.
+	if resp, ok := s.recall(tr, cfg, key, planKey, trials, req.HalfWidth); ok {
 		annotate(&resp)
 		resp.TraceID = tr.ID()
 		writeJSON(w, http.StatusOK, resp)
@@ -335,7 +334,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		// one disconnecting client can't turn everyone's answer into a
 		// 429 while it waits for a slot. The wait stays bounded —
 		// estimates always terminate and MaxQueue caps the queue.
-		o := s.execute(context.WithoutCancel(r.Context()), tr, cfg, key, trials, req.HalfWidth)
+		o := s.execute(context.WithoutCancel(r.Context()), tr, cfg, key, planKey, trials, req.HalfWidth)
 		o.traceID = tr.ID()
 		return o
 	})
@@ -382,19 +381,60 @@ func estimateFlightKey(key string, trials int, halfWidth float64) string {
 	return fmt.Sprintf("%s|t:%d|hw:%016x", key, trials, math.Float64bits(halfWidth))
 }
 
+// seedlessKey is the plan-cache key of a request's scenario: the compiled
+// plan is identical for every seed of a scenario (the seed only defaults
+// the base of the trial stream, which WithBaseSeed pins), so a seed sweep
+// over one scenario compiles once. It equals the plan's StoreKey.
+func seedlessKey(cfg faultcast.Config) string {
+	cfg.Seed = 0
+	return cfg.Fingerprint()
+}
+
+// requestOptions are the estimate options that define a request's
+// answer: its trial stream, its stopping rule and the tally store. recall
+// and execute share them, so a recalled answer is the one an execution
+// would give.
+func (s *Server) requestOptions(seed uint64, halfWidth float64) []faultcast.EstimateOption {
+	opts := []faultcast.EstimateOption{faultcast.WithBaseSeed(seed), faultcast.WithTallyStore(s.tallies)}
+	if halfWidth > 0 {
+		opts = append(opts, faultcast.WithHalfWidth(halfWidth))
+	}
+	return opts
+}
+
+// recall answers a request from the tally store's stored prefix alone
+// (Plan.Recall): no simulation, no admission slot, and the cold answer's
+// bits. It needs the scenario's plan already in the plan cache; a miss
+// falls through to execute, which answers a deciding prefix with zero
+// trials all the same.
+func (s *Server) recall(tr *telemetry.Trace, cfg faultcast.Config, key, planKey string, trials int, halfWidth float64) (EstimateResponse, bool) {
+	s.mu.Lock()
+	plan, ok := s.plans.get(planKey)
+	s.mu.Unlock()
+	if !ok {
+		return EstimateResponse{}, false
+	}
+	est, ok := plan.Recall(trials, s.requestOptions(cfg.Seed, halfWidth)...)
+	if !ok {
+		return EstimateResponse{}, false
+	}
+	s.c.cacheHits.Add(1)
+	s.c.storeHits.Add(1)
+	tr.Root().SetAttr("served", "cache")
+	return s.response(cfg, key, est, plan.Rounds(), plan.EstimationCore(), "cache", 0), true
+}
+
 // execute is the singleflight leader's path: admission, plan lookup or
 // compile, and an estimate resumed from the tally store — fresh, topped
 // up, or (a stored prefix that already decides it) zero-trial. The trace
 // gains one span per stage (admission wait, plan lookup/compile,
 // execution) — purely observational, and nil-safe when tracing is
 // disabled.
-func (s *Server) execute(ctx context.Context, tr *telemetry.Trace, cfg faultcast.Config, key string, trials int, halfWidth float64) outcome {
-	// The result cache may have been filled while this call waited for
-	// an earlier leader on the same key to finish.
-	if e, ok := s.cachedSatisfying(key, trials, halfWidth); ok {
-		s.c.cacheHits.Add(1)
-		tr.Root().SetAttr("served", "cache")
-		return outcome{status: http.StatusOK, resp: s.response(cfg, key, e.est, e.rounds, e.core, "cache", 0)}
+func (s *Server) execute(ctx context.Context, tr *telemetry.Trace, cfg faultcast.Config, key, planKey string, trials int, halfWidth float64) outcome {
+	// An earlier leader on the same key may have stored a deciding prefix
+	// since the handler's own recall.
+	if resp, ok := s.recall(tr, cfg, key, planKey, trials, halfWidth); ok {
+		return outcome{status: http.StatusOK, resp: resp}
 	}
 	adm := tr.StartSpan("admission")
 	verdict := s.acquire(ctx)
@@ -423,15 +463,10 @@ func (s *Server) execute(ctx context.Context, tr *telemetry.Trace, cfg faultcast
 	}
 	defer s.release()
 
-	// The plan cache is keyed seed-less: the compiled plan is identical
-	// for every seed of a scenario (the seed only defaults the base of
-	// the trial stream, which WithBaseSeed pins below), so a seed sweep
-	// over one scenario compiles once and occupies one slot. The result
-	// cache stays on the seed-inclusive key — results DO depend on it.
 	seedless := cfg
 	seedless.Seed = 0
 	psp := tr.StartSpan("plan")
-	plan, _, err := s.plan(psp, seedless.Fingerprint(), seedless)
+	plan, _, err := s.plan(psp, planKey, seedless)
 	psp.End()
 	if err != nil {
 		// Compile rejects scenario mismatches request validation cannot
@@ -439,25 +474,16 @@ func (s *Server) execute(ctx context.Context, tr *telemetry.Trace, cfg faultcast
 		s.c.badRequests.Add(1)
 		return outcome{status: http.StatusBadRequest, errResp: ErrorResponse{Error: err.Error(), Code: "bad-request"}}
 	}
-	// Refinement always resumes from the tally store's replay, never
-	// from a cached estimate: the replay reproduces a cold run's stop
-	// decisions, so the answer depends only on this request. The result
-	// cache stays a write-through view — cachedSatisfying above still
-	// answers repeats without a slot.
+	// The estimate resumes from the tally store's replay, which
+	// reproduces a cold run's stop decisions, so the answer depends only
+	// on this request.
 	resumed := 0
-	opts := []faultcast.EstimateOption{
-		faultcast.WithBaseSeed(cfg.Seed),
-		faultcast.WithTallyStore(s.tallies),
-		faultcast.WithResumeReport(func(n int) { resumed = n }),
-	}
+	opts := append(s.requestOptions(cfg.Seed, halfWidth), faultcast.WithResumeReport(func(n int) { resumed = n }))
 	if s.opts.Workers > 0 {
 		opts = append(opts, faultcast.WithWorkers(s.opts.Workers))
 	}
 	if s.opts.Cluster != nil {
 		opts = append(opts, faultcast.WithDispatcher(s.opts.Cluster))
-	}
-	if halfWidth > 0 {
-		opts = append(opts, faultcast.WithHalfWidth(halfWidth))
 	}
 	xsp := tr.StartSpan("execute")
 	var agg batchAgg
@@ -482,23 +508,21 @@ func (s *Server) execute(ctx context.Context, tr *telemetry.Trace, cfg faultcast
 	served := "simulated"
 	switch {
 	case simulated == 0:
-		// The stored prefix already satisfied the request: a cache hit
-		// that lives in the tally store (e.g. the first ask after a warm
-		// restart, before the result cache refills).
+		// The stored prefix already decided the request — recall's answer,
+		// reached without the plan cache (e.g. the first ask after a warm
+		// restart, before the plan is compiled).
 		served = "cache"
 		s.c.cacheHits.Add(1)
 		s.c.storeHits.Add(1)
 	case resumed > 0:
 		served = "refined"
 		s.c.refines.Add(1)
-		s.c.storeRefines.Add(1)
 	}
 	tr.Root().SetAttr("served", served)
 	tr.Root().SetAttr("trials_simulated", simulated)
 	if resumed > 0 {
 		tr.Root().SetAttr("resumed_trials", resumed)
 	}
-	s.storeResult(key, est, plan.Rounds(), core)
 	return outcome{status: http.StatusOK, resp: s.response(cfg, key, est, plan.Rounds(), core, served, simulated)}
 }
 
@@ -569,35 +593,9 @@ func (s *Server) plan(sp *telemetry.Span, key string, cfg faultcast.Config) (pla
 	s.c.planCompiles.Add(1)
 	sp.SetAttr("source", "compiled")
 	s.mu.Lock()
-	s.plans.put(key, plan)
+	s.plans.put(key, plan, 1)
 	s.mu.Unlock()
 	return plan, false, nil
-}
-
-// cachedSatisfying returns the cached entry for key iff it already
-// answers a (trials, halfWidth) requirement.
-func (s *Server) cachedSatisfying(key string, trials int, halfWidth float64) (resultEntry, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.results.get(key)
-	if !ok || !e.satisfies(trials, halfWidth) {
-		return resultEntry{}, false
-	}
-	return e, true
-}
-
-func (s *Server) storeResult(key string, est faultcast.Estimate, rounds int, core string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Concurrent leaders with different budgets share this key. Results
-	// are deterministic prefixes of one seed sequence, so the entry with
-	// more trials subsumes any smaller one — never let a small estimate
-	// overwrite a larger already-paid-for one (the lookup alone marks it
-	// recently used).
-	if old, ok := s.results.get(key); ok && old.est.Trials > est.Trials {
-		return
-	}
-	s.results.put(key, resultEntry{est: est, rounds: rounds, core: core})
 }
 
 func (s *Server) response(cfg faultcast.Config, key string, est faultcast.Estimate, rounds int, core, served string, simulated int) EstimateResponse {
@@ -642,15 +640,14 @@ type Stats struct {
 	// alike), so it matches the reject rate a load harness observes.
 	// Canceled counts callers whose own request died while queued for a
 	// slot — client impatience, deliberately NOT part of Rejected.
-	Rejected           uint64 `json:"rejected"`
-	Canceled           uint64 `json:"canceled"`
-	TrialsSimulated    uint64 `json:"trials_simulated"`
-	PlanCompiles       uint64 `json:"plan_compiles"`
-	PlanCacheHits      uint64 `json:"plan_cache_hits"`
-	InFlight           int    `json:"in_flight"`
-	Waiting            int64  `json:"waiting"`
-	PlanCacheEntries   int    `json:"plan_cache_entries"`
-	ResultCacheEntries int    `json:"result_cache_entries"`
+	Rejected         uint64 `json:"rejected"`
+	Canceled         uint64 `json:"canceled"`
+	TrialsSimulated  uint64 `json:"trials_simulated"`
+	PlanCompiles     uint64 `json:"plan_compiles"`
+	PlanCacheHits    uint64 `json:"plan_cache_hits"`
+	InFlight         int    `json:"in_flight"`
+	Waiting          int64  `json:"waiting"`
+	PlanCacheEntries int    `json:"plan_cache_entries"`
 	// Worker-side shard counters (the /v1/shard endpoint).
 	ShardRequests  uint64 `json:"shard_requests"`
 	ShardsExecuted uint64 `json:"shards_executed"`
@@ -658,13 +655,12 @@ type Stats struct {
 	ShardsDrained  uint64 `json:"shards_drained"`
 	ShardInflight  int64  `json:"shard_inflight"`
 	Draining       bool   `json:"draining"`
-	// StoreHits counts executions (and sweep cells) fully answered by
-	// the tally store's replay — zero trials simulated; StoreRefines
-	// counts those that resumed a stored prefix and simulated only the
-	// marginal batches. The tally store is the durable one with -store,
-	// the bounded in-memory one otherwise.
-	StoreHits    uint64 `json:"store_hits"`
-	StoreRefines uint64 `json:"store_refines"`
+	// StoreHits counts requests (and sweep cells) fully answered by the
+	// tally store's replay — zero trials simulated. The tally store is the
+	// durable one with -store, the bounded in-memory one otherwise.
+	// Refines counts those that resumed a stored prefix and simulated
+	// only the marginal batches.
+	StoreHits uint64 `json:"store_hits"`
 	// ExecutionsByCore splits simulating work (estimates, sweep cells,
 	// shards) by the estimation engine that ran it.
 	ExecutionsByCore map[string]uint64 `json:"executions_by_core"`
@@ -685,7 +681,7 @@ type Stats struct {
 // Stats snapshots the server counters.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
-	planLen, resultLen := s.plans.len(), s.results.len()
+	planLen := s.plans.len()
 	s.mu.Unlock()
 	st := Stats{
 		UptimeSeconds:      s.opts.Now().Sub(s.start).Seconds(),
@@ -708,7 +704,6 @@ func (s *Server) Stats() Stats {
 		InFlight:           len(s.slots),
 		Waiting:            s.waiting.Load(),
 		PlanCacheEntries:   planLen,
-		ResultCacheEntries: resultLen,
 		ShardRequests:      s.c.shardCalls.Load(),
 		ShardsExecuted:     s.c.shardsExecuted.Load(),
 		ShardTrials:        s.c.shardTrials.Load(),
@@ -716,7 +711,6 @@ func (s *Server) Stats() Stats {
 		ShardInflight:      s.shardInflight.Load(),
 		Draining:           s.draining.Load(),
 		StoreHits:          s.c.storeHits.Load(),
-		StoreRefines:       s.c.storeRefines.Load(),
 		ExecutionsByCore: map[string]uint64{
 			"lanes":      s.c.coreLanes.Load(),
 			"bitset":     s.c.coreBitset.Load(),

@@ -196,9 +196,10 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
-// TestCachedEstimateZeroTrials: a repeat request whose
-// requested half-width is already met by the cached estimate must perform
-// zero simulation trials.
+// TestCachedEstimateZeroTrials: a repeat request, and a looser one, whose
+// stopping rule the stored prefix already decides must perform zero
+// simulation trials — and the looser one answers where a cold run of it
+// stops, not with the tighter estimate.
 func TestCachedEstimateZeroTrials(t *testing.T) {
 	s, ts := testServer(t, Options{})
 	req := EstimateRequest{Graph: "line:16", P: 0.3, Trials: 2000, HalfWidth: 0.08}
@@ -216,11 +217,14 @@ func TestCachedEstimateZeroTrials(t *testing.T) {
 	if second.Served != "cache" || second.TrialsSimulated != 0 {
 		t.Fatalf("repeat request not served from cache: %+v", second)
 	}
-	// A looser request is satisfied by the same entry.
-	looser := postEstimate(t, ts.URL, EstimateRequest{Graph: "line:16", P: 0.3, Trials: 2000, HalfWidth: 0.2})
+	// A looser request is decided by the same stored prefix.
+	looserReq := EstimateRequest{Graph: "line:16", P: 0.3, Trials: 2000, HalfWidth: 0.2}
+	looser := postEstimate(t, ts.URL, looserReq)
 	if looser.Served != "cache" || looser.TrialsSimulated != 0 {
 		t.Fatalf("looser request not served from cache: %+v", looser)
 	}
+	_, coldTS := testServer(t, Options{})
+	sameBits(t, "looser request", looser, postEstimate(t, coldTS.URL, looserReq))
 	if after := s.Stats().TrialsSimulated; after != before {
 		t.Fatalf("cache hits simulated %d trials", after-before)
 	}
@@ -352,7 +356,7 @@ func TestMemoryRefinementMatchesCold(t *testing.T) {
 		t.Fatalf("second request not refined: %+v", got)
 	}
 	sameBits(t, "memory-mode refinement", got, cold)
-	if st := s.Stats(); st.StoreRefines != 1 || st.TrialsSimulated != uint64(100+got.TrialsSimulated) {
+	if st := s.Stats(); st.Refines != 1 || st.TrialsSimulated != uint64(100+got.TrialsSimulated) {
 		t.Fatalf("stats: %+v", st)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"faultcast"
 	"faultcast/internal/store"
 )
 
@@ -40,7 +39,7 @@ func TestWarmRestartServesFromStore(t *testing.T) {
 	if cold.Served != "simulated" || cold.TrialsSimulated != cold.Trials {
 		t.Fatalf("cold serve: %+v", cold)
 	}
-	// Same process, same request again: the result cache answers.
+	// Same process, same request again: the stored prefix answers.
 	repeat := postEstimate(t, ts1.URL, req)
 	if repeat.Served != "cache" || repeat.TrialsSimulated != 0 {
 		t.Fatalf("in-process repeat: %+v", repeat)
@@ -78,8 +77,8 @@ func TestWarmRestartServesFromStore(t *testing.T) {
 	if refined.TrialsSimulated != refined.Trials-cold.Trials {
 		t.Fatalf("refinement simulated %d, want %d", refined.TrialsSimulated, refined.Trials-cold.Trials)
 	}
-	if s2.Stats().StoreRefines != 1 {
-		t.Fatalf("store_refines = %d, want 1", s2.Stats().StoreRefines)
+	if s2.Stats().Refines != 1 {
+		t.Fatalf("refines = %d, want 1", s2.Stats().Refines)
 	}
 	// And the refined answer must be what a cold server computes for the
 	// bigger budget outright.
@@ -157,8 +156,8 @@ func TestStoreRefinementCoalesces(t *testing.T) {
 	if stats.Executions != 2 {
 		t.Fatalf("executions = %d, want 2 (prime + one leader)", stats.Executions)
 	}
-	if stats.StoreRefines != 1 || stats.Coalesced != 1 {
-		t.Fatalf("store_refines=%d coalesced=%d, want 1 and 1", stats.StoreRefines, stats.Coalesced)
+	if stats.Refines != 1 || stats.Coalesced != 1 {
+		t.Fatalf("refines=%d coalesced=%d, want 1 and 1", stats.Refines, stats.Coalesced)
 	}
 	for _, r := range got {
 		if r.Served == "refined" && r.TrialsSimulated != r.Trials-cold.Trials {
@@ -218,46 +217,49 @@ func TestStatsSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStoreModeSkipsMemoryPrev: the refinement prev must come from the
-// tally store's replay — the durable store, or the in-memory one without
-// -store — never from the result cache; otherwise a restarted process
-// could not reproduce this one's answers, and an answer would depend on
-// what was asked before. Pinned by poisoning the result cache under the
-// request's key: the execution must ignore the poisoned estimate and land
-// on the cold bits anyway.
+// modeOptions returns server options for a tally-store mode: "store" (a
+// durable store in a fresh directory) or "memory" (the in-memory one).
+func modeOptions(t *testing.T, mode string) Options {
+	t.Helper()
+	if mode == "memory" {
+		return Options{}
+	}
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Options{Store: st}
+}
+
+// TestStoreModeSkipsMemoryPrev: an answer depends only on its request,
+// never on what was asked before — in both tally-store modes. After a
+// 1000-trial request, a 200-trial one answers the cold 179/200 (not the
+// stored 1000-trial estimate); after a 200-trial request, a half-width
+// 0.05 one answers the cold 171/192 (not the stored 200-trial estimate,
+// whose interval already meets the half-width).
 func TestStoreModeSkipsMemoryPrev(t *testing.T) {
-	req := EstimateRequest{Graph: "line:10", P: 0.25, Trials: 96, Seed: 3}
+	base := EstimateRequest{Graph: "line:8", P: 0.5, Rounds: 18}
+	t1000, t200, hw := base, base, base
+	t1000.Trials, t200.Trials, hw.HalfWidth = 1000, 200, 0.05
 	for _, mode := range []string{"store", "memory"} {
 		t.Run(mode, func(t *testing.T) {
-			options := func() Options {
-				if mode == "memory" {
-					return Options{}
+			for _, c := range []struct {
+				name          string
+				before, after EstimateRequest
+				want          [2]int // successes, trials
+			}{
+				{"200 after 1000", t1000, t200, [2]int{179, 200}},
+				{"half-width after 200", t200, hw, [2]int{171, 192}},
+			} {
+				_, coldTS := testServer(t, modeOptions(t, mode))
+				cold := postEstimate(t, coldTS.URL, c.after)
+				if cold.Successes != c.want[0] || cold.Trials != c.want[1] {
+					t.Fatalf("%s: cold answer %d/%d, want %d/%d", c.name, cold.Successes, cold.Trials, c.want[0], c.want[1])
 				}
-				st, err := store.Open(t.TempDir())
-				if err != nil {
-					t.Fatal(err)
-				}
-				return Options{Store: st}
+				_, ts := testServer(t, modeOptions(t, mode))
+				postEstimate(t, ts.URL, c.before)
+				sameBits(t, c.name, postEstimate(t, ts.URL, c.after), cold)
 			}
-			// The cold answer, from a throwaway server.
-			_, ts0 := testServer(t, options())
-			cold := postEstimate(t, ts0.URL, req)
-
-			s, ts := testServer(t, options())
-			cfg, _, err := req.config(s.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// A poisoned 64-trial estimate under the real key: too small
-			// for the cachedSatisfying fast path, so only a resume from the
-			// result cache could pick it up — and its absurd success count
-			// would show.
-			s.storeResult(cfg.Fingerprint(), faultcast.Estimate{Rate: 1, Low: 1, Hi: 1, Trials: 64, Succeeds: 64}, 1, "bitset")
-			got := postEstimate(t, ts.URL, req)
-			if got.Served != "simulated" || got.TrialsSimulated != got.Trials {
-				t.Fatalf("execution resumed the result cache: %+v", got)
-			}
-			sameBits(t, "poisoned-cache", got, cold)
 		})
 	}
 }

@@ -81,7 +81,7 @@ func (s *Server) sweepPlan(psp *telemetry.Span, spec faultcast.SweepSpec) (*faul
 	psp.SetAttr("source", "compiled")
 	psp.SetAttr("distinct_plans", sp.PlanCount())
 	s.mu.Lock()
-	s.sweeps.put(key, sp)
+	s.sweeps.put(key, sp, 1)
 	s.mu.Unlock()
 	return sp, nil
 }
@@ -136,7 +136,7 @@ type SweepCellResponse struct {
 	// window_cs, ps innermost); lines stream in completion order, so use
 	// Index to reassemble the grid.
 	Index int `json:"index"`
-	// Key is the cell's canonical cache key (Config.Fingerprint).
+	// Key is the cell's canonical key (Config.Fingerprint).
 	Key string `json:"key"`
 	// The cell's axis coordinates.
 	Graph     string  `json:"graph"`
@@ -158,9 +158,9 @@ type SweepCellResponse struct {
 	AlmostSafe       bool    `json:"almost_safe"`
 	Rounds           int     `json:"rounds"`
 	N                int     `json:"n"`
-	// Served: "simulated" (fresh), "refined" (cached estimate topped up
-	// by the marginal trials), or "cache" (cached estimate already
-	// satisfied the budget — zero trials simulated).
+	// Served: "simulated" (fresh), "refined" (a stored trial prefix
+	// topped up by the marginal trials), or "cache" (the stored prefix
+	// already decided the cell — zero trials simulated).
 	Served          string `json:"served"`
 	TrialsSimulated int    `json:"trials_simulated"`
 }
@@ -300,10 +300,11 @@ func (req *SweepRequest) spec(opts Options) (faultcast.SweepSpec, error) {
 
 // handleSweep streams a sweep as NDJSON. The whole sweep occupies one
 // admission slot (it is one schedule on one worker pool, however many
-// cells it has); each cell reuses the server's result cache by its own
-// key — cached cells answer with zero simulation, stale-but-close ones
-// are topped up — and every decided cell is written and flushed
-// immediately, so clients see the grid fill in as it computes.
+// cells it has); each cell resumes from the tally store by its own
+// stream — a stored prefix that decides the cell answers with zero
+// simulation, a shorter one is topped up — and every decided cell is
+// written and flushed immediately, so clients see the grid fill in as it
+// computes.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.c.sweepCalls.Add(1)
 	start := time.Now()
@@ -397,8 +398,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	// Every cell resumes from the tally store's replay, so repeat and
 	// topped-up sweeps answer bit-identically to a cold run of their own
-	// budget — never echoing a larger estimate some earlier request left
-	// in the result cache — and, with -store, so does a restarted daemon.
+	// budget, and, with -store, so does a restarted daemon.
 	opts = append(opts, faultcast.WithSweepTallyStore(s.tallies))
 	if s.opts.Workers > 0 {
 		opts = append(opts, faultcast.WithSweepWorkers(s.opts.Workers))
@@ -421,12 +421,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			s.c.refines.Add(1)
 			summary.Refined++
 		}
-		if res.Resumed > 0 {
-			if simulated == 0 {
-				s.c.storeHits.Add(1)
-			} else {
-				s.c.storeRefines.Add(1)
-			}
+		if res.Resumed > 0 && simulated == 0 {
+			s.c.storeHits.Add(1)
 		}
 		if simulated > 0 {
 			s.c.trialsSimulated.Add(uint64(simulated))
@@ -434,7 +430,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			s.c.countCore(res.Cell.Plan().EstimationCore())
 		}
 		s.c.sweepCells.Add(1)
-		s.storeResult(res.Cell.Key, res.Estimate, res.Cell.Rounds(), res.Cell.Plan().EstimationCore())
 		cfg := res.Cell.Config
 		n := cfg.Graph.N()
 		_ = enc.Encode(SweepCellResponse{

@@ -93,9 +93,8 @@ func TestSweepStreamsCells(t *testing.T) {
 }
 
 // TestSweepCellCacheReuse: repeating a sweep must answer every cell from
-// the result cache with zero simulation, and a single-cell /v1/estimate
-// for one of the swept scenarios must also hit the shared cache when it
-// names the cell's derived seed.
+// the tally store with zero simulation, and a larger budget must top the
+// stored cells up by the marginal trials only.
 func TestSweepCellCacheReuse(t *testing.T) {
 	s := New(Options{})
 	body := `{"graphs": ["line:8"], "ps": [0.2, 0.5], "trials": 60, "seed": 7}`

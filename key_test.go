@@ -2,6 +2,7 @@ package faultcast
 
 import (
 	"os"
+	"sync"
 	"testing"
 
 	"faultcast/internal/graph"
@@ -79,6 +80,25 @@ func TestPlanKeyMatchesConfigFingerprint(t *testing.T) {
 	}
 	if plan.Key() != cfg.Fingerprint() {
 		t.Fatalf("Plan.Key %s != Config.Fingerprint %s", plan.Key(), cfg.Fingerprint())
+	}
+	// StoreKey is memoised on first use; concurrent first calls all get
+	// the seed-less fingerprint.
+	seedless := cfg
+	seedless.Seed = 0
+	keys := make([]string, 4)
+	var wg sync.WaitGroup
+	for i := range keys {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			keys[i] = plan.StoreKey()
+		}()
+	}
+	wg.Wait()
+	for _, k := range keys {
+		if k != seedless.Fingerprint() {
+			t.Fatalf("Plan.StoreKey %s != seed-less Config.Fingerprint %s", k, seedless.Fingerprint())
+		}
 	}
 }
 

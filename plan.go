@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"faultcast/internal/exec"
 	"faultcast/internal/sim"
@@ -31,6 +32,13 @@ type Plan struct {
 	cfg   Config        // the scenario, as passed to Compile (Trace/Seed included)
 	sim   *sim.Config   // compiled engine configuration template
 	lanes *sim.LaneSpec // lane-transposed trial-parallel lowering (nil if unsupported)
+
+	// storeKey memoises StoreKey on first use: the hash is paid once per
+	// plan, and only by plans that touch a tally store.
+	storeKey struct {
+		once sync.Once
+		key  string
+	}
 }
 
 // Compile lowers the configuration to a reusable execution plan. It
@@ -245,22 +253,7 @@ func WithBatchProbe(f func(exec.BatchStat)) EstimateOption {
 // rule refines an earlier estimate through WithTallyStore: the stored
 // prefix is replayed and only the marginal trials run.
 func (p *Plan) Estimate(trials int, opts ...EstimateOption) (Estimate, error) {
-	var o estimateOptions
-	for _, f := range opts {
-		f(&o)
-	}
-	if o.almostSafe {
-		o.rule.Target = p.AlmostSafeTarget()
-	}
-	if o.rule.UseTarget && o.rule.Z == 0 {
-		// Stop on a 99% band so the reported 95% interval is always
-		// decided the same way whenever the stream stops early.
-		o.rule.Z = 2.576
-	}
-	baseSeed := p.cfg.Seed
-	if o.baseSeed != nil {
-		baseSeed = *o.baseSeed
-	}
+	o, baseSeed := p.options(opts)
 	// One cell on the shared scheduler (internal/exec): the estimate is a
 	// single-cell schedule, so standalone estimates and sweep cells run on
 	// the same machinery with the same determinism contract. A configured
@@ -296,11 +289,56 @@ func (p *Plan) Estimate(trials int, opts ...EstimateOption) (Estimate, error) {
 	if o.resumeReport != nil {
 		o.resumeReport(cell.Start.Trials)
 	}
+	return estimateOf(prop), nil
+}
+
+// Recall answers an Estimate request from the WithTallyStore store's
+// stored prefix alone: it replays the prefix exactly as Estimate's resume
+// does, but never simulates and never dispatches. ok is true only when
+// the prefix decides the request — the rule stops, or the budget is
+// covered — and the estimate is then bit-identical to Estimate(trials,
+// opts...) with or without the store; otherwise the estimate means
+// nothing. Without WithTallyStore, or on a load error, ok is false.
+// Options other than the base seed, the stopping rule and the store are
+// ignored.
+func (p *Plan) Recall(trials int, opts ...EstimateOption) (est Estimate, ok bool) {
+	o, baseSeed := p.options(opts)
+	if o.store == nil {
+		return Estimate{}, false
+	}
+	stored, err := o.store.LoadTally(p.StoreKey(), baseSeed, storeBatch(o.rule))
+	prop, done := replayStored(stored, trials, o.rule)
+	return estimateOf(prop), err == nil && done
+}
+
+// options applies opts and fills in the plan's defaults: the almost-safe
+// target, the stop band, and the base seed.
+func (p *Plan) options(opts []EstimateOption) (o estimateOptions, baseSeed uint64) {
+	for _, f := range opts {
+		f(&o)
+	}
+	if o.almostSafe {
+		o.rule.Target = p.AlmostSafeTarget()
+	}
+	if o.rule.UseTarget && o.rule.Z == 0 {
+		// Stop on a 99% band so the reported 95% interval is always
+		// decided the same way whenever the stream stops early.
+		o.rule.Z = 2.576
+	}
+	baseSeed = p.cfg.Seed
+	if o.baseSeed != nil {
+		baseSeed = *o.baseSeed
+	}
+	return o, baseSeed
+}
+
+// estimateOf reports a folded proportion with its 95% Wilson interval.
+func estimateOf(prop stat.Proportion) Estimate {
 	lo, hi := prop.Wilson(1.96)
 	return Estimate{
 		Rate: prop.Rate(), Low: lo, Hi: hi,
 		Trials: prop.Trials, Succeeds: prop.Successes,
-	}, nil
+	}
 }
 
 // ShardTally is the raw, mergeable outcome of one shard of a plan's trial

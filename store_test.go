@@ -122,6 +122,11 @@ func TestStoreBackedEstimateBitIdentity(t *testing.T) {
 				if resumed != cold.Trials {
 					t.Fatalf("warm repeat simulated %d trials, want 0", cold.Trials-resumed)
 				}
+				// Recall answers the same request from the stored prefix
+				// alone, with the same bits.
+				if got, ok := plan.Recall(storeMatrixTrials, withStore...); !ok || !reflect.DeepEqual(got, cold) {
+					t.Fatalf("recall: %+v ok=%v, want cold %+v", got, ok, cold)
+				}
 
 				// Reopened store (a new process over the same directory).
 				st2, err := store.Open(dir)
@@ -186,6 +191,51 @@ func TestStoreBackedEstimateBitIdentity(t *testing.T) {
 	}
 	if cells < 20 {
 		t.Fatalf("property matrix has %d cells, want >= 20", cells)
+	}
+}
+
+// TestStoreNeverShortensStream: a small budget against a longer stored
+// stream re-simulates only its short tail, and that tail must not
+// supersede the longer stored suffix — otherwise the next large request
+// pays for the suffix again. Budgets 1000, 200, 1000 simulate 1000, 8
+// and 0 trials, the 200-trial answer is the cold one, and the store
+// never rewinds.
+func TestStoreNeverShortensStream(t *testing.T) {
+	plan, err := faultcast.Compile(faultcast.Config{
+		Graph: faultcast.Line(8), Source: 0, Message: []byte("1"),
+		Model: faultcast.MessagePassing, Fault: faultcast.Omission, P: 0.5,
+		Rounds: 18, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resumed int
+	opts := []faultcast.EstimateOption{
+		faultcast.WithTallyStore(st),
+		faultcast.WithResumeReport(func(n int) { resumed = n }),
+	}
+	for i, step := range []struct{ trials, simulated int }{{1000, 1000}, {200, 8}, {1000, 0}} {
+		got, err := plan.Estimate(step.trials, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sim := got.Trials - resumed; sim != step.simulated {
+			t.Fatalf("step %d (%d trials) simulated %d, want %d", i, step.trials, sim, step.simulated)
+		}
+		cold, err := plan.Estimate(step.trials)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, cold) {
+			t.Fatalf("step %d: %+v != cold %+v", i, got, cold)
+		}
+	}
+	if rw := st.Stats().Rewinds; rw != 0 {
+		t.Fatalf("store rewound %d times", rw)
 	}
 }
 

@@ -164,7 +164,7 @@ type SweepCell struct {
 	// empty for explicit Cells and pre-built graphs).
 	Graph SweepGraph
 	// Key is the seed-inclusive Config.Fingerprint — the identity of the
-	// cell's result, under which a serving layer caches its estimate.
+	// cell's result: Run executes cells with equal Key once.
 	Key string
 	// PlanKey is the seed-less fingerprint: cells sharing it share one
 	// compiled plan (and, during a run, per-worker engine state).
@@ -189,9 +189,9 @@ type CellResult struct {
 	Index    int
 	Cell     *SweepCell
 	Estimate Estimate
-	// Resumed is the trial count carried in through WithCellPrev (0 for a
-	// fresh estimate); Estimate.Trials − Resumed trials were simulated by
-	// this run.
+	// Resumed is the trial count carried in through WithCellPrev or
+	// replayed from WithSweepTallyStore (0 for a fresh estimate);
+	// Estimate.Trials − Resumed trials were simulated by this run.
 	Resumed int
 }
 
@@ -456,8 +456,7 @@ func (sp *SweepPlan) Run(ctx context.Context, emit func(CellResult), opts ...Swe
 		// onDone is serialized and ordered after the cell's last fold, so
 		// the recorder's buckets are complete and safely visible here.
 		recs[gi].flush()
-		lo, hi := p.Wilson(1.96)
-		est := Estimate{Rate: p.Rate(), Low: lo, Hi: hi, Trials: p.Trials, Succeeds: p.Successes}
+		est := estimateOf(p)
 		for _, i := range groups[order[gi]] {
 			emit(CellResult{Index: i, Cell: &sp.cells[i], Estimate: est, Resumed: prevs[gi].Trials})
 		}

@@ -41,12 +41,16 @@ type TallyStore interface {
 // SweepCell.PlanKey for cells compiled from the same scenario. Two plans
 // with equal StoreKeys run bit-identical trial streams from any given
 // base seed, which is exactly what makes a stored prefix reusable across
-// processes, daemons, and cluster workers.
+// processes, daemons, and cluster workers. The key is computed on first
+// use and memoised.
 func (p *Plan) StoreKey() string {
-	seedless := p.cfg
-	seedless.Seed = 0
-	seedless.Trace = nil
-	return seedless.Fingerprint()
+	p.storeKey.once.Do(func() {
+		seedless := p.cfg
+		seedless.Seed = 0
+		seedless.Trace = nil
+		p.storeKey.key = seedless.Fingerprint()
+	})
+	return p.storeKey.key
 }
 
 // storeBatch returns the bucket granularity a store keys this stream
@@ -108,10 +112,15 @@ func replayStored(buckets []TallyBucket, maxTrials int, rule stat.StopRule) (p s
 // restocks.
 func resumeFromStore(store TallyStore, planKey string, cell *exec.Cell) *tallyRecorder {
 	batch := storeBatch(cell.Rule)
+	storedEnd := 0
 	if stored, err := store.LoadTally(planKey, cell.BaseSeed, batch); err == nil {
 		cell.Start, _ = replayStored(stored, cell.MaxTrials, cell.Rule)
+		for _, b := range stored {
+			storedEnd += b.Trials
+		}
 	}
-	rec := &tallyRecorder{store: store, planKey: planKey, baseSeed: cell.BaseSeed, batch: batch, start: cell.Start.Trials}
+	rec := &tallyRecorder{store: store, planKey: planKey, baseSeed: cell.BaseSeed, batch: batch,
+		start: cell.Start.Trials, end: cell.Start.Trials, storedEnd: storedEnd}
 	cell.Bucket = batch
 	cell.OnBatch = rec.observe
 	return rec
@@ -127,19 +136,28 @@ type tallyRecorder struct {
 	planKey  string
 	baseSeed uint64
 	batch    int
-	start    int
-	buckets  []TallyBucket
+	start    int // trial index of the first recorded bucket
+	end      int // trial index just past the last recorded bucket
+	// storedEnd is the stream's stored length at load time. A record
+	// ending strictly before it is dropped: the store would let it
+	// supersede the longer suffix, shortening the stream for every later
+	// request. A record ending at or past it still replaces a mismatched
+	// tail with buckets aligned to the cold batch boundaries.
+	storedEnd int
+	buckets   []TallyBucket
 }
 
 // observe is the exec.Cell OnBatch hook.
 func (r *tallyRecorder) observe(trials, successes int) {
 	r.buckets = append(r.buckets, TallyBucket{Trials: trials, Successes: successes})
+	r.end += trials
 }
 
-// flush appends the recorded batches; persistence errors are the store's
-// to count, never the estimate's to fail on.
+// flush appends the recorded batches unless they would shorten the
+// stored stream; persistence errors are the store's to count, never the
+// estimate's to fail on.
 func (r *tallyRecorder) flush() {
-	if r == nil || len(r.buckets) == 0 {
+	if r == nil || len(r.buckets) == 0 || r.end < r.storedEnd {
 		return
 	}
 	_ = r.store.AppendTally(r.planKey, r.baseSeed, r.batch, r.start, r.buckets)
