@@ -158,31 +158,55 @@ func (l *LaneSources) Intn2Masked(mask uint64) uint64 {
 // always false; p >= 1 consumes none and is always true) — so lane L of a
 // word stream reproduces the scalar fault stream of trial L exactly.
 //
+// Only the words marked live are computed: out[i] holds the draws where
+// live[i] != 0 and is zero elsewhere. Every lane's generator still takes
+// all n steps, so the streams stay aligned with the scalar Source and the
+// bank's state after the call does not depend on live. What a dead word
+// saves is xoshiro256**'s output scrambler (rotl(s1·5, 7)·9) and the
+// threshold compare: the linear state step is the only part of a draw the
+// next draw depends on.
+//
 // Lanes at or above lanes draw nothing: their generators do not advance
 // and their bits of out are zero, so a partial trial block costs in
 // proportion to the lanes it uses.
 //
-// out must have at least n words; the first n are overwritten.
-func (l *Lanes) BernoulliWords(p float64, n, lanes int, out []uint64) {
-	for i := 0; i < n; i++ {
+// live and out must have at least n words; the first n of out are
+// overwritten.
+func (l *Lanes) BernoulliWords(p float64, n, lanes int, live, out []uint64) {
+	if n <= 0 {
+		return
+	}
+	out, live = out[:n], live[:n] // hoists the bounds checks out of the draw loop
+	for i := range out {
 		out[i] = 0
 	}
-	if n <= 0 || p <= 0 {
+	if p <= 0 {
 		return
 	}
 	if p >= 1 {
 		all := ^uint64(0) >> uint(LaneCount-lanes)
-		for i := 0; i < n; i++ {
-			out[i] = all
+		for i := range out {
+			if live[i] != 0 {
+				out[i] = all
+			}
 		}
 		return
 	}
-	t := bernoulliThreshold(p)
-	out = out[:n] // hoists the bounds check out of the draw loop
-	for lane := 0; lane < lanes; lane++ {
+	// x>>11 < t is x < t·2¹¹ (t < 2⁵³ for p < 1, so the product fits),
+	// and the borrow of x − t·2¹¹ is that decision: Sub64 and Add64 compile
+	// to SUB and ADC, so a draw costs two instructions and no branch (a
+	// compare-and-branch mispredicts about half the time at mid-range p).
+	// ADC shifts the decision in at the bottom of out[i]; visiting the
+	// lanes from the top down leaves lane L's at bit L.
+	t := bernoulliThreshold(p) << 11
+	for lane := lanes - 1; lane >= 0; lane-- {
 		s0, s1, s2, s3 := l.s0[lane], l.s1[lane], l.s2[lane], l.s3[lane]
 		for i := range out {
-			x := bits.RotateLeft64(s1*5, 7) * 9
+			if live[i] != 0 {
+				x := bits.RotateLeft64(s1*5, 7) * 9
+				_, less := bits.Sub64(x, t, 0)
+				out[i], _ = bits.Add64(out[i], out[i], less)
+			}
 			tt := s1 << 17
 			s2 ^= s0
 			s3 ^= s1
@@ -190,12 +214,6 @@ func (l *Lanes) BernoulliWords(p float64, n, lanes int, out []uint64) {
 			s0 ^= s3
 			s2 ^= tt
 			s3 = bits.RotateLeft64(s3, 45)
-			// Branch-free x>>11 < t: both operands are below 2⁵³ (t ≥ 1
-			// for p > 0, and t < 2⁵³ for p < 1), so the difference wraps
-			// past 2⁶³ — setting the top bit — exactly when x>>11 < t. A
-			// compare-and-branch here mispredicts about half the time at
-			// mid-range p.
-			out[i] |= (x>>11 - t) >> 63 << uint(lane)
 		}
 		l.s0[lane], l.s1[lane], l.s2[lane], l.s3[lane] = s0, s1, s2, s3
 	}

@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// allLive marks every word of a fill live, the dense sampler's contract.
+var allLive = func() []uint64 {
+	live := make([]uint64, 64)
+	for i := range live {
+		live[i] = ^uint64(0)
+	}
+	return live
+}()
+
 // TestBernoulliWordsMatchesScalarStreams is the RNG contract the lane-
 // transposed simulation core's bit-identity rests on: for every lane L,
 // the draw stream produced by BernoulliWords is identical — in value,
@@ -15,9 +24,9 @@ import (
 // so a hidden extra draw on either side would be caught.
 //
 // The p list includes the edges of the sampler's branch-free compare
-// (x>>11 − t, read off its top bit): the smallest threshold t = 1 (p =
-// 2⁻⁵³), the thresholds on either side of 1/2 and just below 1, and two
-// p values whose t equals lane 0's first drawn x>>11 exactly and exceeds
+// (the borrow of x − t·2¹¹): the smallest threshold t = 1 (p = 2⁻⁵³),
+// the thresholds on either side of 1/2 and just below 1, and two p
+// values whose t equals lane 0's first drawn x>>11 exactly and exceeds
 // it by one, so the equal-operands case is decided on a real draw.
 func TestBernoulliWordsMatchesScalarStreams(t *testing.T) {
 	seedOf := func(lane int) uint64 { return 0x1234_5678_9abc_def0 + uint64(lane)*0x9e3779b97f4a7c15 }
@@ -44,7 +53,7 @@ func TestBernoulliWordsMatchesScalarStreams(t *testing.T) {
 		lanes := NewLanes(&seeds)
 		out := make([]uint64, 64)
 		for step, n := range widths {
-			lanes.BernoulliWords(p, n, LaneCount, out)
+			lanes.BernoulliWords(p, n, LaneCount, allLive, out)
 			// The transposed sampler draws lane-major; the scalar reference
 			// draws n values per lane. Compare draw i of lane L.
 			for lane := 0; lane < LaneCount; lane++ {
@@ -60,7 +69,7 @@ func TestBernoulliWordsMatchesScalarStreams(t *testing.T) {
 		// Residual-stream check: if either side consumed a different number
 		// of draws (e.g. a spurious draw at p<=0 or p>=1), the next raw
 		// outputs diverge.
-		lanes.BernoulliWords(0.5, 4, LaneCount, out)
+		lanes.BernoulliWords(0.5, 4, LaneCount, allLive, out)
 		for lane := 0; lane < LaneCount; lane++ {
 			for i := 0; i < 4; i++ {
 				want := scalars[lane].Bernoulli(0.5)
@@ -99,7 +108,7 @@ func TestBernoulliWordsPartialLanes(t *testing.T) {
 			lanes.Seed(reseeds[:count])
 			out := make([]uint64, 40)
 			for step, n := range []int{17, 1, 40} {
-				lanes.BernoulliWords(p, n, count, out)
+				lanes.BernoulliWords(p, n, count, allLive, out)
 				for i := 0; i < n; i++ {
 					if high := out[i] &^ (1<<uint(count) - 1); high != 0 {
 						t.Fatalf("count=%d p=%v step=%d word %d: bits %#x set at or above the lane count", count, p, step, i, high)
@@ -116,13 +125,103 @@ func TestBernoulliWordsPartialLanes(t *testing.T) {
 			}
 			// Residual streams: the drawn lanes continue where the scalars
 			// are, the others from their first draw.
-			lanes.BernoulliWords(0.5, 4, LaneCount, out)
+			lanes.BernoulliWords(0.5, 4, LaneCount, allLive, out)
 			for lane := 0; lane < LaneCount; lane++ {
 				for i := 0; i < 4; i++ {
 					want := scalars[lane].Bernoulli(0.5)
 					if got := out[i]>>uint(lane)&1 == 1; got != want {
 						t.Fatalf("count=%d p=%v residual lane=%d draw=%d: lanes=%v scalar=%v (a lane above the count advanced)", count, p, lane, i, got, want)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestBernoulliWordsLiveMask is the RNG contract of the live mask the lane
+// runner passes (its intended transmitters plus the vertices whose fault
+// bit it reads regardless of intent): for an empty, a single-vertex, a
+// full and random masks, at the edge values of p, the live words equal the
+// scalar Bernoulli stream draw for draw, the other words are zero, and the
+// bank ends every call in the state an all-live call leaves — so the next
+// call draws identically whatever the previous mask was.
+func TestBernoulliWordsLiveMask(t *testing.T) {
+	const n = 36
+	seedOf := func(lane int) uint64 { return 0x51ed_2701_0000_0003 + uint64(lane)*0x9e3779b97f4a7c15 }
+	ps := []float64{0, 1e-12, math.Ldexp(1, -53), 0.05, 0.42, math.Nextafter(0.5, 0), 0.5,
+		0.97, math.Nextafter(1, 0), 1}
+	src := New(99)
+	masks := []struct {
+		name string
+		live func() []uint64
+	}{
+		{"empty", func() []uint64 { return make([]uint64, n) }},
+		{"single", func() []uint64 {
+			live := make([]uint64, n)
+			live[src.Intn(n)] = 1 << uint(src.Intn(LaneCount))
+			return live
+		}},
+		{"all", func() []uint64 { return allLive[:n] }},
+		{"random", func() []uint64 {
+			live := make([]uint64, n)
+			for i := range live {
+				if src.Intn(3) == 0 {
+					live[i] = src.Uint64() | 1
+				}
+			}
+			return live
+		}},
+	}
+	for _, m := range masks {
+		name := m.name
+		for _, count := range []int{LaneCount, 17} {
+			for _, p := range ps {
+				var seeds [LaneCount]uint64
+				scalars := make([]*Source, count)
+				for lane := range seeds {
+					seeds[lane] = seedOf(lane)
+					if lane < count {
+						scalars[lane] = New(seeds[lane])
+					}
+				}
+				masked, dense := NewLanes(&seeds), NewLanes(&seeds)
+				out, ref := make([]uint64, n), make([]uint64, n)
+				for step := 0; step < 4; step++ {
+					live := m.live()
+					masked.BernoulliWords(p, n, count, live, out)
+					dense.BernoulliWords(p, n, count, allLive, ref)
+					for i := 0; i < n; i++ {
+						if live[i] == 0 && out[i] != 0 {
+							t.Fatalf("%s count=%d p=%v step=%d: dead word %d is %#x, want 0", name, count, p, step, i, out[i])
+						}
+					}
+					for lane := 0; lane < count; lane++ {
+						for i := 0; i < n; i++ {
+							want := scalars[lane].Bernoulli(p)
+							if live[i] == 0 {
+								continue
+							}
+							if got := out[i]>>uint(lane)&1 == 1; got != want {
+								t.Fatalf("%s count=%d p=%v step=%d lane=%d draw=%d: lanes=%v scalar=%v", name, count, p, step, lane, i, got, want)
+							}
+						}
+					}
+					if *masked != *dense {
+						t.Fatalf("%s count=%d p=%v step=%d: bank state differs from an all-live call's", name, count, p, step)
+					}
+				}
+				// The next call draws identically: a full fill after the
+				// masked ones matches the scalar residual streams.
+				masked.BernoulliWords(0.5, 4, count, allLive, out)
+				for lane := 0; lane < count; lane++ {
+					for i := 0; i < 4; i++ {
+						if got, want := out[i]>>uint(lane)&1 == 1, scalars[lane].Bernoulli(0.5); got != want {
+							t.Fatalf("%s count=%d p=%v residual lane=%d draw=%d: lanes=%v scalar=%v", name, count, p, lane, i, got, want)
+						}
+					}
+				}
+				if high := out[0] >> uint(count) << uint(count); count < LaneCount && high != 0 {
+					t.Fatalf("%s count=%d: bits %#x at or above the lane count", name, count, high)
 				}
 			}
 		}
@@ -139,13 +238,13 @@ func TestLanesSeedReuse(t *testing.T) {
 	}
 	reused := NewLanes(&a)
 	scratch := make([]uint64, 8)
-	reused.BernoulliWords(0.3, 8, LaneCount, scratch)
+	reused.BernoulliWords(0.3, 8, LaneCount, allLive, scratch)
 	reused.Seed(b[:])
 	fresh := NewLanes(&b)
 	got := make([]uint64, 16)
 	want := make([]uint64, 16)
-	reused.BernoulliWords(0.42, 16, LaneCount, got)
-	fresh.BernoulliWords(0.42, 16, LaneCount, want)
+	reused.BernoulliWords(0.42, 16, LaneCount, allLive, got)
+	fresh.BernoulliWords(0.42, 16, LaneCount, allLive, want)
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("word %d: reused bank %#x != fresh bank %#x", i, got[i], want[i])
@@ -281,6 +380,25 @@ func BenchmarkBernoulliWords(b *testing.B) {
 	out := make([]uint64, 36)
 	b.ReportAllocs()
 	for b.Loop() {
-		l.BernoulliWords(0.42, len(out), LaneCount, out)
+		l.BernoulliWords(0.42, len(out), LaneCount, allLive, out)
+	}
+}
+
+// BenchmarkBernoulliWordsSparse is the same fill with one live vertex of
+// 36 — the shape of a Simple-Malicious round on a 6x6 grid, where a single
+// vertex transmits in its window — so every lane takes all 36 state steps
+// but scrambles and compares one draw.
+func BenchmarkBernoulliWordsSparse(b *testing.B) {
+	var seeds [LaneCount]uint64
+	for lane := range seeds {
+		seeds[lane] = uint64(lane) + 1
+	}
+	l := NewLanes(&seeds)
+	out := make([]uint64, 36)
+	live := make([]uint64, len(out))
+	live[17] = ^uint64(0)
+	b.ReportAllocs()
+	for b.Loop() {
+		l.BernoulliWords(0.42, len(out), LaneCount, live, out)
 	}
 }

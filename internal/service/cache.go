@@ -86,13 +86,13 @@ func (m *memTallyStore) LoadTally(planKey string, baseSeed uint64, batch int) ([
 }
 
 // AppendTally splices a record into the stream under the durable store's
-// contiguity rule (store.SpliceAt).
+// append rule (store.Splice), refusing one that would shorten it.
 func (m *memTallyStore) AppendTally(planKey string, baseSeed uint64, batch int, start int, buckets []faultcast.TallyBucket) error {
 	key := store.Key{PlanKey: planKey, BaseSeed: baseSeed, Batch: batch}.String()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	stored, _ := m.streams.get(key)
-	keep, err := store.SpliceAt(stored, start)
+	keep, err := store.Splice(stored, start, buckets)
 	if err != nil {
 		return err
 	}

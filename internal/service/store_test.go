@@ -3,9 +3,12 @@ package service
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 
+	"faultcast"
+	"faultcast/internal/stat"
 	"faultcast/internal/store"
 )
 
@@ -259,6 +262,66 @@ func TestStoreModeSkipsMemoryPrev(t *testing.T) {
 				_, ts := testServer(t, modeOptions(t, mode))
 				postEstimate(t, ts.URL, c.before)
 				sameBits(t, c.name, postEstimate(t, ts.URL, c.after), cold)
+			}
+		})
+	}
+}
+
+// TestConcurrentRequestsNeverShortenStream: a 1000-trial and a 200-trial
+// estimate of one scenario, started together on an empty stream, must
+// leave it at least 1000 trials long, in both the durable and the
+// in-memory store. Both requests load the empty stream; whichever
+// appends second must not let its view of the stream decide, so the
+// 200-trial record landing after the 1000-trial one is refused by the
+// store — and, being expected, is not counted as an append error.
+func TestConcurrentRequestsNeverShortenStream(t *testing.T) {
+	g, err := faultcast.ParseGraph("line:8", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := faultcast.Compile(faultcast.Config{
+		Graph: g, Message: []byte("1"), Model: faultcast.MessagePassing,
+		Fault: faultcast.Omission, P: 0.5, Rounds: 18,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"store", "memory"} {
+		t.Run(mode, func(t *testing.T) {
+			dir := t.TempDir()
+			for i := 0; i < 200; i++ {
+				var ts faultcast.TallyStore = newMemTallyStore(4096)
+				var disk *store.Store
+				if mode == "store" {
+					if disk, err = store.Open(filepath.Join(dir, strconv.Itoa(i))); err != nil {
+						t.Fatal(err)
+					}
+					ts = disk
+				}
+				var wg sync.WaitGroup
+				for _, trials := range []int{1000, 200} {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						if _, err := plan.Estimate(trials, faultcast.WithTallyStore(ts)); err != nil {
+							t.Error(err)
+						}
+					}()
+				}
+				wg.Wait()
+				stored, _ := ts.LoadTally(plan.StoreKey(), plan.Config().Seed, stat.DefaultBatch)
+				end := 0
+				for _, b := range stored {
+					end += b.Trials
+				}
+				if end < 1000 {
+					t.Fatalf("run %d: the stream ends at trial %d, before the 1000 a request stored", i, end)
+				}
+				if disk != nil {
+					if n := disk.Stats().AppendErrors; n != 0 {
+						t.Fatalf("run %d: %d append errors, want 0", i, n)
+					}
+				}
 			}
 		})
 	}

@@ -32,7 +32,13 @@ import (
 // engine's Result.Success for seed baseSeed+L. It holds because
 //   - the per-lane fault stream is seeded exactly like the scalar trial's
 //     (rng.New(seed).Uint64() is the fault Split of the trial master) and
-//     rng.Lanes draws per lane in the scalar order (n draws per round);
+//     rng.Lanes draws per lane in the scalar order (n draws per round).
+//     Only the live vertices' draws are computed — the round's intended
+//     transmitters plus the vertices whose fault bit the corruption reads
+//     regardless of intent (every vertex under LaneShout, the source under
+//     LaneEquivocate) — since no other fault bit is ever read. The
+//     generators still step through the unread draws, so every stream
+//     stays aligned with the scalar trial's draw for draw;
 //   - adversaries that draw (RandomNoise's per-transmission alphabet
 //     draws, the equivocator's slowing draw) are reproduced on a second
 //     per-lane bank seeded like the scalar trial's adversary Split, with
@@ -228,6 +234,11 @@ type LaneRunner struct {
 
 	seeds [rng.LaneCount]uint64
 	rnd   rng.Lanes
+	// always marks the vertices whose fault bit is read whether or not
+	// they transmit (see NewLaneRunner); live is this round's
+	// intent|always, the words the sampler computes.
+	always []uint64
+	live   []uint64
 
 	// Adversary draw bank, seeded per block only when the corruption draws
 	// (LaneNoise always; LaneEquivocate's slowing for P > 1/2).
@@ -267,6 +278,20 @@ func NewLaneRunner(spec *LaneSpec) (*LaneRunner, error) {
 		fault:   make([]uint64, n),
 		heard:   make([]uint64, n),
 		pc:      make([]uint64, k),
+		always:  make([]uint64, n),
+		live:    make([]uint64, n),
+	}
+	// Fault bits read outside the intended transmitters: a shouting faulty
+	// vertex speaks out of turn, and the equivocator's slowing draw is
+	// gated by the source's fault bit whether or not the source transmits.
+	switch {
+	case spec.Fault == Omission || spec.Fault == NoFaults:
+	case spec.Corruption == LaneShout:
+		for v := range r.always {
+			r.always[v] = ^uint64(0)
+		}
+	case spec.Corruption == LaneEquivocate:
+		r.always[spec.Source] = ^uint64(0)
 	}
 	r.pay = make([][]uint64, k)
 	r.sym = make([][]uint64, k)
@@ -337,11 +362,15 @@ func (r *LaneRunner) Run(baseSeed uint64, count int) uint64 {
 
 		// Fault semantics. NoFaults draws nothing (matching the scalar
 		// engine, which skips sampling entirely); otherwise each vertex
-		// draws one Bernoulli per lane per round, in scalar order.
+		// draws one Bernoulli per lane per round, in scalar order, and the
+		// sampler computes the live ones: fault[v] is zero for the rest.
 		if spec.Fault == NoFaults {
 			copy(r.act, r.intent)
 		} else {
-			r.rnd.BernoulliWords(spec.P, n, lanes, r.fault)
+			for v := 0; v < n; v++ {
+				r.live[v] = r.intent[v] | r.always[v]
+			}
+			r.rnd.BernoulliWords(spec.P, n, lanes, r.live, r.fault)
 			switch {
 			case spec.Fault == Omission || spec.Corruption == LaneSilence:
 				for v := 0; v < n; v++ {

@@ -30,6 +30,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -168,7 +169,10 @@ func (s *Store) LoadTally(planKey string, baseSeed uint64, batch int) ([]faultca
 // be the segment's current end, or an existing bucket boundary before it
 // (a rewind: the buckets from that boundary on are superseded — the
 // append wins, because the writer just re-simulated that suffix). Any
-// other start breaks contiguity and is rejected.
+// other start breaks contiguity and is rejected, and so is a rewind that
+// would end before the segment does (faultcast.ErrTallyShortens — the
+// expected outcome of a smaller request racing a larger one, so not
+// counted as an append error).
 func (s *Store) AppendTally(planKey string, baseSeed uint64, batch int, start int, buckets []faultcast.TallyBucket) error {
 	if len(buckets) == 0 {
 		return nil
@@ -182,9 +186,11 @@ func (s *Store) AppendTally(planKey string, baseSeed uint64, batch int, start in
 	defer sg.mu.Unlock()
 	s.ensureLoaded(sg)
 
-	keep, err := SpliceAt(sg.buckets, start)
+	keep, err := Splice(sg.buckets, start, buckets)
 	if err != nil {
-		s.appendErrors.Add(1)
+		if !errors.Is(err, faultcast.ErrTallyShortens) {
+			s.appendErrors.Add(1)
+		}
 		return fmt.Errorf("store: segment %s: %w", sg.key, err)
 	}
 	if err := s.writeRecord(sg, start, buckets); err != nil {
@@ -231,6 +237,31 @@ func SpliceAt(stored []faultcast.TallyBucket, start int) (keep int, err error) {
 	default:
 		return 0, fmt.Errorf("record at trial %d is inside a stored bucket", start)
 	}
+}
+
+// Splice is the append rule of a live tally store, on disk or in memory:
+// SpliceAt's contiguity rule, plus the refusal of a record that would end
+// before the stored stream does (faultcast.ErrTallyShortens). Deciding
+// that here, under the store's lock, is what keeps two concurrent
+// requests on one stream from shortening it: each writer only saw the
+// stream as it was when it loaded. Log replay keeps the bare SpliceAt, so
+// a log written before this rule still loads as it was written.
+func Splice(stored []faultcast.TallyBucket, start int, buckets []faultcast.TallyBucket) (keep int, err error) {
+	keep, err = SpliceAt(stored, start)
+	if err != nil {
+		return 0, err
+	}
+	end, storedEnd := start, start
+	for _, b := range buckets {
+		end += b.Trials
+	}
+	for _, b := range stored[keep:] {
+		storedEnd += b.Trials
+	}
+	if end < storedEnd {
+		return 0, faultcast.ErrTallyShortens
+	}
+	return keep, nil
 }
 
 // writeRecord persists one record frame at the end of the valid prefix,

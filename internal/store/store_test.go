@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -166,6 +167,45 @@ func TestStoreRejectsGapAndMisalignedStart(t *testing.T) {
 	got, _ := s.LoadTally(testPlanKey, 1, 32)
 	if want := tb(32, 4, 32, 6); !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v want %v", got, want)
+	}
+}
+
+// TestStoreRefusesShorteningRecord: a rewind that would end before the
+// segment does is refused with faultcast.ErrTallyShortens, leaves the
+// stream and the log as they were, and is not an append error; one
+// ending at or past the end still supersedes the tail. A log written
+// before the rule, holding such a record, still replays as written.
+func TestStoreRefusesShorteningRecord(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir)
+	if err := s.AppendTally(testPlanKey, 1, 32, 0, tb(32, 4, 32, 6, 32, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendTally(testPlanKey, 1, 32, 32, tb(32, 7)); !errors.Is(err, faultcast.ErrTallyShortens) {
+		t.Fatalf("shortening rewind: err = %v, want ErrTallyShortens", err)
+	}
+	if err := s.AppendTally(testPlanKey, 1, 32, 32, tb(32, 7, 32, 8)); err != nil {
+		t.Fatalf("same-length rewind: %v", err)
+	}
+	want := tb(32, 4, 32, 7, 32, 8)
+	if got, _ := s.LoadTally(testPlanKey, 1, 32); !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %v want %v", got, want)
+	}
+	if st := s.Stats(); st.AppendErrors != 0 || st.Rewinds != 1 {
+		t.Fatalf("stats: %+v", st)
+	}
+
+	// An old log: the shortening record was written without the rule.
+	sg := s.seg(Key{PlanKey: testPlanKey, BaseSeed: 1, Batch: 32})
+	sg.mu.Lock()
+	err := s.writeRecord(sg, 0, tb(32, 9))
+	sg.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, _ := Open(dir)
+	if got, _ := s2.LoadTally(testPlanKey, 1, 32); !reflect.DeepEqual(got, tb(32, 9)) {
+		t.Fatalf("old log replayed to %v, want the record as written", got)
 	}
 }
 

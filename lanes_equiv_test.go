@@ -277,8 +277,8 @@ func TestLanesEstimateIdentity(t *testing.T) {
 
 // memTallyStore is the in-memory TallyStore the refinement test writes
 // through: a map from (plan key, base seed, batch) to a contiguous bucket
-// sequence, with the same append-at-end / supersede-from-boundary
-// contract the disk store implements.
+// sequence, with the same append-at-end / supersede-from-boundary /
+// never-shorten contract the disk store implements.
 type memTallyStore struct {
 	mu sync.Mutex
 	m  map[string][]TallyBucket
@@ -309,6 +309,15 @@ func (s *memTallyStore) AppendTally(planKey string, baseSeed uint64, batch int, 
 	}
 	if pos != start {
 		return fmt.Errorf("append at trial %d does not land on a stored bucket boundary", start)
+	}
+	for _, b := range cur[i:] {
+		pos -= b.Trials
+	}
+	for _, b := range buckets {
+		pos += b.Trials
+	}
+	if pos < start {
+		return ErrTallyShortens
 	}
 	s.m[k] = append(append([]TallyBucket(nil), cur[:i]...), buckets...)
 	return nil

@@ -1,6 +1,8 @@
 package faultcast
 
 import (
+	"errors"
+
 	"faultcast/internal/exec"
 	"faultcast/internal/stat"
 )
@@ -28,13 +30,24 @@ type TallyBucket struct {
 // at the current end, let a record starting at an earlier stored bucket
 // boundary supersede everything from that boundary on (the writer
 // re-simulated the suffix at a different batch decomposition), and
-// reject anything else. Append errors are reported but deliberately
-// non-fatal to estimation — persistence is best-effort, correctness
-// never depends on it.
+// reject anything else. A superseding record that would end before the
+// stream does is refused with ErrTallyShortens, decided against the
+// stream as it stands at the append: a writer's load-time view may be
+// stale, because another request may have extended the stream in
+// between. Append errors are reported but deliberately non-fatal to
+// estimation — persistence is best-effort, correctness never depends on
+// it.
 type TallyStore interface {
 	LoadTally(planKey string, baseSeed uint64, batch int) ([]TallyBucket, error)
 	AppendTally(planKey string, baseSeed uint64, batch int, start int, buckets []TallyBucket) error
 }
+
+// ErrTallyShortens is a TallyStore's refusal of a record that would
+// supersede a longer stored suffix: storing it would shorten the stream
+// for every later request. It is the expected outcome whenever a smaller
+// request re-simulates trials a larger one stored meanwhile, not a
+// persistence failure.
+var ErrTallyShortens = errors.New("tally record would shorten the stored stream")
 
 // StoreKey returns the plan's seed-less fingerprint — the identity under
 // which a TallyStore files this plan's trial streams, equal to
@@ -112,15 +125,11 @@ func replayStored(buckets []TallyBucket, maxTrials int, rule stat.StopRule) (p s
 // restocks.
 func resumeFromStore(store TallyStore, planKey string, cell *exec.Cell) *tallyRecorder {
 	batch := storeBatch(cell.Rule)
-	storedEnd := 0
 	if stored, err := store.LoadTally(planKey, cell.BaseSeed, batch); err == nil {
 		cell.Start, _ = replayStored(stored, cell.MaxTrials, cell.Rule)
-		for _, b := range stored {
-			storedEnd += b.Trials
-		}
 	}
 	rec := &tallyRecorder{store: store, planKey: planKey, baseSeed: cell.BaseSeed, batch: batch,
-		start: cell.Start.Trials, end: cell.Start.Trials, storedEnd: storedEnd}
+		start: cell.Start.Trials}
 	cell.Bucket = batch
 	cell.OnBatch = rec.observe
 	return rec
@@ -137,27 +146,21 @@ type tallyRecorder struct {
 	baseSeed uint64
 	batch    int
 	start    int // trial index of the first recorded bucket
-	end      int // trial index just past the last recorded bucket
-	// storedEnd is the stream's stored length at load time. A record
-	// ending strictly before it is dropped: the store would let it
-	// supersede the longer suffix, shortening the stream for every later
-	// request. A record ending at or past it still replaces a mismatched
-	// tail with buckets aligned to the cold batch boundaries.
-	storedEnd int
-	buckets   []TallyBucket
+	buckets  []TallyBucket
 }
 
 // observe is the exec.Cell OnBatch hook.
 func (r *tallyRecorder) observe(trials, successes int) {
 	r.buckets = append(r.buckets, TallyBucket{Trials: trials, Successes: successes})
-	r.end += trials
 }
 
-// flush appends the recorded batches unless they would shorten the
-// stored stream; persistence errors are the store's to count, never the
+// flush appends the recorded batches. The store refuses them when they
+// would shorten the stream (ErrTallyShortens) and otherwise lets them
+// replace a mismatched tail with buckets aligned to the cold batch
+// boundaries; persistence errors are the store's to count, never the
 // estimate's to fail on.
 func (r *tallyRecorder) flush() {
-	if r == nil || len(r.buckets) == 0 || r.end < r.storedEnd {
+	if r == nil || len(r.buckets) == 0 {
 		return
 	}
 	_ = r.store.AppendTally(r.planKey, r.baseSeed, r.batch, r.start, r.buckets)
