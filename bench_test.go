@@ -84,6 +84,19 @@ func BenchmarkE2SimpleMalicious(b *testing.B) {
 	})
 }
 
+// BenchmarkE2SimpleMaliciousLanes is the lane-core twin of
+// BenchmarkE2SimpleMalicious: the same scenario (KaryTree(31,2), p = 0.3,
+// window constant 12, flip adversary) as one estimateTrials-trial
+// Plan.Estimate on the trial-parallel core, where each round's single
+// transmitter is the only live word of the fault sampler.
+func BenchmarkE2SimpleMaliciousLanes(b *testing.B) {
+	benchEstimatePlan(b, laneCore(faultcast.Config{
+		Graph: faultcast.KaryTree(31, 2), Source: 0, Message: []byte("1"),
+		Model: faultcast.MessagePassing, Fault: faultcast.Malicious, P: 0.3,
+		WindowC: 12, Algorithm: faultcast.SimpleMalicious, Adversary: faultcast.FlipAdv,
+	}))
+}
+
 // BenchmarkE3Equivocator times the Theorem 2.3 impossibility workload: the
 // history-free equivocating adversary on K2 at p = 1/2.
 func BenchmarkE3Equivocator(b *testing.B) {
@@ -133,6 +146,19 @@ func BenchmarkE5RadioImpossible(b *testing.B) {
 			Adversary: adversary.Star{M0: []byte("0"), M1: []byte("1")},
 		}
 	})
+}
+
+// BenchmarkE5RadioImpossibleLanes is the lane-core twin of
+// BenchmarkE5RadioImpossible: the star adversary on Star(6) at p*(Δ) as
+// one estimateTrials-trial Plan.Estimate on the trial-parallel core
+// (LaneStar: every vertex live, S-step swaps and third-symbol jams).
+func BenchmarkE5RadioImpossibleLanes(b *testing.B) {
+	g := faultcast.Star(6)
+	benchEstimatePlan(b, laneCore(faultcast.Config{
+		Graph: g, Source: 1, Message: []byte("1"),
+		Model: faultcast.Radio, Fault: faultcast.Malicious, P: faultcast.RadioThreshold(g.MaxDegree()),
+		WindowC: 8, Algorithm: faultcast.SimpleMalicious, Adversary: faultcast.WorstCase,
+	}))
 }
 
 // BenchmarkE6HelloProtocol times the two-node timing protocol at p = 0.7.

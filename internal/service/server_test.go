@@ -105,6 +105,33 @@ func TestEstimateHandlerTable(t *testing.T) {
 	}
 }
 
+// TestEstimateLimitedStarRejected: the radio worst case on a bit message
+// is Theorem 2.4's star adversary, which jams out of turn — illegal under
+// limited-malicious faults. The request must be refused at compile time
+// with a 400 naming the shape (before this check, the round engine failed
+// on the first jam inside an exec worker and took the process down), and
+// the server must keep serving.
+func TestEstimateLimitedStarRejected(t *testing.T) {
+	_, ts := testServer(t, Options{})
+	body := `{"graph":"star:4","model":"radio","fault":"limited","adversary":"worst","message":"1","p":0.2,"window_c":4}`
+	status, _, raw := postJSON(t, ts.URL, body)
+	if status != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", status, raw)
+	}
+	var er ErrorResponse
+	if err := json.Unmarshal(raw, &er); err != nil {
+		t.Fatalf("unstructured error body: %v: %s", err, raw)
+	}
+	if er.Code != "bad-request" || !strings.Contains(er.Error, "star adversary") {
+		t.Fatalf("error %+v does not name the limited-malicious star", er)
+	}
+	ok := postEstimate(t, ts.URL, EstimateRequest{Graph: "star:4", Model: "radio", Fault: "malicious",
+		Adversary: "worst", Message: "1", P: 0.2, WindowC: 4, Trials: 128})
+	if ok.Trials != 128 {
+		t.Fatalf("follow-up malicious star estimate: %+v", ok)
+	}
+}
+
 func TestEstimateHappyPath(t *testing.T) {
 	s, ts := testServer(t, Options{})
 	er := postEstimate(t, ts.URL, EstimateRequest{Graph: "line:16", P: 0.3, Trials: 400})

@@ -16,6 +16,9 @@ import (
 type floodNode struct {
 	env *Env
 	msg []byte
+	// genuine makes an uninformed node skip default ("0") payloads and
+	// adopt the first other one, like Omission-Radio's reception rule.
+	genuine bool
 }
 
 func (f *floodNode) Init(env *Env) {
@@ -33,7 +36,7 @@ func (f *floodNode) Transmit(round int) []Transmission {
 }
 
 func (f *floodNode) Deliver(round, from int, payload []byte) {
-	if f.msg == nil {
+	if f.msg == nil && !(f.genuine && string(payload) == "0") {
 		f.msg = append([]byte(nil), payload...)
 	}
 }

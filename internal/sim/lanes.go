@@ -6,6 +6,7 @@ import (
 
 	"faultcast/internal/graph"
 	"faultcast/internal/rng"
+	"faultcast/internal/stat"
 )
 
 // This file implements the trial-parallel ("lane-transposed") execution
@@ -22,9 +23,10 @@ import (
 // is the third payload value some adversaries inject (column 1 set). A
 // two-symbol scenario — every payload is M or the default — needs one
 // column (k = 1, the original layout); the noise adversary's {"0","1"}
-// draws alongside a non-bit message need two (k = 2). The public layer
-// computes the alphabet and only routes a plan here when the encoding is
-// faithful (see run.go buildLaneSpec); everything needing per-round
+// draws alongside a non-bit message, and the star adversary's jam, need
+// two (k = 2). The public layer computes the alphabet and only routes a
+// plan here when the encoding is faithful (see run.go buildLaneSpec);
+// everything needing per-round
 // histories, stats, or arbitrary payloads stays on the scalar/bitset
 // reference paths, which remain selectable and differentially tested.
 //
@@ -35,15 +37,16 @@ import (
 //     rng.Lanes draws per lane in the scalar order (n draws per round).
 //     Only the live vertices' draws are computed — the round's intended
 //     transmitters plus the vertices whose fault bit the corruption reads
-//     regardless of intent (every vertex under LaneShout, the source under
-//     LaneEquivocate) — since no other fault bit is ever read. The
-//     generators still step through the unread draws, so every stream
-//     stays aligned with the scalar trial's draw for draw;
+//     regardless of intent (every vertex under LaneStar, the source
+//     under LaneEquivocate) — since no other fault bit is ever
+//     read. The generators still step through the unread draws, so every
+//     stream stays aligned with the scalar trial's draw for draw;
 //   - adversaries that draw (RandomNoise's per-transmission alphabet
-//     draws, the equivocator's slowing draw) are reproduced on a second
-//     per-lane bank seeded like the scalar trial's adversary Split, with
-//     per-lane draw order matching the scalar Corrupt order (faulty ids
-//     ascending, intents in emission order); adversaries that never draw
+//     draws, the equivocator's and the star's slowing draws) are
+//     reproduced on a second per-lane bank seeded like the scalar
+//     trial's adversary Split, with per-lane draw order matching the
+//     scalar Corrupt order (faulty ids ascending, intents in emission
+//     order); adversaries that never draw
 //     skip the bank entirely, which is unobservable because the adversary
 //     stream is private to the adversary;
 //   - delivery reproduces the scalar rules exactly (first-sender payload
@@ -70,11 +73,6 @@ const (
 	// default symbol (adversary.Flip — flipOf rewrites every non-default
 	// message to "0", and content-free protocols ignore payloads entirely).
 	LaneFlip
-	// LaneShout makes the faulty vertex broadcast a non-source value
-	// regardless of intent (adversary.OutOfTurn). Full-malicious only, and
-	// only with broadcast targeting (Targets == nil), since the shout goes
-	// to all neighbors.
-	LaneShout
 	// LaneNoise keeps the transmissions and targets but redraws each faulty
 	// transmission's payload uniformly from {"0","1"}
 	// (adversary.RandomNoise with the default alphabet): per faulty
@@ -92,6 +90,23 @@ const (
 	// in which the source is faulty, transmitting or not — and skips the
 	// swap on success. Two-symbol scenarios only (the message must be "1").
 	LaneEquivocate
+	// LaneStar is adversary.Star{M0:"0", M1:"1"}, the Theorem 2.4
+	// impossibility adversary, on a bit message in the radio model. For
+	// P > p*(Δ) (stat.RadioThreshold of the graph's maximum degree) the
+	// slowing reduction first keeps each faulty vertex effectively faulty
+	// with probability p*/P: one Float64() < p*/P draw on the lane's
+	// adversary stream per faulty vertex, ascending, in every round (the
+	// scalar Corrupt order). Then, in an S-step — the source intends to
+	// transmit and no other vertex does — an effectively faulty source
+	// toggles its payload between "0" and "1", and otherwise every
+	// effectively faulty vertex jams: it broadcasts "#" out of turn.
+	// Outside S-steps faulty vertices behave fault-free. The jam is a third
+	// symbol (Symbols must be 3): folded into the default it would read as
+	// "0" where the scalar protocol sees a distinct value — an adopter that
+	// skips the default takes "#" and is blocked, and a strict-plurality
+	// vote counts it apart from "0". Full-malicious only, since jamming
+	// transmits out of turn.
+	LaneStar
 )
 
 // LaneKernel is a protocol compiled to the transposed layout. The runner
@@ -129,13 +144,13 @@ type LaneSpec struct {
 	Corruption LaneCorruption
 	// Symbols is the payload alphabet size: 0 or 2 for the two-symbol
 	// universe {default, M} (one payload column), 3 when a third symbol is
-	// in play (two columns; only LaneNoise injects one).
+	// in play (two columns; LaneNoise and LaneStar inject one).
 	Symbols int
 	// NoiseSym is the symbol index ("1" of the noise alphabet) a LaneNoise
 	// draw of 1 produces: 1 when the source message itself is "1", else 2.
 	NoiseSym int
-	// Source is the source vertex (used by LaneEquivocate, whose slowing
-	// and swapping are keyed to the source's fault bit).
+	// Source is the source vertex (used by LaneEquivocate and LaneStar,
+	// whose swapping is keyed to the source's fault bit).
 	Source int
 	// Targets, when non-nil, restricts vertex v's transmissions to the
 	// listed neighbors (message passing only; the tree-directed sends of
@@ -188,16 +203,6 @@ func (s *LaneSpec) Validate() error {
 		return errors.New("sim: radio transmissions are broadcasts; LaneSpec.Targets must be nil")
 	}
 	switch s.Corruption {
-	case LaneShout:
-		if s.Fault == LimitedMalicious {
-			return errors.New("sim: limited-malicious cannot speak out of turn (LaneShout)")
-		}
-		if s.Targets != nil {
-			return errors.New("sim: LaneShout broadcasts to all neighbors; LaneSpec.Targets must be nil")
-		}
-		if s.symbols() != 2 {
-			return errors.New("sim: LaneShout is a two-symbol corruption")
-		}
 	case LaneNoise:
 		if s.Fault != Malicious && s.Fault != LimitedMalicious {
 			return errors.New("sim: LaneNoise requires a malicious fault type")
@@ -217,6 +222,17 @@ func (s *LaneSpec) Validate() error {
 		}
 		if s.symbols() != 2 {
 			return errors.New("sim: LaneEquivocate is a two-symbol corruption (bit messages)")
+		}
+	case LaneStar:
+		switch {
+		case s.Fault != Malicious:
+			return errors.New("sim: LaneStar jams out of turn, which only full-malicious faults may do")
+		case s.Model != Radio:
+			return errors.New("sim: LaneStar is a radio-model corruption")
+		case s.Source < 0 || s.Source >= s.Graph.N():
+			return fmt.Errorf("sim: LaneStar source %d out of range", s.Source)
+		case s.symbols() != 3:
+			return errors.New("sim: LaneStar's jam is a third symbol (Symbols must be 3)")
 		}
 	}
 	return nil
@@ -241,10 +257,14 @@ type LaneRunner struct {
 	live   []uint64
 
 	// Adversary draw bank, seeded per block only when the corruption draws
-	// (LaneNoise always; LaneEquivocate's slowing for P > 1/2).
+	// (LaneNoise always; LaneEquivocate's slowing for P > 1/2, LaneStar's
+	// for P > p*).
 	needAdv  bool
 	advSeeds [rng.LaneCount]uint64
 	adv      rng.LaneSources
+	// starKeep is LaneStar's slowing probability p*/P, or 0 when P <= p*
+	// and the star adversary keeps every faulty vertex.
+	starKeep float64
 
 	// Per-vertex lane words, reused across rounds and blocks.
 	intent []uint64   // kernel's intended transmitters
@@ -268,31 +288,35 @@ func NewLaneRunner(spec *LaneSpec) (*LaneRunner, error) {
 	k := spec.symbols() - 1
 	maliciousFault := spec.Fault == Malicious || spec.Fault == LimitedMalicious
 	r := &LaneRunner{
-		spec:    spec,
-		kernel:  spec.NewKernel(spec.symbols()),
-		k:       k,
-		noise:   maliciousFault && spec.Corruption == LaneNoise,
-		needAdv: maliciousFault && (spec.Corruption == LaneNoise || (spec.Corruption == LaneEquivocate && spec.P > 0.5)),
-		intent:  make([]uint64, n),
-		act:     make([]uint64, n),
-		fault:   make([]uint64, n),
-		heard:   make([]uint64, n),
-		pc:      make([]uint64, k),
-		always:  make([]uint64, n),
-		live:    make([]uint64, n),
+		spec:   spec,
+		kernel: spec.NewKernel(spec.symbols()),
+		k:      k,
+		noise:  maliciousFault && spec.Corruption == LaneNoise,
+		intent: make([]uint64, n),
+		act:    make([]uint64, n),
+		fault:  make([]uint64, n),
+		heard:  make([]uint64, n),
+		pc:     make([]uint64, k),
+		always: make([]uint64, n),
+		live:   make([]uint64, n),
 	}
-	// Fault bits read outside the intended transmitters: a shouting faulty
-	// vertex speaks out of turn, and the equivocator's slowing draw is
-	// gated by the source's fault bit whether or not the source transmits.
+	// Fault bits read outside the intended transmitters: a jamming faulty
+	// vertex speaks out of turn (and the star's slowing draws walk every
+	// faulty vertex), and the equivocator's slowing draw is gated by the
+	// source's fault bit whether or not the source transmits.
 	switch {
-	case spec.Fault == Omission || spec.Fault == NoFaults:
-	case spec.Corruption == LaneShout:
+	case !maliciousFault:
+	case spec.Corruption == LaneStar:
 		for v := range r.always {
 			r.always[v] = ^uint64(0)
+		}
+		if pStar := stat.RadioThreshold(spec.Graph.MaxDegree()); spec.P > pStar {
+			r.starKeep = pStar / spec.P
 		}
 	case spec.Corruption == LaneEquivocate:
 		r.always[spec.Source] = ^uint64(0)
 	}
+	r.needAdv = r.noise || r.starKeep > 0 || (maliciousFault && spec.Corruption == LaneEquivocate && spec.P > 0.5)
 	r.pay = make([][]uint64, k)
 	r.sym = make([][]uint64, k)
 	for c := 0; c < k; c++ {
@@ -389,13 +413,6 @@ func (r *LaneRunner) Run(baseSeed uint64, count int) uint64 {
 						payc[v] &^= r.fault[v]
 					}
 				}
-			case spec.Corruption == LaneShout:
-				// Faulty vertices broadcast a non-M payload regardless of
-				// intent (intended payloads are replaced wholesale).
-				for v := 0; v < n; v++ {
-					r.act[v] = r.intent[v] | r.fault[v]
-					r.pay[0][v] &^= r.fault[v]
-				}
 			case spec.Corruption == LaneEquivocate:
 				// Targets and non-source payloads unchanged (SourceOnly).
 				// The slowing draw fires on every lane whose source is
@@ -410,6 +427,9 @@ func (r *LaneRunner) Run(baseSeed uint64, count int) uint64 {
 					swap &^= r.adv.LessMasked((spec.P-0.5)/spec.P, swap)
 				}
 				r.pay[0][src] ^= swap & r.intent[src]
+			case spec.Corruption == LaneStar:
+				copy(r.act, r.intent)
+				r.corruptStar(n)
 			default: // LaneNoise
 				// Targets unchanged; payload draws are fused into delivery,
 				// which visits faulty transmissions in the scalar Corrupt
@@ -426,6 +446,47 @@ func (r *LaneRunner) Run(baseSeed uint64, count int) uint64 {
 		r.kernel.Absorb(round, r.heard, r.sym)
 	}
 	return r.kernel.Verdict() & (^uint64(0) >> uint(LaneWidth-lanes))
+}
+
+// corruptStar applies LaneStar to this round's intents (act = intent on
+// entry). The slowing draws rewrite r.fault in place into the effectively
+// faulty lanes, like the scalar adversary's in-place filter; per lane they
+// visit the faulty vertices in ascending order, one draw each, exactly the
+// scalar draw order.
+func (r *LaneRunner) corruptStar(n int) {
+	eff := r.fault
+	if r.starKeep > 0 {
+		for v := 0; v < n; v++ {
+			if eff[v] != 0 {
+				eff[v] = r.adv.LessMasked(r.starKeep, eff[v])
+			}
+		}
+	}
+	// S-step lanes: the source intends to transmit and nobody else does.
+	src := r.spec.Source
+	var others uint64
+	for v := 0; v < n; v++ {
+		if v != src {
+			others |= r.intent[v]
+		}
+	}
+	sStep := r.intent[src] &^ others
+	if sStep == 0 {
+		return
+	}
+	// Faulty source: swap "0" and "1" (swapPayload leaves a third-symbol
+	// payload alone); the other faulty vertices have no intent to drop.
+	r.pay[0][src] ^= sStep & eff[src] &^ r.pay[1][src]
+	// Healthy source: every effectively faulty vertex (the source is not
+	// one in these lanes) jams with "#".
+	jam := sStep &^ eff[src]
+	for v := 0; v < n; v++ {
+		if j := eff[v] & jam; j != 0 {
+			r.act[v] |= j
+			r.pay[0][v] &^= j
+			r.pay[1][v] |= j
+		}
+	}
 }
 
 // deliverMP is the transposed message-passing rule. heard[u] collects the

@@ -6,31 +6,37 @@ import (
 
 	"faultcast/internal/graph"
 	"faultcast/internal/rng"
+	"faultcast/internal/stat"
 )
 
 // This file extends the differential matrix to the lane-transposed core:
 // for every generated configuration (the same genCase matrix the
 // bitset-vs-scalar and sequential-vs-concurrent tests run on, plus a
-// second matrix of drawing adversaries), the lane runner's per-trial
-// success verdicts must be bit-identical to the scalar reference engine's
-// Result.Success across a full 64-trial block. The test protocols
-// (floodNode for message passing, relayNode for radio) are re-expressed
-// as lane kernels below, and the adversaries map onto the lane corruption
-// modes (silencer → LaneSilence, flip → LaneFlip, out-of-turn →
-// LaneShout, noise → LaneNoise, equivocator → LaneEquivocate).
+// matrix of drawing adversaries and one of the star adversary), the lane
+// runner's per-trial success verdicts must be bit-identical to the scalar
+// reference engine's Result.Success across a full 64-trial block. The
+// test protocols (floodNode for message passing and radio flooding,
+// relayNode for the radio TDMA relay) are re-expressed as lane kernels
+// below, and the adversaries map onto the lane corruption modes
+// (silencer → LaneSilence, flip → LaneFlip, noise → LaneNoise,
+// equivocator → LaneEquivocate, star → LaneStar). genCase's out-of-turn
+// adversary has no lane counterpart: the only corruption that transmits
+// out of turn is LaneStar, which its own matrix covers.
 
 // floodLaneKernel is floodNode in the transposed layout: every informed
 // vertex broadcasts its belief each round; an uninformed vertex adopts the
-// first payload delivered (whatever it is). has marks informed lanes, the
-// bel columns the adopted payload's symbol (bel[0] = "belief is M").
+// first payload delivered (whatever it is, or, when genuine, the first
+// non-default one). has marks informed lanes, the bel columns the adopted
+// payload's symbol (bel[0] = "belief is M").
 type floodLaneKernel struct {
-	source int
-	has    []uint64
-	bel    [][]uint64
+	source  int
+	genuine bool
+	has     []uint64
+	bel     [][]uint64
 }
 
-func newFloodLaneKernel(source, n, symbols int) *floodLaneKernel {
-	k := &floodLaneKernel{source: source, has: make([]uint64, n), bel: make([][]uint64, symbols-1)}
+func newFloodLaneKernel(source, n, symbols int, genuine bool) *floodLaneKernel {
+	k := &floodLaneKernel{source: source, genuine: genuine, has: make([]uint64, n), bel: make([][]uint64, symbols-1)}
 	for c := range k.bel {
 		k.bel[c] = make([]uint64, n)
 	}
@@ -60,6 +66,13 @@ func (k *floodLaneKernel) Transmit(round int, intent []uint64, pay [][]uint64) {
 func (k *floodLaneKernel) Absorb(round int, heard []uint64, sym [][]uint64) {
 	for v := range k.has {
 		adopt := heard[v] &^ k.has[v]
+		if k.genuine {
+			var nonDef uint64
+			for c := range sym {
+				nonDef |= sym[c][v]
+			}
+			adopt &= nonDef
+		}
 		for c := range k.bel {
 			k.bel[c][v] |= adopt & sym[c][v]
 		}
@@ -180,6 +193,57 @@ func (equivocatorAdversary) Corrupt(e *Exec, faulty []int) map[int][]Transmissio
 	return out
 }
 
+// starAdversary mirrors adversary.Star{M0:"0", M1:"1"}, the Theorem 2.4
+// adversary: above p*(Δ) each faulty vertex stays effectively faulty with
+// probability p*/P (one Float64 draw per faulty id, ascending); in an
+// S-step (only the source intends to transmit) an effectively faulty
+// source swaps "0" and "1", otherwise every effectively faulty vertex
+// broadcasts the jam "#"; outside S-steps nothing is corrupted.
+type starAdversary struct{}
+
+func (starAdversary) Corrupt(e *Exec, faulty []int) map[int][]Transmission {
+	eff := faulty
+	if pStar := stat.RadioThreshold(e.G.MaxDegree()); e.P > pStar {
+		eff = nil
+		for _, id := range faulty {
+			if e.Rand.Float64() < pStar/e.P {
+				eff = append(eff, id)
+			}
+		}
+	}
+	if len(eff) == 0 || len(e.Intents[e.Source]) == 0 {
+		return nil
+	}
+	for id, intents := range e.Intents {
+		if id != e.Source && len(intents) > 0 {
+			return nil // not an S-step
+		}
+	}
+	srcFaulty := false
+	for _, id := range eff {
+		srcFaulty = srcFaulty || id == e.Source
+	}
+	out := make(map[int][]Transmission, len(eff))
+	for _, id := range eff {
+		switch {
+		case !srcFaulty:
+			out[id] = []Transmission{{To: Broadcast, Payload: []byte("#")}}
+		case id == e.Source:
+			p := e.Intents[id][0].Payload
+			switch string(p) {
+			case "0":
+				p = []byte("1")
+			case "1":
+				p = []byte("0")
+			}
+			out[id] = []Transmission{{To: Broadcast, Payload: p}}
+		default:
+			out[id] = nil // the other faulty vertices keep silent
+		}
+	}
+	return out
+}
+
 // laneSpecFor lowers a differential configuration to a LaneSpec. The
 // symbol alphabet follows the public layer's rule: two symbols unless the
 // noise adversary's "1" falls outside {default, M}.
@@ -199,8 +263,6 @@ func laneSpecFor(cfg *Config, advName string) *LaneSpec {
 		spec.Corruption = LaneSilence
 	case "flip":
 		spec.Corruption = LaneFlip
-	case "out-of-turn":
-		spec.Corruption = LaneShout
 	case "noise":
 		spec.Corruption = LaneNoise
 		if string(cfg.SourceMsg) == "1" {
@@ -211,11 +273,15 @@ func laneSpecFor(cfg *Config, advName string) *LaneSpec {
 		}
 	case "equivocator":
 		spec.Corruption = LaneEquivocate
+	case "star":
+		spec.Corruption = LaneStar
+		symbols = 3 // the jam "#" is a third symbol
 	}
 	spec.Symbols = symbols
-	if cfg.Model == MessagePassing {
+	// The kernel mirrors the configuration's test node.
+	if fn, ok := cfg.NewNode(0).(*floodNode); ok {
 		spec.NewKernel = func(symbols int) LaneKernel {
-			return newFloodLaneKernel(cfg.Source, n, symbols)
+			return newFloodLaneKernel(cfg.Source, n, symbols, fn.genuine)
 		}
 	} else {
 		spec.NewKernel = func(symbols int) LaneKernel {
@@ -239,6 +305,8 @@ func advNameOf(cfg *Config) string {
 		return "noise"
 	case equivocatorAdversary:
 		return "equivocator"
+	case starAdversary:
+		return "star"
 	default:
 		return "none"
 	}
@@ -357,12 +425,15 @@ func checkLanesVsScalar(t *testing.T, c diffCase) {
 	}
 }
 
-// TestDifferentialLanesVsScalar: for every generated configuration, a full
-// 64-lane trial block agrees, trial for trial, with the scalar reference
-// core — including partial-block masking.
+// TestDifferentialLanesVsScalar: for every generated configuration with a
+// lane counterpart (all but the out-of-turn ones), a full 64-lane trial
+// block agrees, trial for trial, with the scalar reference core —
+// including partial-block masking.
 func TestDifferentialLanesVsScalar(t *testing.T) {
 	for i := 0; i < diffCases; i++ {
-		checkLanesVsScalar(t, genCase(i))
+		if c := genCase(i); advNameOf(c.cfg) != "out-of-turn" {
+			checkLanesVsScalar(t, c)
+		}
 	}
 }
 
@@ -373,6 +444,80 @@ func TestDifferentialLanesVsScalar(t *testing.T) {
 func TestDifferentialLanesVsScalarDrawingAdversaries(t *testing.T) {
 	for i := 0; i < drawCases; i++ {
 		checkLanesVsScalar(t, genDrawCase(i))
+	}
+}
+
+// genStarCase derives configuration i of the star-adversary matrix:
+// full-malicious radio runs under the Theorem 2.4 adversary, at rates on
+// both sides of the graph's p*(Δ) — the ones above it run the slowing
+// draws — on stars (the proof's topology, source at a leaf or the root),
+// lines, trees, cliques and random graphs. Three protocols make each part
+// of the adversary observable: the TDMA relay (every source slot is an
+// S-step), radio flooding (the source keeps transmitting alongside the
+// vertices it informed, so most of its rounds are not S-steps), and
+// flooding that adopts only non-default payloads (a jam "#" is adopted
+// and blocks M, where a default "0" would be ignored).
+func genStarCase(i int) diffCase {
+	r := rng.New(uint64(i)*0x2545f491 + 3)
+	var g *graph.Graph
+	switch r.Intn(5) {
+	case 0:
+		g = graph.Star(2 + r.Intn(10))
+	case 1:
+		g = graph.Line(2 + r.Intn(14))
+	case 2:
+		g = graph.KaryTree(2+r.Intn(14), 1+r.Intn(3))
+	case 3:
+		g = graph.Complete(2 + r.Intn(6))
+	default:
+		g = graph.GNP(2+r.Intn(14), 0.2+0.4*r.Float64(), r)
+	}
+	n := g.N()
+	pStar := stat.RadioThreshold(g.MaxDegree())
+	p := pStar * []float64{0.3, 0.8, 1, 1.2, 2}[r.Intn(5)]
+	if p >= 1 {
+		p = 0.9
+	}
+	cfg := &Config{
+		Graph: g, Model: Radio, Fault: Malicious, P: p,
+		Source:    r.Intn(n),
+		SourceMsg: []byte("1"),
+		Rounds:    1 + r.Intn(3*n+4),
+		Seed:      uint64(i)*7919 + 13,
+		Adversary: starAdversary{},
+	}
+	node := []string{"relay", "flood", "genuine-flood"}[r.Intn(3)]
+	switch node {
+	case "relay":
+		cfg.NewNode = func(id int) Node { return &relayNode{} }
+	default:
+		genuine := node == "genuine-flood"
+		cfg.NewNode = func(id int) Node { return &floodNode{genuine: genuine} }
+	}
+	return diffCase{
+		desc: fmt.Sprintf("star case %d: %s p=%v (p*=%v) g=%v src=%d rounds=%d seed=%d",
+			i, node, p, pStar, g, cfg.Source, cfg.Rounds, cfg.Seed),
+		cfg: cfg,
+	}
+}
+
+const starCases = 100
+
+// TestDifferentialLanesVsScalarStar runs the lane-vs-scalar check over the
+// star-adversary matrix: the slowing draws on the adversary bank, the
+// S-step mask, the source's swap and the third-symbol jam, per trial and
+// across partial blocks.
+func TestDifferentialLanesVsScalarStar(t *testing.T) {
+	slowed := 0
+	for i := 0; i < starCases; i++ {
+		c := genStarCase(i)
+		if c.cfg.P > stat.RadioThreshold(c.cfg.Graph.MaxDegree()) {
+			slowed++
+		}
+		checkLanesVsScalar(t, c)
+	}
+	if slowed == 0 || slowed == starCases {
+		t.Fatalf("%d of %d star cases above p*; the matrix must cover both sides", slowed, starCases)
 	}
 }
 
@@ -397,18 +542,6 @@ func TestLaneSpecValidate(t *testing.T) {
 		{"bad fault", mk(func(s *LaneSpec) { s.Fault = FaultType(9) })},
 		{"p out of range", mk(func(s *LaneSpec) { s.Fault = Omission; s.P = 1 })},
 		{"radio with targets", mk(func(s *LaneSpec) { s.Model = Radio; s.Targets = make([][]int, s.Graph.N()) })},
-		{"limited shout", mk(func(s *LaneSpec) { s.Fault = LimitedMalicious; s.Corruption = LaneShout })},
-		{"targeted shout", mk(func(s *LaneSpec) {
-			s.Model = MessagePassing
-			s.Fault = Malicious
-			s.Corruption = LaneShout
-			s.Targets = make([][]int, s.Graph.N())
-		})},
-		{"three-symbol shout", mk(func(s *LaneSpec) {
-			s.Fault = Malicious
-			s.Corruption = LaneShout
-			s.Symbols = 3
-		})},
 		{"bad symbol count", mk(func(s *LaneSpec) { s.Symbols = 4 })},
 		{"one symbol", mk(func(s *LaneSpec) { s.Symbols = 1 })},
 		{"omission noise", mk(func(s *LaneSpec) {
@@ -445,6 +578,30 @@ func TestLaneSpecValidate(t *testing.T) {
 			s.Fault = Malicious
 			s.Corruption = LaneEquivocate
 			s.Symbols = 3
+		})},
+		{"limited star", mk(func(s *LaneSpec) {
+			s.Model = Radio
+			s.Fault = LimitedMalicious
+			s.Corruption = LaneStar
+			s.Symbols = 3
+		})},
+		{"message-passing star", mk(func(s *LaneSpec) {
+			s.Model = MessagePassing
+			s.Fault = Malicious
+			s.Corruption = LaneStar
+			s.Symbols = 3
+		})},
+		{"two-symbol star", mk(func(s *LaneSpec) {
+			s.Model = Radio
+			s.Fault = Malicious
+			s.Corruption = LaneStar
+		})},
+		{"star source out of range", mk(func(s *LaneSpec) {
+			s.Model = Radio
+			s.Fault = Malicious
+			s.Corruption = LaneStar
+			s.Symbols = 3
+			s.Source = -1
 		})},
 	}
 	for _, tc := range cases {

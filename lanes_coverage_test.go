@@ -7,11 +7,10 @@ import (
 
 // TestLaneCoverageGate is the CI lane-coverage gate: every scenario shape
 // the ported experiment tables (internal/harness E1–E8, A1/A2, B1) sweep
-// over must compile to the lane-transposed core under the default
-// Core=auto. Shapes the lowering intentionally cannot express are listed
-// in the explicit allowlist below with their gating reason — anything
-// else falling back to the round engine is a silent coverage regression
-// and fails here.
+// over, plus the E5 star-adversary shape, must compile to the
+// lane-transposed core under the default Core=auto. No shape is exempt:
+// anything falling back to the round engine is a silent coverage
+// regression and fails here.
 func TestLaneCoverageGate(t *testing.T) {
 	type shape struct {
 		name string
@@ -43,6 +42,13 @@ func TestLaneCoverageGate(t *testing.T) {
 	add("E3/simple-malicious/radio/flip", Config{
 		Graph: Layered(3), Source: 0, Model: Radio, Fault: Malicious, P: 0.2,
 		Algorithm: SimpleMalicious, Adversary: FlipAdv, WindowC: 2,
+	})
+
+	// E5 — Theorem 2.4's impossibility: the star adversary at p*(Δ),
+	// source at a leaf.
+	add("E5/simple-malicious/radio/star", Config{
+		Graph: Star(6), Source: 1, Model: Radio, Fault: Malicious, P: RadioThreshold(Star(6).MaxDegree()),
+		Algorithm: SimpleMalicious, Adversary: WorstCase, WindowC: 8,
 	})
 
 	// E4/E5 — the timing-bit protocol, both source bits.
@@ -87,27 +93,49 @@ func TestLaneCoverageGate(t *testing.T) {
 		Algorithm: Flooding,
 	})
 
-	// Shapes the lane lowering intentionally cannot express. Entries must
-	// stay gated: if a future lowering supports one, this gate fails so
-	// the allowlist shrinks in the same change.
-	allow := map[string]string{
-		"A2/simple-malicious/radio/worst": "the radio worst-case star adversary transmits out of turn",
-	}
-
 	for _, s := range shapes {
 		plan, err := Compile(s.cfg)
 		if err != nil {
 			t.Fatalf("%s: Core=auto compile: %v", s.name, err)
 		}
-		core := plan.EstimationCore()
-		if reason, gated := allow[s.name]; gated {
-			if core == "lanes" {
-				t.Errorf("%s: allowlisted (%s) but now compiles to the lane core — remove it from the allowlist", s.name, reason)
-			}
-			continue
-		}
-		if core != "lanes" {
+		if core := plan.EstimationCore(); core != "lanes" {
 			t.Errorf("%s: Core=auto selected %q, want the lane core", s.name, core)
+		}
+	}
+}
+
+// TestLaneCoverageHeldShape pins the one shape Core=auto keeps on the
+// round core although it has a lane lowering (heldOnRoundCore): the star
+// adversary on a star graph whose hub is the source. Core=lanes still
+// runs it on lanes, and the neighbouring shapes (the source at a leaf,
+// omission on the same graph, the star adversary on a line) are not held.
+func TestLaneCoverageHeldShape(t *testing.T) {
+	star := Config{
+		Graph: Star(4), Source: 0, Message: []byte("1"),
+		Model: Radio, Fault: Malicious, P: 0.1, WindowC: 4, Adversary: WorstCase,
+	}
+	leaf, omission, line := star, star, star
+	leaf.Source = 1
+	omission.Fault = Omission
+	line.Graph = Line(8)
+	cases := []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"hub source", star, "bitset"},
+		{"hub source, Core=lanes", withCore(star, CoreLanes), "lanes"},
+		{"leaf source", leaf, "lanes"},
+		{"omission", omission, "lanes"},
+		{"line", line, "lanes"},
+	}
+	for _, tc := range cases {
+		plan, err := Compile(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := plan.EstimationCore(); got != tc.want {
+			t.Errorf("%s: estimation core %q, want %q", tc.name, got, tc.want)
 		}
 	}
 }

@@ -154,6 +154,48 @@ func laneScenarios() map[string]Config {
 			Model: MessagePassing, Fault: LimitedMalicious, P: 0.2,
 			Algorithm: Composed, Adversary: WorstCase,
 		},
+		// Worst-case on a bit message over radio is Theorem 2.4's star
+		// adversary: S-step swaps and third-symbol jams, plus the slowing
+		// draws above p*(Δ) — on perfbench's curve graphs (star:4 with the
+		// source at the centre, line:8) and E5's star with the source at a
+		// leaf, for both radio decoders.
+		"radio-repeat/malicious/star-star4": {
+			Graph: Star(4), Source: 0, Message: []byte("1"),
+			Model: Radio, Fault: Malicious, P: 0.8 * RadioThreshold(3), WindowC: 4,
+			Algorithm: RadioRepeat, Adversary: WorstCase,
+		},
+		"radio-repeat/malicious/star-line8-slow": {
+			Graph: Line(8), Source: 0, Message: []byte("1"),
+			Model: Radio, Fault: Malicious, P: 1.1 * RadioThreshold(2), WindowC: 4,
+			Algorithm: RadioRepeat, Adversary: WorstCase,
+		},
+		"radio-repeat/malicious/star-e5-slow": {
+			Graph: Star(6), Source: 1, Message: []byte("1"),
+			Model: Radio, Fault: Malicious, P: 1.5 * RadioThreshold(5), WindowC: 4,
+			Algorithm: RadioRepeat, Adversary: WorstCase,
+		},
+		"simple-malicious/radio/star-star4-slow": {
+			Graph: Star(4), Source: 0, Message: []byte("1"),
+			Model: Radio, Fault: Malicious, P: 1.1 * RadioThreshold(3), WindowC: 4,
+			Algorithm: SimpleMalicious, Adversary: WorstCase,
+		},
+		"simple-malicious/radio/star-line8": {
+			Graph: Line(8), Source: 0, Message: []byte("1"),
+			Model: Radio, Fault: Malicious, P: 0.95 * RadioThreshold(2), WindowC: 4,
+			Algorithm: SimpleMalicious, Adversary: WorstCase,
+		},
+		"simple-malicious/radio/star-e5": {
+			Graph: Star(6), Source: 1, Message: []byte("1"),
+			Model: Radio, Fault: Malicious, P: RadioThreshold(5), WindowC: 8,
+			Algorithm: SimpleMalicious, Adversary: WorstCase,
+		},
+		// An out-of-range adversary kind runs the flip adversary on every
+		// core, bit message or not.
+		"simple-malicious/mp/unknown-kind-bit": {
+			Graph: Line(6), Source: 0, Message: []byte("1"),
+			Model: MessagePassing, Fault: Malicious, P: 0.45, WindowC: 2,
+			Algorithm: SimpleMalicious, Adversary: AdversaryKind(7),
+		},
 		// The timing protocol is content-free, so every payload-rewriting
 		// adversary lowers to keep-the-targets corruption — including on
 		// the message "0", where the content protocols are gated.
@@ -176,6 +218,30 @@ func laneScenarios() map[string]Config {
 			Graph: Complete(2), Source: 0, Message: []byte("0"),
 			Model: MessagePassing, Fault: Malicious, P: 0.3, WindowC: 8,
 			Algorithm: TimingBit, Adversary: NoiseAdv,
+		},
+		// Over radio the worst case is the star adversary even for the
+		// content-free timing protocol: the receiver's jam is the one
+		// out-of-turn transmission its decoder reads. Both bits, on both
+		// sides of p*(1) ≈ 0.382.
+		"timing/radio/star-bit1": {
+			Graph: Complete(2), Source: 0, Message: []byte("1"),
+			Model: Radio, Fault: Malicious, P: 0.25, WindowC: 8,
+			Algorithm: TimingBit, Adversary: WorstCase,
+		},
+		"timing/radio/star-bit1-slow": {
+			Graph: Complete(2), Source: 0, Message: []byte("1"),
+			Model: Radio, Fault: Malicious, P: 0.5, WindowC: 8,
+			Algorithm: TimingBit, Adversary: WorstCase,
+		},
+		"timing/radio/star-bit0": {
+			Graph: Complete(2), Source: 1, Message: []byte("0"),
+			Model: Radio, Fault: Malicious, P: 0.25, WindowC: 8,
+			Algorithm: TimingBit, Adversary: WorstCase,
+		},
+		"timing/radio/star-bit0-slow": {
+			Graph: Complete(2), Source: 1, Message: []byte("0"),
+			Model: Radio, Fault: Malicious, P: 0.5, WindowC: 8,
+			Algorithm: TimingBit, Adversary: WorstCase,
 		},
 	}
 }
@@ -391,7 +457,8 @@ func TestLanesShardTallyIdentity(t *testing.T) {
 // TestCoreLanesUnsupported pins the Compile-time gate for the shapes that
 // remain outside the lane lowering: each must fail under Core=lanes with
 // an error naming the specific blocking feature, and silently fall back
-// to the round engine under the default CoreAuto.
+// to the round engine under the default CoreAuto — except a shape no
+// engine can run, which every core must reject with the same error.
 func TestCoreLanesUnsupported(t *testing.T) {
 	base := Config{
 		Graph: Line(6), Source: 0, Message: []byte("1"),
@@ -399,20 +466,22 @@ func TestCoreLanesUnsupported(t *testing.T) {
 		Algorithm: SimpleMalicious,
 	}
 	cases := map[string]struct {
-		cfg  Config
-		want string
+		cfg      Config
+		want     string
+		rejected bool // no core runs it: CoreAuto fails too
 	}{
 		"default message": {
 			cfg:  func() Config { c := base; c.Message = []byte("0"); c.Adversary = CrashAdv; return c }(),
 			want: "default symbol",
 		},
-		"radio star": {
+		"limited-malicious radio star": {
 			cfg: Config{
 				Graph: Layered(3), Source: 0, Message: []byte("1"),
-				Model: Radio, Fault: Malicious, P: 0.3, WindowC: 2,
+				Model: Radio, Fault: LimitedMalicious, P: 0.3, WindowC: 2,
 				Algorithm: RadioRepeat, Adversary: WorstCase,
 			},
-			want: "out of turn",
+			want:     "limited-malicious faults cannot",
+			rejected: true,
 		},
 		"concurrent": {
 			cfg:  func() Config { c := base; c.Adversary = CrashAdv; c.Concurrent = true; return c }(),
@@ -431,6 +500,12 @@ func TestCoreLanesUnsupported(t *testing.T) {
 		// CoreAuto must still compile (falling back to the round engine) …
 		cfg.Core = CoreAuto
 		plan, err := Compile(cfg)
+		if tc.rejected {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: CoreAuto error %v, want one naming %q", name, err, tc.want)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%s: CoreAuto: %v", name, err)
 		}
@@ -444,7 +519,8 @@ func TestCoreLanesUnsupported(t *testing.T) {
 
 // TestCoreLanesErrorNamesFeature walks every gated shape and checks the
 // Core=lanes compile error names the unsupported feature, table-driven
-// over the gate reasons buildLaneSpec can emit.
+// over the gate reasons buildLaneSpec can emit and the shape Compile
+// rejects outright.
 func TestCoreLanesErrorNamesFeature(t *testing.T) {
 	cases := []struct {
 		name string
@@ -479,13 +555,13 @@ func TestCoreLanesErrorNamesFeature(t *testing.T) {
 			want: "default symbol",
 		},
 		{
-			name: "radio worst-case star",
+			name: "limited-malicious radio worst-case star",
 			cfg: Config{
 				Graph: Star(6), Source: 1, Message: []byte("1"),
-				Model: Radio, Fault: Malicious, P: 0.3, WindowC: 2,
+				Model: Radio, Fault: LimitedMalicious, P: 0.3, WindowC: 2,
 				Algorithm: SimpleMalicious, Adversary: WorstCase,
 			},
-			want: "out of turn",
+			want: "jams out of turn",
 		},
 	}
 	for _, tc := range cases {

@@ -70,3 +70,64 @@ func TestSweepGoldenLaneFamilies(t *testing.T) {
 		}
 	}
 }
+
+// TestLanesGoldenStarCurveCells pins the exact (successes, trials) of the
+// eight radio-malicious cells of perfbench's curve-sweep grid: RadioRepeat
+// under the Theorem 2.4 star adversary on star:4 and line:8 at
+// p*(Δ)·{0.5, 0.8, 0.95, 1.1}, window constant 4, message "1", ±0.02
+// half-width within 4096 trials. The two cells above p* run the
+// adversary's slowing draws. The table was recorded on the bitset round
+// core, before the star adversary had a lane lowering; it must hold under
+// Core=auto (which keeps the star:4 cells, source at the hub, on the round
+// core) and with every cell forced onto the lane core. It is
+// deterministic on every machine and worker count.
+func TestLanesGoldenStarCurveCells(t *testing.T) {
+	for _, core := range []Core{CoreAuto, CoreLanes} {
+		t.Run(core.String(), func(t *testing.T) { checkGoldenStarCurveCells(t, core) })
+	}
+}
+
+func checkGoldenStarCurveCells(t *testing.T, core Core) {
+	var cells []Config
+	for _, spec := range []string{"star:4", "line:8"} {
+		g, err := ParseGraph(spec, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pStar := RadioThreshold(g.MaxDegree())
+		for _, f := range []float64{0.5, 0.8, 0.95, 1.1} {
+			cells = append(cells, Config{
+				Graph: g, Message: []byte("1"), Model: Radio, Fault: Malicious,
+				P: f * pStar, WindowC: 4, Adversary: WorstCase, Core: core,
+			})
+		}
+	}
+	sp, err := CompileSweep(SweepSpec{
+		Cells:  cells,
+		Seed:   7,
+		Budget: CellBudget{Trials: 4096, HalfWidth: 0.02},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := sp.Collect(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := []struct{ succ, trials int }{
+		{427, 448}, {1294, 1664}, {1423, 2144}, {1403, 2272}, // star:4
+		{341, 352}, {1421, 2112}, {1194, 2400}, {979, 2336}, // line:8
+	}
+	if len(results) != len(golden) {
+		t.Fatalf("got %d cells, want %d", len(results), len(golden))
+	}
+	for i, want := range golden {
+		if got := sp.Cells()[i].Plan().EstimationCore(); core == CoreLanes && got != "lanes" {
+			t.Errorf("cell %d: Core=lanes ran on %q", i, got)
+		}
+		if got := results[i].Estimate; got.Succeeds != want.succ || got.Trials != want.trials {
+			t.Errorf("cell %d: got %d/%d, golden %d/%d (%s)",
+				i, got.Succeeds, got.Trials, want.succ, want.trials, results[i].Cell.Key)
+		}
+	}
+}

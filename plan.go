@@ -69,6 +69,9 @@ func Compile(cfg Config) (*Plan, error) {
 				return nil, fmt.Errorf("faultcast: lane lowering: %w", err)
 			}
 		}
+		if cfg.Core == CoreAuto && heldOnRoundCore(cfg) {
+			lanes = nil
+		}
 	case CoreBitset, CoreScalar:
 		lanes = nil // estimation stays on the round engine
 	default:

@@ -1,6 +1,7 @@
 package faultcast
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -300,6 +301,37 @@ func TestCompileRejectsBadConfigs(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := Compile(cfg); err == nil {
 			t.Fatalf("case %d: Compile accepted invalid config", i)
+		}
+	}
+}
+
+// TestCompileRejectsLimitedMaliciousStar: the radio worst case on a bit
+// message is the star adversary, which jams out of turn; under
+// limited-malicious faults the round engine would refuse its first jam in
+// the middle of a run, so Compile (and Run) must reject the shape up front,
+// on every core, with an error naming it. The legal limited-malicious
+// radio shapes still compile.
+func TestCompileRejectsLimitedMaliciousStar(t *testing.T) {
+	star := Config{
+		Graph: Star(4), Source: 0, Message: []byte("1"),
+		Model: Radio, Fault: LimitedMalicious, P: 0.2, WindowC: 4,
+		Adversary: WorstCase,
+	}
+	for _, core := range []Core{CoreAuto, CoreLanes, CoreBitset, CoreScalar} {
+		if _, err := Compile(withCore(star, core)); err == nil || !strings.Contains(err.Error(), "star adversary") {
+			t.Errorf("Core=%v: Compile error %v, want one naming the star adversary", core, err)
+		}
+	}
+	if _, err := Run(star); err == nil {
+		t.Error("Run accepted the limited-malicious star")
+	}
+	for name, cfg := range map[string]Config{
+		"crash":          func() Config { c := star; c.Adversary = CrashAdv; return c }(),
+		"non-bit worst":  func() Config { c := star; c.Message = []byte("hi"); return c }(),
+		"malicious star": func() Config { c := star; c.Fault = Malicious; return c }(),
+	} {
+		if _, err := Compile(cfg); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }
