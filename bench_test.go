@@ -506,7 +506,7 @@ func BenchmarkEstimatePlanRadioRepeat(b *testing.B) { benchEstimatePlan(b, radio
 // to dominate.
 
 func scalarCore(cfg faultcast.Config) faultcast.Config {
-	cfg.ScalarCore = true
+	cfg.Core = faultcast.CoreScalar
 	return cfg
 }
 

@@ -372,7 +372,9 @@ func runOnce() {
 			*p, faultcast.Threshold(cfg.Model, cfg.Fault, delta))
 	}
 
-	cfg.Concurrent = *concurrent
+	if *concurrent {
+		cfg.Core = faultcast.CoreConcurrent
+	}
 	if *trials <= 1 && *traceRun {
 		cfg.Trace = os.Stdout
 	}

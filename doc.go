@@ -62,8 +62,8 @@
 //   - The word-parallel bitset engine core, the scalar reference core, and
 //     the goroutine-per-node engine produce bit-identical executions
 //     (internal/sim's differential test matrix and the public-API face
-//     TestPlanCoresAndEnginesEquivalent) — which is why Config.Concurrent
-//     and Config.ScalarCore are excluded from Config.Fingerprint.
+//     TestPlanCoresAndEnginesEquivalent) — which is why the engine
+//     selector Config.Core is excluded from Config.Fingerprint.
 //   - Estimates are independent of the worker count, early stopping cuts
 //     the seed sequence only at deterministic batch boundaries, and an
 //     estimate resumed from a TallyStore equals a cold run of the same

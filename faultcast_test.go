@@ -359,7 +359,7 @@ func TestRunTraceAndConcurrent(t *testing.T) {
 		t.Fatalf("trace output missing:\n%s", sb.String())
 	}
 	cfg.Trace = nil
-	cfg.Concurrent = true
+	cfg.Core = CoreConcurrent
 	conc, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

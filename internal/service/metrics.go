@@ -77,9 +77,7 @@ func (s *Server) buildMetrics() *telemetry.Registry {
 		"Simulating executions (estimates, sweep cells, shards) by estimation engine.",
 		func(emit func([]telemetry.Label, float64)) {
 			emit([]telemetry.Label{{Name: "core", Value: "bitset"}}, float64(s.c.coreBitset.Load()))
-			emit([]telemetry.Label{{Name: "core", Value: "concurrent"}}, float64(s.c.coreConcurrent.Load()))
 			emit([]telemetry.Label{{Name: "core", Value: "lanes"}}, float64(s.c.coreLanes.Load()))
-			emit([]telemetry.Label{{Name: "core", Value: "scalar"}}, float64(s.c.coreScalar.Load()))
 		})
 	counter("faultcast_refines_total",
 		"Answers that resumed a stored trial prefix and simulated only the marginal batches.",

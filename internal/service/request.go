@@ -73,9 +73,10 @@ type EstimateResponse struct {
 	// Rounds is the compiled round horizon; N the vertex count.
 	Rounds int `json:"rounds"`
 	N      int `json:"n"`
-	// Core names the estimation engine the plan selects for this scenario
-	// ("lanes", "bitset", "scalar", or "concurrent"). Cached and coalesced
-	// answers echo the core the plan simulates on.
+	// Core names the estimation engine the plan resolves for this
+	// scenario: "lanes", or "bitset" when the scenario has no lane
+	// lowering. Cached and coalesced answers echo the core the plan
+	// simulates on.
 	Core string `json:"core"`
 	// Served says how the answer was produced: "simulated" (fresh run),
 	// "refined" (a stored trial prefix topped up), "cache" (the stored

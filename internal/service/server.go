@@ -193,23 +193,18 @@ type counters struct {
 	storeHits          atomic.Uint64
 
 	// Per-core execution counters: which engine (Plan.EstimationCore)
-	// actually simulated, across estimates, sweep cells, and shards.
-	coreLanes      atomic.Uint64
-	coreBitset     atomic.Uint64
-	coreScalar     atomic.Uint64
-	coreConcurrent atomic.Uint64
+	// actually simulated, across estimates, sweep cells, and shards. No
+	// request selects an engine, so every plan resolves Core=auto: lanes
+	// or bitset.
+	coreLanes  atomic.Uint64
+	coreBitset atomic.Uint64
 }
 
 // countCore bumps the execution counter of the named estimation core.
 func (c *counters) countCore(core string) {
-	switch core {
-	case "lanes":
+	if core == "lanes" {
 		c.coreLanes.Add(1)
-	case "scalar":
-		c.coreScalar.Add(1)
-	case "concurrent":
-		c.coreConcurrent.Add(1)
-	default:
+	} else {
 		c.coreBitset.Add(1)
 	}
 }
@@ -662,7 +657,7 @@ type Stats struct {
 	// only the marginal batches.
 	StoreHits uint64 `json:"store_hits"`
 	// ExecutionsByCore splits simulating work (estimates, sweep cells,
-	// shards) by the estimation engine that ran it.
+	// shards) by the estimation engine that ran it: "lanes" or "bitset".
 	ExecutionsByCore map[string]uint64 `json:"executions_by_core"`
 	// Store is the durable tally store's own ledger — loads, appends,
 	// rewinds, corrupt-records-skipped. Present only with -store.
@@ -712,10 +707,8 @@ func (s *Server) Stats() Stats {
 		Draining:           s.draining.Load(),
 		StoreHits:          s.c.storeHits.Load(),
 		ExecutionsByCore: map[string]uint64{
-			"lanes":      s.c.coreLanes.Load(),
-			"bitset":     s.c.coreBitset.Load(),
-			"scalar":     s.c.coreScalar.Load(),
-			"concurrent": s.c.coreConcurrent.Load(),
+			"lanes":  s.c.coreLanes.Load(),
+			"bitset": s.c.coreBitset.Load(),
 		},
 		Latency: map[string]hist.Summary{
 			"estimate": s.lat.estimate.Snapshot().Summarize(),

@@ -2,9 +2,9 @@
 // logs for the CLI and counter aggregation for experiments.
 //
 // Per-round observation is a round-engine feature. The word-parallel
-// bitset engine, the scalar reference engine (sim.Run with
-// Config.ScalarCore), and the goroutine-per-node concurrent engine
-// (sim.RunConcurrent) all invoke Config.Observer after every round with
+// bitset engine, the scalar reference engine (Core=scalar), and the
+// goroutine-per-node concurrent engine (Core=concurrent,
+// sim.RunConcurrent) all invoke Config.Observer after every round with
 // an identical RoundRecord — observers see the same stream whichever
 // round core runs the trial. The lane-transposed trial-parallel core
 // (sim.LaneRunner) packs 64 trials into each machine word and never

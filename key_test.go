@@ -20,11 +20,10 @@ func TestConfigFingerprintSemantics(t *testing.T) {
 	// Engine selection and tracing are observation, not semantics: the
 	// engines are proven bit-identical, so the key must not split on them.
 	same := base
-	same.Concurrent = true
-	same.ScalarCore = true
+	same.Core = CoreConcurrent
 	same.Trace = os.Stderr
 	if same.Fingerprint() != base.Fingerprint() {
-		t.Error("Concurrent/ScalarCore/Trace changed the fingerprint")
+		t.Error("Core/Trace changed the fingerprint")
 	}
 
 	// A structurally identical graph under a different name hashes equal.

@@ -483,10 +483,6 @@ func TestCoreLanesUnsupported(t *testing.T) {
 			want:     "limited-malicious faults cannot",
 			rejected: true,
 		},
-		"concurrent": {
-			cfg:  func() Config { c := base; c.Adversary = CrashAdv; c.Concurrent = true; return c }(),
-			want: "Concurrent",
-		},
 	}
 	for name, tc := range cases {
 		cfg := tc.cfg
@@ -509,8 +505,7 @@ func TestCoreLanesUnsupported(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: CoreAuto: %v", name, err)
 		}
-		// … without a lane block maker (concurrent keeps its lowering but
-		// must not use it).
+		// … without a lane block maker.
 		if plan.newBlockMaker() != nil {
 			t.Errorf("%s: CoreAuto plan unexpectedly built a lane block maker", name)
 		}
@@ -583,7 +578,7 @@ func TestCoreLanesErrorNamesFeature(t *testing.T) {
 func TestCoreExcludedFromFingerprint(t *testing.T) {
 	cfg := laneScenarios()["composed/limited/flip"]
 	base := cfg.Fingerprint()
-	for _, core := range []Core{CoreBitset, CoreScalar, CoreLanes} {
+	for _, core := range []Core{CoreBitset, CoreScalar, CoreLanes, CoreConcurrent} {
 		if got := withCore(cfg, core).Fingerprint(); got != base {
 			t.Fatalf("Core=%v changed the fingerprint", core)
 		}

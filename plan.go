@@ -2,7 +2,6 @@ package faultcast
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -17,10 +16,9 @@ import (
 // Config — protocol construction (including the Kučera composition plan,
 // the BFS spanning tree, and the greedy radio schedule), the adversary,
 // and the round horizon — performed once, so that many Monte-Carlo trials
-// can run without repeating any of it. Trials execute on the engine's
-// word-parallel bitset core (Config.ScalarCore selects the scalar
-// reference core, Config.Concurrent the goroutine-per-node engine; both
-// are bit-identical to the default, and the differential tests prove it).
+// can run without repeating any of it. Compile also resolves Config.Core
+// to the one engine the plan's trials run on (lanes, bitset, scalar or
+// concurrent; all bit-identical, as the differential tests prove).
 //
 // Compile once per scenario, then call Run per trial or Estimate per
 // sweep point. A Plan is immutable after Compile and safe for concurrent
@@ -30,8 +28,9 @@ import (
 // ignores Trace).
 type Plan struct {
 	cfg   Config        // the scenario, as passed to Compile (Trace/Seed included)
+	core  Core          // the resolved engine: never CoreAuto
 	sim   *sim.Config   // compiled engine configuration template
-	lanes *sim.LaneSpec // lane-transposed trial-parallel lowering (nil if unsupported)
+	lanes *sim.LaneSpec // lane-transposed lowering (nil unless core is CoreLanes)
 
 	// storeKey memoises StoreKey on first use: the hash is paid once per
 	// plan, and only by plans that touch a tally store.
@@ -45,6 +44,10 @@ type Plan struct {
 // performs every per-scenario computation exactly once; the returned
 // Plan's Run and Estimate only pay per-trial simulation cost.
 //
+// Config.Core is resolved here, once: CoreAuto becomes CoreLanes when the
+// scenario has a lane lowering (and is not heldOnRoundCore), CoreBitset
+// otherwise; CoreLanes without a lowering is an error.
+//
 // Config.Seed is kept as the default base seed for Estimate; Config.Trace
 // is honored by Plan.Run (each run appends to the writer), and ignored by
 // Estimate.
@@ -53,34 +56,30 @@ func Compile(cfg Config) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch cfg.Core {
-	case CoreAuto, CoreLanes:
-		if cfg.Core == CoreLanes {
-			if lanes == nil {
-				return nil, fmt.Errorf("faultcast: Core=lanes unsupported here: %s (algorithm %s, adversary %s, message %q)",
-					laneGate, cfg.Algorithm, cfg.Adversary, cfg.Message)
-			}
-			if cfg.Concurrent {
-				return nil, errors.New("faultcast: Core=lanes is incompatible with Concurrent (the goroutine-per-node engine has no trial-parallel form)")
-			}
+	core := cfg.Core
+	switch core {
+	case CoreAuto:
+		core = CoreBitset
+		if lanes != nil && !heldOnRoundCore(cfg) {
+			core = CoreLanes
 		}
-		if lanes != nil {
-			if err := lanes.Validate(); err != nil {
-				return nil, fmt.Errorf("faultcast: lane lowering: %w", err)
-			}
+	case CoreLanes:
+		if lanes == nil {
+			return nil, fmt.Errorf("faultcast: Core=lanes unsupported here: %s (algorithm %s, adversary %s, message %q)",
+				laneGate, cfg.Algorithm, cfg.Adversary, cfg.Message)
 		}
-		if cfg.Core == CoreAuto && heldOnRoundCore(cfg) {
-			lanes = nil
-		}
-	case CoreBitset, CoreScalar:
-		lanes = nil // estimation stays on the round engine
+	case CoreBitset, CoreConcurrent:
+	case CoreScalar:
+		simCfg.ScalarCore = true
 	default:
 		return nil, fmt.Errorf("faultcast: unknown core %d", int(cfg.Core))
 	}
-	if cfg.Core == CoreScalar {
-		simCfg.ScalarCore = true
+	if core != CoreLanes {
+		lanes = nil // estimation stays on the round engine
+	} else if err := lanes.Validate(); err != nil {
+		return nil, fmt.Errorf("faultcast: lane lowering: %w", err)
 	}
-	return &Plan{cfg: cfg, sim: simCfg, lanes: lanes}, nil
+	return &Plan{cfg: cfg, core: core, sim: simCfg, lanes: lanes}, nil
 }
 
 // Config returns the scenario this plan was compiled from.
@@ -104,7 +103,7 @@ func (p *Plan) AlmostSafeTarget() float64 {
 // Run executes one trial of the compiled scenario with the given seed. It
 // is bit-identical to the one-shot Run with the same Config and seed, and
 // repeated calls with the same seed return identical results (no state
-// leaks between trials). Config.Concurrent selects the goroutine-per-node
+// leaks between trials). CoreConcurrent selects the goroutine-per-node
 // engine; Config.Trace, if set, receives this run's per-round log.
 func (p *Plan) Run(seed uint64) (Result, error) {
 	simCfg := *p.sim
@@ -114,7 +113,7 @@ func (p *Plan) Run(seed uint64) (Result, error) {
 		simCfg.Observer = logger.Observe
 	}
 	engine := sim.Run
-	if p.cfg.Concurrent {
+	if p.core == CoreConcurrent {
 		engine = sim.RunConcurrent
 	}
 	res, err := engine(&simCfg)
@@ -246,9 +245,9 @@ func WithBatchProbe(f func(exec.BatchStat)) EstimateOption {
 // its whole trial stream, so per-trial cost is simulation only — no plan
 // rebuilding, no state reallocation.
 //
-// Config.Concurrent is honored: when set, every trial runs on the
-// goroutine-per-node reference engine. Results are bit-identical to the
-// sequential engine's, but slower — use it to cross-check, not to sweep.
+// Under CoreConcurrent every trial runs on the goroutine-per-node
+// reference engine. Results are bit-identical to the sequential engine's,
+// but slower — use it to cross-check, not to sweep.
 //
 // With a stopping option (WithTarget, WithAlmostSafeTarget,
 // WithHalfWidth), the estimate stops early once decided; Estimate.Trials
@@ -386,24 +385,13 @@ func (p *Plan) TallyShard(baseSeed uint64, trials, batch, workers int) ShardTall
 // goroutine-per-node reference engine). The choice is a pure function of
 // the compiled plan — results are bit-identical across cores; this is the
 // observability hook the serving layer reports per response.
-func (p *Plan) EstimationCore() string {
-	switch {
-	case p.newBlockMaker() != nil:
-		return "lanes"
-	case p.cfg.Concurrent:
-		return "concurrent"
-	case p.sim.ScalarCore:
-		return "scalar"
-	default:
-		return "bitset"
-	}
-}
+func (p *Plan) EstimationCore() string { return p.core.String() }
 
 // newTrialMaker returns the per-worker trial constructor for this plan:
 // a reusable engine Runner per worker (the fast path), or the
-// goroutine-per-node reference engine when Config.Concurrent is set.
+// goroutine-per-node reference engine under CoreConcurrent.
 func (p *Plan) newTrialMaker() stat.TrialMaker {
-	if p.cfg.Concurrent {
+	if p.core == CoreConcurrent {
 		return func() stat.Trial {
 			return func(seed uint64) bool {
 				simCfg := *p.sim
@@ -434,10 +422,9 @@ func (p *Plan) newTrialMaker() stat.TrialMaker {
 // newBlockMaker returns the per-worker block-trial constructor for this
 // plan — a reusable lane-transposed runner per worker, computing 64
 // trials per call with verdicts bit-identical to newTrialMaker's — or nil
-// when the plan has no lane lowering or an explicit engine selection
-// (Concurrent, ScalarCore) asks for the round engines.
+// unless the plan resolved to CoreLanes.
 func (p *Plan) newBlockMaker() stat.TrialBlockMaker {
-	if p.lanes == nil || p.cfg.Concurrent || p.cfg.ScalarCore {
+	if p.core != CoreLanes {
 		return nil
 	}
 	spec := p.lanes

@@ -92,31 +92,21 @@ func TestPlanRunMatchesOneShot(t *testing.T) {
 }
 
 // TestPlanCoresAndEnginesEquivalent: for every compiled scenario — the
-// paper's real protocols, not test fixtures — the word-parallel bitset
-// core, the scalar reference core, and the goroutine-per-node engine must
-// produce identical public Results on identical seeds. This is the
-// public-API face of the engine's differential-equivalence matrix.
+// paper's real protocols, not test fixtures — the round engines Plan.Run
+// can select (the word-parallel bitset core, the scalar reference core,
+// and the goroutine-per-node engine) must produce identical public
+// Results on identical seeds. This is the public-API face of the engine's
+// differential-equivalence matrix.
 func TestPlanCoresAndEnginesEquivalent(t *testing.T) {
 	for name, cfg := range planScenarios() {
 		t.Run(name, func(t *testing.T) {
-			variants := map[string]Config{}
-			scalar := cfg
-			scalar.ScalarCore = true
-			variants["scalar-core"] = scalar
-			conc := cfg
-			conc.Concurrent = true
-			variants["concurrent-engine"] = conc
-			concScalar := cfg
-			concScalar.Concurrent = true
-			concScalar.ScalarCore = true
-			variants["concurrent-scalar"] = concScalar
-
 			plan, err := Compile(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for vname, vcfg := range variants {
-				vplan, err := Compile(vcfg)
+			for _, core := range []Core{CoreBitset, CoreScalar, CoreConcurrent} {
+				vname := core.String()
+				vplan, err := Compile(withCore(cfg, core))
 				if err != nil {
 					t.Fatalf("%s: %v", vname, err)
 				}
@@ -199,7 +189,65 @@ func TestPlanEstimateMatchesPerTrialRuns(t *testing.T) {
 	}
 }
 
-// TestPlanEstimateHonorsConcurrent: with Config.Concurrent set the
+// TestPlanCoresResolvedAtCompile pins the engine resolution table:
+// Compile turns every Core value into exactly one concrete engine, which
+// EstimationCore reports, the lane block maker follows, and the scalar
+// round core is switched on for. CoreAuto picks lanes only for a lowered
+// shape that is not held; CoreLanes without a lowering, and an
+// out-of-range Core, fail to compile.
+func TestPlanCoresResolvedAtCompile(t *testing.T) {
+	star := Config{
+		Graph: Star(4), Source: 0, Message: []byte("1"),
+		Model: Radio, Fault: Malicious, P: 0.1, WindowC: 4, Adversary: WorstCase,
+	}
+	defaultMsg := planScenarios()["mp/malicious/simple-malicious"]
+	defaultMsg.Message = []byte("0")
+	scenarios := map[string]struct {
+		cfg  Config
+		want map[Core]string // "" = Compile must fail
+	}{
+		"lane-lowered": {planScenarios()["mp/omission/flooding"], map[Core]string{
+			CoreAuto: "lanes", CoreLanes: "lanes", CoreBitset: "bitset",
+			CoreScalar: "scalar", CoreConcurrent: "concurrent",
+		}},
+		"default message": {defaultMsg, map[Core]string{
+			CoreAuto: "bitset", CoreLanes: "", CoreBitset: "bitset",
+			CoreScalar: "scalar", CoreConcurrent: "concurrent",
+		}},
+		"held hub-source star": {star, map[Core]string{
+			CoreAuto: "bitset", CoreLanes: "lanes", CoreBitset: "bitset",
+			CoreScalar: "scalar", CoreConcurrent: "concurrent",
+		}},
+	}
+	for name, sc := range scenarios {
+		for core, want := range sc.want {
+			plan, err := Compile(withCore(sc.cfg, core))
+			if want == "" {
+				if err == nil || !strings.Contains(err.Error(), "Core=lanes unsupported") {
+					t.Errorf("%s, Core=%v: Compile error %v, want the lane gate", name, core, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s, Core=%v: %v", name, core, err)
+			}
+			if got := plan.EstimationCore(); got != want {
+				t.Errorf("%s, Core=%v: resolved %q, want %q", name, core, got, want)
+			}
+			if lanes := plan.newBlockMaker() != nil; lanes != (want == "lanes") {
+				t.Errorf("%s, Core=%v: lane block maker %v, resolved %q", name, core, lanes, want)
+			}
+			if plan.sim.ScalarCore != (want == "scalar") {
+				t.Errorf("%s, Core=%v: sim.ScalarCore %v, resolved %q", name, core, plan.sim.ScalarCore, want)
+			}
+		}
+		if _, err := Compile(withCore(sc.cfg, Core(99))); err == nil || !strings.Contains(err.Error(), "unknown core") {
+			t.Errorf("%s: Core(99) compile error %v, want unknown core", name, err)
+		}
+	}
+}
+
+// TestPlanEstimateHonorsConcurrent: with Core=CoreConcurrent the
 // estimate must use the goroutine-per-node engine — whose results are
 // bit-identical — so the two estimates must agree exactly.
 func TestPlanEstimateHonorsConcurrent(t *testing.T) {
@@ -209,10 +257,13 @@ func TestPlanEstimateHonorsConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Concurrent = true
+	cfg.Core = CoreConcurrent
 	concPlan, err := Compile(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := concPlan.EstimationCore(); got != "concurrent" {
+		t.Fatalf("EstimationCore = %q, want concurrent", got)
 	}
 	seq, err := seqPlan.Estimate(30)
 	if err != nil {
@@ -317,7 +368,7 @@ func TestCompileRejectsLimitedMaliciousStar(t *testing.T) {
 		Model: Radio, Fault: LimitedMalicious, P: 0.2, WindowC: 4,
 		Adversary: WorstCase,
 	}
-	for _, core := range []Core{CoreAuto, CoreLanes, CoreBitset, CoreScalar} {
+	for _, core := range []Core{CoreAuto, CoreLanes, CoreBitset, CoreScalar, CoreConcurrent} {
 		if _, err := Compile(withCore(star, core)); err == nil || !strings.Contains(err.Error(), "star adversary") {
 			t.Errorf("Core=%v: Compile error %v, want one naming the star adversary", core, err)
 		}

@@ -208,25 +208,19 @@ type Config struct {
 	// transmissions, deliveries, collisions). Single runs only; ignored
 	// by EstimateSuccess.
 	Trace io.Writer
-	// Concurrent runs the goroutine-per-node engine instead of the
-	// sequential one (identical results, slower; the model-faithful
-	// reference implementation).
-	Concurrent bool
-	// ScalarCore runs the engine's scalar reference round core instead of
-	// the word-parallel bitset core (identical results, slower; kept so
-	// the bitset core stays differentially testable end to end).
-	ScalarCore bool
-	// Core selects the engine core for Monte-Carlo estimation (Estimate,
-	// sweeps, TallyShard). The default CoreAuto uses the
-	// lane-transposed trial-parallel core — 64 trials per machine word —
-	// whenever the scenario supports it, falling back to the bitset core
-	// otherwise; all cores are proven bit-identical by the differential
-	// test matrix. Single runs (Plan.Run) always use the scalar/bitset
-	// engine, which is the only one that produces full per-run statistics.
+	// Core selects the engine that runs this scenario's trials. The
+	// default CoreAuto uses the lane-transposed trial-parallel core — 64
+	// trials per machine word — for estimation whenever the scenario
+	// supports it, falling back to the bitset core otherwise; all cores
+	// are proven bit-identical by the differential test matrix, so Core
+	// changes only how fast an answer arrives. Single runs (Plan.Run)
+	// always use a round engine (bitset, scalar or concurrent), the only
+	// ones that produce full per-run statistics.
 	Core Core
 }
 
-// Core selects the execution core for estimation trial streams.
+// Core selects the execution engine. Compile resolves it once: a Plan
+// runs on exactly one of lanes, bitset, scalar or concurrent.
 type Core int
 
 const (
@@ -237,14 +231,18 @@ const (
 	CoreAuto Core = iota
 	// CoreBitset forces the word-parallel bitset round core.
 	CoreBitset
-	// CoreScalar forces the scalar reference round core.
+	// CoreScalar forces the scalar reference round core (kept so the
+	// bitset core stays differentially testable end to end).
 	CoreScalar
-	// CoreLanes forces the lane-transposed trial-parallel core; Compile
-	// fails if the scenario has no lane lowering (or Concurrent is set).
+	// CoreLanes forces the lane-transposed trial-parallel core for
+	// estimation; Compile fails if the scenario has no lane lowering.
 	CoreLanes
+	// CoreConcurrent runs every trial on the goroutine-per-node engine,
+	// the model-faithful reference implementation (slower).
+	CoreConcurrent
 )
 
-// String returns the ParseCore vocabulary form.
+// String returns the core's name, the form Plan.EstimationCore reports.
 func (c Core) String() string {
 	switch c {
 	case CoreAuto:
@@ -255,24 +253,10 @@ func (c Core) String() string {
 		return "scalar"
 	case CoreLanes:
 		return "lanes"
+	case CoreConcurrent:
+		return "concurrent"
 	default:
 		return fmt.Sprintf("Core(%d)", int(c))
-	}
-}
-
-// ParseCore parses "auto", "bitset", "scalar", or "lanes".
-func ParseCore(s string) (Core, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "auto":
-		return CoreAuto, nil
-	case "bitset":
-		return CoreBitset, nil
-	case "scalar":
-		return CoreScalar, nil
-	case "lanes":
-		return CoreLanes, nil
-	default:
-		return CoreAuto, fmt.Errorf("faultcast: unknown core %q", s)
 	}
 }
 
@@ -285,10 +269,9 @@ func ParseCore(s string) (Core, error) {
 // bit-identical.
 //
 // Excluded on purpose: Trace (observation, not semantics) and the engine
-// selectors Concurrent, ScalarCore, and Core — the goroutine-per-node
-// engine, the scalar round core, and the lane-transposed trial-parallel
-// core are proven bit-identical to the default by the differential test
-// matrix, so they cannot change a result, only how fast it arrives. Seed
+// selector Core — every core is proven bit-identical to the default by
+// the differential test matrix, so it cannot change a result, only how
+// fast it arrives. Seed
 // IS included: results are deterministic in (config, seed), so different
 // seeds are different computations.
 func (cfg Config) CanonicalString() string {
@@ -367,9 +350,7 @@ func (e Estimate) String() string {
 // EstimateSuccess runs `trials` independent simulations (seeds Seed+i) in
 // parallel and estimates the success probability. It is a thin wrapper
 // over Compile + Plan.Estimate, so the scenario is compiled once for the
-// whole trial stream. Config.Concurrent is honored (it used to be
-// silently ignored here): when set, every trial runs on the slower
-// goroutine-per-node reference engine with bit-identical results.
+// whole trial stream.
 func EstimateSuccess(cfg Config, trials int) (Estimate, error) {
 	plan, err := Compile(cfg)
 	if err != nil {
@@ -426,16 +407,15 @@ func build(cfg Config) (simCfg *sim.Config, lanes *sim.LaneSpec, laneGate string
 		rounds = cfg.Rounds
 	}
 	simCfg = &sim.Config{
-		Graph:      cfg.Graph,
-		Model:      model,
-		Fault:      fault,
-		P:          cfg.P,
-		Source:     cfg.Source,
-		SourceMsg:  cfg.Message,
-		NewNode:    newNode,
-		Rounds:     rounds,
-		Seed:       cfg.Seed,
-		ScalarCore: cfg.ScalarCore,
+		Graph:     cfg.Graph,
+		Model:     model,
+		Fault:     fault,
+		P:         cfg.P,
+		Source:    cfg.Source,
+		SourceMsg: cfg.Message,
+		NewNode:   newNode,
+		Rounds:    rounds,
+		Seed:      cfg.Seed,
 	}
 	if fault == sim.Malicious || fault == sim.LimitedMalicious {
 		simCfg.Adversary = buildAdversary(cfg)
