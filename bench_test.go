@@ -232,6 +232,28 @@ func BenchmarkE8PlanCompile(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileSweepComposed times CompileSweep on the four Composed
+// cells of perfbench's curve-sweep grid (grid:6x6, limited-malicious
+// faults, p ∈ {0.10, 0.20, 0.30, 0.35}): every hot sweep pass recompiles
+// them, so this row is the Composed share of a warm sweep's compile cost.
+func BenchmarkCompileSweepComposed(b *testing.B) {
+	g := faultcast.Grid(6, 6)
+	var cells []faultcast.Config
+	for _, p := range []float64{0.10, 0.20, 0.30, 0.35} {
+		cells = append(cells, faultcast.Config{
+			Graph: g, Message: []byte("1"), Model: faultcast.MessagePassing,
+			Fault: faultcast.LimitedMalicious, P: p, Adversary: faultcast.WorstCase,
+		})
+	}
+	spec := faultcast.SweepSpec{Cells: cells, Seed: 7}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := faultcast.CompileSweep(spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkE9LayeredOpt times the Lemma 3.3 exhaustive optimum search on
 // G_3 (n = 11; the largest exhaustively tractable instance).
 func BenchmarkE9LayeredOpt(b *testing.B) {

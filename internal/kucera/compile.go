@@ -1,8 +1,9 @@
 package kucera
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // The compiler lowers a Plan into static per-position instruction tables.
@@ -50,44 +51,96 @@ type posProgram struct {
 
 // Program is a compiled plan.
 type Program struct {
-	Positions []posProgram // index 0..Length
+	Positions []posProgram // index 0..depth limit (Compile: 0..Length)
 	Rounds    int          // horizon: all instructions finish before this
 	Guar      Guarantee
 }
 
+// posCount is one position's instruction count, gathered by the counting
+// pass so the filling pass appends into exact-size tables.
+type posCount struct{ sends, recvs, combines int }
+
 type compiler struct {
 	prog    *Program
+	limit   int // deepest materialized position
 	nextReg int
+	// counts is non-nil during the counting pass, which walks the plan
+	// exactly like the filling pass but records only table sizes; nSrcs
+	// totals the combine sources, and srcs is the filling pass's unused
+	// remainder of their backing array.
+	counts []posCount
+	nSrcs  int
+	srcs   []int
 }
 
 // Compile lowers the plan to a Program over positions 0..plan.G.Length.
-func Compile(plan *Plan) (*Program, error) {
-	c := &compiler{prog: &Program{
-		Positions: make([]posProgram, plan.G.Length+1),
+func Compile(plan *Plan) (*Program, error) { return compile(plan, plan.G.Length) }
+
+// compile lowers the plan to a Program over positions 0..limit (limit <=
+// plan.G.Length). Positions past limit are not materialized: a subtree
+// starting at or past limit emits nothing, and combines and final
+// registers beyond limit are skipped. The horizon and guarantee are those
+// of the whole plan, and positions 0..limit hold the full program's
+// instructions except the sends of position limit (its only receivers
+// would sit past it).
+func compile(plan *Plan, limit int) (*Program, error) {
+	c := &compiler{limit: limit, prog: &Program{
+		Positions: make([]posProgram, limit+1),
 		Guar:      plan.G,
 	}}
 	for i := range c.prog.Positions {
 		c.prog.Positions[i].FinalReg = -1
 	}
-	inReg := c.alloc() // position 0's input register, loaded at Init
-	c.setFinal(0, inReg, plan.G.Length+1)
-	outReg := c.alloc()
-	end := c.emit(plan, 0, 0, inReg, outReg)
-	c.setFinal(plan.G.Length, outReg, plan.G.Length+1)
-	c.prog.Rounds = end
+	c.counts = make([]posCount, limit+1)
+	c.walk(plan)
+	c.reserve()
+	c.prog.Rounds = c.walk(plan)
 	for pos := range c.prog.Positions {
 		p := &c.prog.Positions[pos]
-		sort.Slice(p.Sends, func(i, j int) bool { return p.Sends[i].Round < p.Sends[j].Round })
-		sort.Slice(p.Recvs, func(i, j int) bool { return p.Recvs[i].Round < p.Recvs[j].Round })
+		slices.SortFunc(p.Sends, func(a, b sendInstr) int { return cmp.Compare(a.Round, b.Round) })
+		slices.SortFunc(p.Recvs, func(a, b recvInstr) int { return cmp.Compare(a.Round, b.Round) })
 		// Stable: an inner block's combine can share a round with the
 		// enclosing combine that reads its output, and emission order
 		// (inner first) must be preserved.
-		sort.SliceStable(p.Combines, func(i, j int) bool { return p.Combines[i].Round < p.Combines[j].Round })
+		slices.SortStableFunc(p.Combines, func(a, b combineInstr) int { return cmp.Compare(a.Round, b.Round) })
 	}
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
 	return c.prog, nil
+}
+
+// walk runs one pass over the whole plan and returns its horizon.
+func (c *compiler) walk(plan *Plan) int {
+	c.nextReg = 0
+	inReg := c.alloc() // position 0's input register, loaded at Init
+	c.setFinal(0, inReg, plan.G.Length+1)
+	outReg := c.alloc()
+	end := c.emit(plan, 0, 0, inReg, outReg)
+	c.setFinal(plan.G.Length, outReg, plan.G.Length+1)
+	return end
+}
+
+// reserve ends the counting pass: it slices one exact-size backing array
+// per instruction kind into the positions' empty tables.
+func (c *compiler) reserve() {
+	var total posCount
+	for _, n := range c.counts {
+		total.sends += n.sends
+		total.recvs += n.recvs
+		total.combines += n.combines
+	}
+	sends := make([]sendInstr, total.sends)
+	recvs := make([]recvInstr, total.recvs)
+	combines := make([]combineInstr, total.combines)
+	for i, n := range c.counts {
+		p := &c.prog.Positions[i]
+		p.Sends, sends = sends[:0:n.sends], sends[n.sends:]
+		p.Recvs, recvs = recvs[:0:n.recvs], recvs[n.recvs:]
+		p.Combines, combines = combines[:0:n.combines], combines[n.combines:]
+	}
+	c.srcs = make([]int, c.nSrcs)
+	c.counts = nil
 }
 
 func (c *compiler) alloc() int {
@@ -99,6 +152,9 @@ func (c *compiler) alloc() int {
 // setFinal records reg as pos's final value if it closes a longer block
 // than any previously recorded one.
 func (c *compiler) setFinal(pos, reg, blockLen int) {
+	if pos > c.limit || c.counts != nil {
+		return
+	}
 	p := &c.prog.Positions[pos]
 	if blockLen > p.finalLen {
 		p.finalLen = blockLen
@@ -111,12 +167,20 @@ func (c *compiler) setFinal(pos, reg, blockLen int) {
 // register at startPos+plan.G.Length). It returns the round at which
 // outReg becomes usable: startRound + plan.G.Time.
 func (c *compiler) emit(plan *Plan, startPos, startRound, inReg, outReg int) int {
+	if startPos >= c.limit {
+		return startRound + plan.G.Time
+	}
 	switch plan.Kind {
 	case KindBase:
-		c.prog.Positions[startPos].Sends = append(c.prog.Positions[startPos].Sends,
-			sendInstr{Round: startRound, Reg: inReg})
-		c.prog.Positions[startPos+1].Recvs = append(c.prog.Positions[startPos+1].Recvs,
-			recvInstr{Round: startRound, Reg: outReg})
+		if c.counts != nil {
+			c.counts[startPos].sends++
+			c.counts[startPos+1].recvs++
+		} else {
+			c.prog.Positions[startPos].Sends = append(c.prog.Positions[startPos].Sends,
+				sendInstr{Round: startRound, Reg: inReg})
+			c.prog.Positions[startPos+1].Recvs = append(c.prog.Positions[startPos+1].Recvs,
+				recvInstr{Round: startRound, Reg: outReg})
+		}
 		return startRound + 1
 
 	case KindSerial:
@@ -144,18 +208,30 @@ func (c *compiler) emit(plan *Plan, startPos, startRound, inReg, outReg int) int
 		// execution delivers.
 		endPos := startPos + plan.G.Length
 		delta := plan.Sub.G.Delay
-		srcs := make([]int, plan.Count)
+		var srcs []int
+		if endPos <= c.limit && c.counts == nil {
+			srcs, c.srcs = c.srcs[:plan.Count:plan.Count], c.srcs[plan.Count:]
+		}
 		end := startRound
 		for k := 0; k < plan.Count; k++ {
 			slot := c.alloc()
-			srcs[k] = slot
+			if srcs != nil {
+				srcs[k] = slot
+			}
 			e := c.emit(plan.Sub, startPos, startRound+k*delta, inReg, slot)
 			if e > end {
 				end = e
 			}
 		}
-		c.prog.Positions[endPos].Combines = append(c.prog.Positions[endPos].Combines,
-			combineInstr{Round: end, Dst: outReg, Srcs: srcs})
+		if endPos <= c.limit {
+			if c.counts != nil {
+				c.counts[endPos].combines++
+				c.nSrcs += plan.Count
+			} else {
+				c.prog.Positions[endPos].Combines = append(c.prog.Positions[endPos].Combines,
+					combineInstr{Round: end, Dst: outReg, Srcs: srcs})
+			}
+		}
 		return end
 
 	default:

@@ -13,10 +13,11 @@
 //
 // A Plan is an expression tree over these rules; Compile lowers a plan to
 // per-position instruction tables executed by the runtime protocol in
-// proto.go. The planner (BuildPlan) bootstraps reliability with one large
-// repetition, then alternates Serial(ρ) and Repeat(3); the resulting time
-// is O(L) and the error e^(−Ω(L^c)) for c = log_ρ 2 < 1, exactly the shape
-// of Lemma 3.2.
+// proto.go (New compiles only the positions its BFS tree's depths play;
+// the horizon and guarantee stay those of the whole plan). The planner
+// (BuildPlan) bootstraps reliability with one large repetition, then
+// alternates Serial(ρ) and Repeat(3); the resulting time is O(L) and the
+// error e^(−Ω(L^c)) for c = log_ρ 2 < 1, exactly the shape of Lemma 3.2.
 package kucera
 
 import (

@@ -1,6 +1,7 @@
 package kucera
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -131,6 +132,152 @@ func TestBootKappa(t *testing.T) {
 	if k0, _ := bootKappa(0, 0.5); k0 != 1 {
 		t.Fatalf("p=0 bootstrap κ=%d, want 1", k0)
 	}
+}
+
+// linearBootKappa is the reference scan bootKappa's bisection replaces:
+// the first odd κ whose majority error meets the target.
+func linearBootKappa(p, target float64) int {
+	if p == 0 {
+		return 1
+	}
+	for kappa := 1; ; kappa += 2 {
+		if stat.MajorityErr(kappa, p) <= target {
+			return kappa
+		}
+	}
+}
+
+// TestBootKappaMatchesLinearScan: the exponential + binary search finds
+// the same bootstrap count as the linear scan on a fine grid of failure
+// rates (at the default bootstrap target and a looser one) and at the
+// Composed curve cells' rates.
+func TestBootKappaMatchesLinearScan(t *testing.T) {
+	var opts Options
+	opts.defaults()
+	ps := []float64{0.10, 0.20, 0.30, 0.35}
+	for i := 1; i <= 450; i++ {
+		ps = append(ps, float64(i)/1000)
+	}
+	for _, target := range []float64{opts.BootErr, 1 / 400.0} {
+		for _, p := range ps {
+			got, err := bootKappa(p, target)
+			if err != nil {
+				t.Fatalf("p=%v target=%v: %v", p, target, err)
+			}
+			if want := linearBootKappa(p, target); got != want {
+				t.Fatalf("p=%v target=%v: bisection κ=%d, linear scan κ=%d", p, target, got, want)
+			}
+		}
+	}
+	// The search gives up past its cap instead of spinning.
+	if _, err := bootKappa(0.4999999, 1e-12); err == nil {
+		t.Fatal("unreachable bootstrap target accepted")
+	}
+}
+
+// TestNewCompilesTreeDepthsOnly: New materializes only the positions the
+// BFS tree's vertices play. Its program must equal the full line
+// program restricted to depths 0..height — instruction for instruction,
+// up to a consistent renaming of registers — except for the depth-height
+// sends (nobody receives them), with the same horizon and guarantee, and
+// every table at its exact size.
+func TestNewCompilesTreeDepthsOnly(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"line:1": graph.Line(1), "line:2": graph.Line(2), "line:9": graph.Line(9),
+		"line:33": graph.Line(33), "grid:3x3": graph.Grid(3, 3), "grid:6x6": graph.Grid(6, 6),
+		"kary:15,2": graph.KaryTree(15, 2), "kary:40,3": graph.KaryTree(40, 3),
+	}
+	for name, g := range graphs {
+		for _, p := range []float64{0, 0.1, 0.25, 0.35} {
+			height := graph.BFSTree(g, 0).Height()
+			padded, err := PlanForGraph(g, 0, p, 1.5, 1, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans := []*Plan{padded}
+			if height > 0 {
+				exact, err := BuildPlan(height, p, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				plans = append(plans, exact)
+			}
+			for _, plan := range plans {
+				proto, err := New(g, 0, plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				full, err := Compile(plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameTreeDepths(proto.Program(), full, height); err != nil {
+					t.Errorf("%s p=%v plan %s: %v", name, p, plan, err)
+				}
+			}
+		}
+	}
+}
+
+// sameTreeDepths compares got, compiled to depth height, against the full
+// program want restricted to the same depths.
+func sameTreeDepths(got, want *Program, height int) error {
+	if len(got.Positions) != height+1 {
+		return fmt.Errorf("%d positions, want %d", len(got.Positions), height+1)
+	}
+	if got.Rounds != want.Rounds || got.Guar != want.Guar {
+		return fmt.Errorf("horizon %d %v, want %d %v", got.Rounds, got.Guar, want.Rounds, want.Guar)
+	}
+	fw, bw := map[int]int{}, map[int]int{}
+	same := func(g, w int) bool {
+		if r, ok := fw[w]; ok {
+			return r == g
+		}
+		if r, ok := bw[g]; ok {
+			return r == w
+		}
+		fw[w], bw[g] = g, w
+		return true
+	}
+	for pos := 0; pos <= height; pos++ {
+		gp, wp := &got.Positions[pos], &want.Positions[pos]
+		if cap(gp.Sends) != len(gp.Sends) || cap(gp.Recvs) != len(gp.Recvs) || cap(gp.Combines) != len(gp.Combines) {
+			return fmt.Errorf("position %d: tables not exact-size", pos)
+		}
+		wantSends := wp.Sends
+		if pos == height {
+			wantSends = nil
+		}
+		if len(gp.Sends) != len(wantSends) || len(gp.Recvs) != len(wp.Recvs) || len(gp.Combines) != len(wp.Combines) {
+			return fmt.Errorf("position %d: %d/%d/%d sends/receives/combines, want %d/%d/%d", pos,
+				len(gp.Sends), len(gp.Recvs), len(gp.Combines), len(wantSends), len(wp.Recvs), len(wp.Combines))
+		}
+		if !same(gp.FinalReg, wp.FinalReg) {
+			return fmt.Errorf("position %d: final register differs", pos)
+		}
+		for i, s := range gp.Sends {
+			if s.Round != wantSends[i].Round || !same(s.Reg, wantSends[i].Reg) {
+				return fmt.Errorf("position %d: send %d is %+v, want %+v", pos, i, s, wantSends[i])
+			}
+		}
+		for i, r := range gp.Recvs {
+			if r.Round != wp.Recvs[i].Round || !same(r.Reg, wp.Recvs[i].Reg) {
+				return fmt.Errorf("position %d: receive %d is %+v, want %+v", pos, i, r, wp.Recvs[i])
+			}
+		}
+		for i, c := range gp.Combines {
+			w := wp.Combines[i]
+			if c.Round != w.Round || !same(c.Dst, w.Dst) || len(c.Srcs) != len(w.Srcs) {
+				return fmt.Errorf("position %d: combine %d is %+v, want %+v", pos, i, c, w)
+			}
+			for j := range c.Srcs {
+				if !same(c.Srcs[j], w.Srcs[j]) {
+					return fmt.Errorf("position %d: combine %d source %d differs", pos, i, j)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 func TestPlanString(t *testing.T) {

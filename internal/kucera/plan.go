@@ -114,20 +114,36 @@ func BuildPlan(length int, p float64, opts Options) (*Plan, error) {
 }
 
 // bootKappa returns the smallest odd κ with MajorityErr(κ, p) <= target.
-// A linear scan suffices: for the failure rates Lemma 3.2 admits (p
-// bounded away from 1/2 in practice) κ is a small constant, and each
-// MajorityErr evaluation is O(κ).
+// MajorityErr decreases in odd κ for p < 1/2, so the search doubles an
+// upper bound and then bisects: O(log κ) evaluations of O(κ) each, where
+// a linear scan would take O(κ²) — κ grows like 1/(1/2−p)² as p nears
+// 1/2.
 func bootKappa(p, target float64) (int, error) {
 	if p == 0 {
 		return 1, nil
 	}
 	const maxKappa = 100001
-	for kappa := 1; kappa <= maxKappa; kappa += 2 {
-		if stat.MajorityErr(kappa, p) <= target {
-			return kappa, nil
+	// Search over m, κ = 2m+1; invariant: κ(lo) misses the target.
+	ok := func(m int) bool { return stat.MajorityErr(2*m+1, p) <= target }
+	if ok(0) {
+		return 1, nil
+	}
+	lo, hi := 0, 1
+	for !ok(hi) {
+		if 2*hi+1 >= maxKappa {
+			return 0, fmt.Errorf("kucera: cannot bootstrap below error %v at p=%v within κ=%d", target, p, maxKappa)
+		}
+		lo, hi = hi, min(2*hi, (maxKappa-1)/2)
+	}
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if ok(mid) {
+			hi = mid
+		} else {
+			lo = mid
 		}
 	}
-	return 0, fmt.Errorf("kucera: cannot bootstrap below error %v at p=%v within κ=%d", target, p, maxKappa)
+	return 2*hi + 1, nil
 }
 
 // String renders the plan structure, e.g. "R3(S8(R21(base)))".

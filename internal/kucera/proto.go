@@ -19,13 +19,16 @@ type Proto struct {
 
 // New compiles a plan for the BFS tree of g rooted at source. The plan
 // must cover the tree height; use PlanForGraph for the Theorem 3.2
-// parameter choice.
+// parameter choice. Only the positions 0..height that tree vertices play
+// are materialized: the padding past the tree's depth, which the plan
+// carries for its error bound, is never executed. The horizon and
+// guarantee stay those of the whole plan.
 func New(g *graph.Graph, source int, plan *Plan) (*Proto, error) {
 	tree := graph.BFSTree(g, source)
 	if plan.G.Length < tree.Height() {
 		return nil, fmt.Errorf("kucera: plan covers length %d < tree height %d", plan.G.Length, tree.Height())
 	}
-	prog, err := Compile(plan)
+	prog, err := compile(plan, tree.Height())
 	if err != nil {
 		return nil, err
 	}

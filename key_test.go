@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"faultcast/internal/graph"
+	"faultcast/internal/rng"
 )
 
 func TestConfigFingerprintSemantics(t *testing.T) {
@@ -152,5 +153,45 @@ func TestEstimateFromMatchesEstimate(t *testing.T) {
 	}
 	if again != cold || resumed != 512 {
 		t.Fatalf("covered budget: %+v (resumed %d) != cold %+v", again, resumed, cold)
+	}
+}
+
+// TestSweepPlanKeyMatchesSeedlessFingerprint: CompileSweep derives each
+// cell's PlanKey from the same seed-less canonical string it seeds the
+// cell with; the key must equal the seed-less Config.Fingerprint and the
+// cell Key the seeded one, on an axis-expanded grid and on explicit
+// cells carrying their own seeds.
+func TestSweepPlanKeyMatchesSeedlessFingerprint(t *testing.T) {
+	specs := []SweepSpec{{
+		Graphs: []SweepGraph{{Spec: "line:10"}, {Spec: "grid:3x3"}},
+		Faults: []Fault{Omission, Malicious, LimitedMalicious},
+		Ps:     []float64{0.2, 0.3},
+		Seed:   5,
+	}, {
+		Cells: []Config{
+			{Graph: Line(8), Message: []byte("1"), Model: Radio, Fault: Omission, P: 0.4, Seed: 11},
+			{Graph: Grid(3, 3), Message: []byte("0"), Model: MessagePassing, Fault: LimitedMalicious,
+				P: 0.1, Algorithm: Composed, Seed: 12, Core: CoreBitset},
+		},
+		Seed: 6,
+	}}
+	for _, spec := range specs {
+		sp, err := CompileSweep(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range sp.Cells() {
+			seedless := c.Config
+			seedless.Seed = 0
+			if c.PlanKey != seedless.Fingerprint() {
+				t.Errorf("cell %d: PlanKey %s != seed-less Fingerprint %s", c.Index, c.PlanKey, seedless.Fingerprint())
+			}
+			if c.Key != c.Config.Fingerprint() {
+				t.Errorf("cell %d: Key %s != Fingerprint %s", c.Index, c.Key, c.Config.Fingerprint())
+			}
+			if c.Config.Seed != rng.Derive(spec.Seed, seedless.CanonicalString()) {
+				t.Errorf("cell %d: seed %d not derived from its seed-less canonical string", c.Index, c.Config.Seed)
+			}
+		}
 	}
 }

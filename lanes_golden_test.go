@@ -131,3 +131,69 @@ func checkGoldenStarCurveCells(t *testing.T, core Core) {
 		}
 	}
 }
+
+// TestGoldenComposedCurveCells pins the four Composed cells of perfbench's
+// curve-sweep grid: grid:6x6 under limited-malicious faults and the
+// worst-case adversary at p ∈ {0.10, 0.20, 0.30, 0.35}, message "1", sweep
+// seed 7. Each cell pins its compiled round horizon and the exact
+// (successes, trials) of a fixed-budget sweep on the lane core (512
+// trials) and on the bitset round core (64 trials). Every trial succeeds
+// at the algorithm's own horizon, so a fifth cell truncates the p = 0.30
+// schedule to 1145 rounds, where some majority votes still lose. The table
+// was recorded while the composed program was still compiled over every
+// position of its padded line plan; compiling only the BFS tree's depths
+// must not change a horizon or a single trial.
+func TestGoldenComposedCurveCells(t *testing.T) {
+	g, err := ParseGraph("grid:6x6", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := []struct {
+		p                             float64
+		override                      int // Config.Rounds
+		rounds, lanesSucc, bitsetSucc int
+	}{
+		{0.10, 0, 325, 512, 64},
+		{0.20, 0, 757, 512, 64},
+		{0.30, 0, 1909, 512, 64},
+		{0.35, 0, 3493, 512, 64},
+		{0.30, 1145, 1145, 508, 63},
+	}
+	for _, run := range []struct {
+		core   Core
+		trials int
+	}{{CoreLanes, 512}, {CoreBitset, 64}} {
+		var cells []Config
+		for _, c := range golden {
+			cells = append(cells, Config{
+				Graph: g, Message: []byte("1"), Model: MessagePassing, Fault: LimitedMalicious,
+				P: c.p, Algorithm: Composed, Adversary: WorstCase, Rounds: c.override, Core: run.core,
+			})
+		}
+		sp, err := CompileSweep(SweepSpec{Cells: cells, Seed: 7, Budget: CellBudget{Trials: run.trials}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := sp.Collect(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range golden {
+			plan := sp.Cells()[i].Plan()
+			if got := plan.EstimationCore(); got != run.core.String() {
+				t.Errorf("cell %d: Core=%s ran on %q", i, run.core, got)
+			}
+			if got := plan.Rounds(); got != want.rounds {
+				t.Errorf("cell %d (p=%v): rounds %d, golden %d", i, want.p, got, want.rounds)
+			}
+			succ := want.lanesSucc
+			if run.core == CoreBitset {
+				succ = want.bitsetSucc
+			}
+			if got := results[i].Estimate; got.Succeeds != succ || got.Trials != run.trials {
+				t.Errorf("cell %d (p=%v, %s): got %d/%d, golden %d/%d",
+					i, want.p, run.core, got.Succeeds, got.Trials, succ, run.trials)
+			}
+		}
+	}
+}

@@ -295,8 +295,12 @@ func (cfg Config) CanonicalString() string {
 // (same topology, scenario, and seed, regardless of graph name, engine
 // selection, or tracing) hash equal, so their plans and estimates are
 // shareable.
-func (cfg Config) Fingerprint() string {
-	sum := sha256.Sum256([]byte(cfg.CanonicalString()))
+func (cfg Config) Fingerprint() string { return fingerprintOf(cfg.CanonicalString()) }
+
+// fingerprintOf hashes a rendered CanonicalString into its Fingerprint,
+// for callers that need the string itself as well.
+func fingerprintOf(canonical string) string {
+	sum := sha256.Sum256([]byte(canonical))
 	return hex.EncodeToString(sum[:])
 }
 

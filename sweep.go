@@ -285,7 +285,7 @@ func CompileSweep(spec SweepSpec) (*SweepPlan, error) {
 		seedless.Seed = 0
 		seedless.Trace = nil
 		canonical := seedless.CanonicalString()
-		planKey := seedless.Fingerprint()
+		planKey := fingerprintOf(canonical)
 		plan, ok := plans[planKey]
 		if !ok {
 			var err error
