@@ -350,8 +350,8 @@ func BenchmarkA2AdversaryStrength(b *testing.B) {
 	}
 }
 
-// BenchmarkA3SequentialEngine and BenchmarkA3ConcurrentEngine compare the
-// two engines on the identical workload (grid flood, omission, p = 0.4).
+// BenchmarkA3SequentialEngine times one fresh round-engine run per seed on
+// a grid flood under omission at p = 0.4.
 func BenchmarkA3SequentialEngine(b *testing.B) {
 	g := graph.Grid(8, 8)
 	proto := simpleomission.New(g, 0, sim.MessagePassing, 2)
@@ -363,22 +363,6 @@ func BenchmarkA3SequentialEngine(b *testing.B) {
 			NewNode: proto.NewNode, Rounds: proto.Rounds(), Seed: uint64(i),
 		}
 		if _, err := sim.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkA3ConcurrentEngine(b *testing.B) {
-	g := graph.Grid(8, 8)
-	proto := simpleomission.New(g, 0, sim.MessagePassing, 2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg := &sim.Config{
-			Graph: g, Model: sim.MessagePassing, Fault: sim.Omission, P: 0.4,
-			Source: 0, SourceMsg: []byte("1"),
-			NewNode: proto.NewNode, Rounds: proto.Rounds(), Seed: uint64(i),
-		}
-		if _, err := sim.RunConcurrent(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -515,30 +499,6 @@ func BenchmarkEstimatePlanComposed(b *testing.B) { benchEstimatePlan(b, composed
 
 func BenchmarkEstimateSeedRadioRepeat(b *testing.B) { benchEstimateSeedPath(b, radioRepeatCfg()) }
 func BenchmarkEstimatePlanRadioRepeat(b *testing.B) { benchEstimatePlan(b, radioRepeatCfg()) }
-
-// --- word-parallel bitset core vs the scalar reference core --------------
-//
-// The *ScalarCore twins run the identical workload on the engine's
-// retained scalar round core (per-node Bernoulli fault draws, callback
-// delivery, per-round corruption bookkeeping), so the bitset tentpole's
-// win is measurable inside one binary: the headline numbers land in
-// BENCH_engine.json via cmd/benchjson. The larger Engine* pairs isolate
-// the round core itself (one full simulation per iteration, no estimator
-// around it) on workloads big enough for the word-parallel delivery rules
-// to dominate.
-
-func scalarCore(cfg faultcast.Config) faultcast.Config {
-	cfg.Core = faultcast.CoreScalar
-	return cfg
-}
-
-func BenchmarkEstimatePlanComposedScalarCore(b *testing.B) {
-	benchEstimatePlan(b, scalarCore(composedCfg()))
-}
-
-func BenchmarkEstimatePlanRadioRepeatScalarCore(b *testing.B) {
-	benchEstimatePlan(b, scalarCore(radioRepeatCfg()))
-}
 
 // --- lane-transposed trial-parallel core vs the bitset round core --------
 //
@@ -697,6 +657,10 @@ func BenchmarkEstimateLanesTimingBitsetCore(b *testing.B) {
 	benchEstimatePlan(b, bitsetCore(timingEstimateCfg()))
 }
 
+// benchEngineRun times the round core itself — one full Plan.Run per
+// iteration, no estimator around it — for the Engine* benchmarks, whose
+// workloads are big enough for the word-parallel delivery rules to
+// dominate.
 func benchEngineRun(b *testing.B, cfg faultcast.Config) {
 	plan, err := faultcast.Compile(cfg)
 	if err != nil {
@@ -812,10 +776,5 @@ func BenchmarkSweepFeasibilityGridShared(b *testing.B) {
 	}
 }
 
-func BenchmarkEngineMPFlood(b *testing.B)           { benchEngineRun(b, engineMPCfg()) }
-func BenchmarkEngineMPFloodScalarCore(b *testing.B) { benchEngineRun(b, scalarCore(engineMPCfg())) }
-
+func BenchmarkEngineMPFlood(b *testing.B)     { benchEngineRun(b, engineMPCfg()) }
 func BenchmarkEngineRadioRepeat(b *testing.B) { benchEngineRun(b, engineRadioCfg()) }
-func BenchmarkEngineRadioRepeatScalarCore(b *testing.B) {
-	benchEngineRun(b, scalarCore(engineRadioCfg()))
-}

@@ -11,10 +11,9 @@
 //
 // The default benchmark selection covers the engine-level workloads: the
 // compile-once estimator on the Composed and RadioRepeat scenarios (with
-// their scalar-core, bitset-core and lane-core twins) and the raw engine
-// pairs. A second invocation
-// with -bench '^BenchmarkSweepFeasibilityGrid' -out BENCH_sweep.json
-// records the sweep scheduler pair (per-cell loop vs shared pool); that
+// their bitset-core and lane-core twins) and the raw round-engine runs.
+// A second invocation with -bench '^BenchmarkSweepFeasibilityGrid'
+// -out BENCH_sweep.json records the sweep scheduler pair (per-cell loop vs shared pool); that
 // delta scales with core count, so read it next to the file's maxprocs.
 package main
 
@@ -78,7 +77,7 @@ var benchLine = regexp.MustCompile(
 	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 func main() {
-	bench := flag.String("bench", `^Benchmark(EstimatePlan(Composed|RadioRepeat)(ScalarCore|Lanes|LanesTraced|BitsetCore)?|EstimateLanes(Noise|Equivocator|Timing)(BitsetCore)?|Engine.*)$`,
+	bench := flag.String("bench", `^Benchmark(EstimatePlan(Composed|RadioRepeat)(Lanes|LanesTraced|BitsetCore)?|EstimateLanes(Noise|Equivocator|Timing)(BitsetCore)?|Engine.*)$`,
 		"benchmark selection regexp, passed to go test -bench")
 	pkg := flag.String("pkg", ".", "package pattern to benchmark")
 	benchtime := flag.String("benchtime", "1s", "go test -benchtime value")

@@ -59,11 +59,13 @@
 //     from the seed via split streams, and repeated runs are bit-identical
 //     (TestPlanRunMatchesOneShot, the golden digest traces in
 //     internal/sim/testdata/golden).
-//   - The word-parallel bitset engine core, the scalar reference core, and
-//     the goroutine-per-node engine produce bit-identical executions
-//     (internal/sim's differential test matrix and the public-API face
-//     TestPlanCoresAndEnginesEquivalent) — which is why the engine
-//     selector Config.Core is excluded from Config.Fingerprint.
+//   - The word-parallel bitset round core and the lane-transposed core
+//     produce bit-identical verdicts, and the round core reproduces the
+//     scalar and goroutine-per-node reference engines kept in
+//     internal/sim's tests (its differential test matrix and the
+//     public-API face TestPlanCoresAndEnginesEquivalent) — which is why
+//     the engine selector Config.Core is excluded from
+//     Config.Fingerprint.
 //   - Estimates are independent of the worker count, early stopping cuts
 //     the seed sequence only at deterministic batch boundaries, and an
 //     estimate resumed from a TallyStore equals a cold run of the same
@@ -80,7 +82,7 @@
 //     HTTP workers).
 //
 // Lower-level control (custom protocols, custom adversaries, round
-// observers, the goroutine-per-node engine) is available in the internal
+// observers, raw round-engine runs) is available in the internal
 // packages; see DESIGN.md for the map and internal/service for the
 // faultcastd HTTP serving layer built on top.
 package faultcast

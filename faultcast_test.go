@@ -344,6 +344,8 @@ func TestFlipOf(t *testing.T) {
 	}
 }
 
+// TestRunTraceAndConcurrent: a traced Run writes the per-round log and
+// returns exactly the untraced Run's result — tracing is observation only.
 func TestRunTraceAndConcurrent(t *testing.T) {
 	var sb strings.Builder
 	cfg := Config{
@@ -351,7 +353,7 @@ func TestRunTraceAndConcurrent(t *testing.T) {
 		Model: MessagePassing, Fault: Omission, P: 0.2, Seed: 3,
 		Trace: &sb,
 	}
-	seq, err := Run(cfg)
+	traced, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,13 +361,12 @@ func TestRunTraceAndConcurrent(t *testing.T) {
 		t.Fatalf("trace output missing:\n%s", sb.String())
 	}
 	cfg.Trace = nil
-	cfg.Core = CoreConcurrent
-	conc, err := Run(cfg)
+	bare, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != conc {
-		t.Fatalf("engines disagree through the public API: %+v vs %+v", seq, conc)
+	if traced != bare {
+		t.Fatalf("tracing changed the result: %+v vs %+v", traced, bare)
 	}
 }
 

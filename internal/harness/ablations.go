@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"faultcast"
@@ -90,59 +91,43 @@ func RunA2(o Options) []*Table {
 	return []*Table{t}
 }
 
-// RunA3 checks engine equivalence and relative cost: the sequential engine
-// and the goroutine-per-node engine must agree on every outcome bit, and
-// the table reports their wall-clock ratio.
+// RunA3 checks the two production estimation cores against each other:
+// the bitset round engine and the lane-transposed core must agree on every
+// per-trial verdict, and the table reports their cost ratio.
 func RunA3(o Options) []*Table {
 	o = o.withDefaults()
 	t := &Table{
-		Title:   "A3 — sequential vs goroutine-per-node engine",
-		Note:    "outcomes must be bit-identical (same seeds); ratio = reference engine (per-trial state, barriers) vs the production path (reused runner)",
-		Headers: []string{"graph", "trials", "identical", "seq time", "conc time", "ratio", "verdict"},
+		Title:   "A3 — round engine vs lane core",
+		Note:    "per-trial verdicts must be bit-identical (same seeds, TallyShard at batch 1, one worker each); ratio = bitset round engine time / lane core time",
+		Headers: []string{"graph", "trials", "identical", "bitset time", "lanes time", "ratio", "verdict"},
 	}
 	graphs := []namedGraph{{graph.Grid(6, 6), 0}, {graph.Line(48), 0}}
 	if o.Quick {
 		graphs = []namedGraph{{graph.Grid(4, 4), 0}}
 	}
-	trials := o.Trials / 4
-	if trials < 10 {
-		trials = 10
-	}
+	trials := o.Trials * 4
 	for _, ng := range graphs {
-		proto := simpleomission.New(ng.g, ng.src, sim.MessagePassing, 2)
-		cfg := &sim.Config{
-			Graph: ng.g, Model: sim.MessagePassing, Fault: sim.Omission, P: 0.4,
-			Source: ng.src, SourceMsg: msg1,
-			NewNode: proto.NewNode, Rounds: proto.Rounds(),
+		cfg := faultcast.Config{
+			Graph: ng.g, Source: ng.src, Message: msg1,
+			Model: faultcast.MessagePassing, Fault: faultcast.Omission, P: 0.4,
+			Algorithm: faultcast.SimpleOmission, WindowC: 2,
 		}
-		identical := true
-		seqStart := time.Now()
-		runner := newRunner(cfg) // one reused state for the whole stream
-		seqResults := make([]*sim.Result, trials)
-		for i := 0; i < trials; i++ {
-			res, err := runner.Run(o.Seed + uint64(i))
+		tally := func(core faultcast.Core) (faultcast.ShardTally, time.Duration) {
+			cfg.Core = core
+			plan, err := faultcast.Compile(cfg)
 			if err != nil {
-				panic(err)
+				panic(fmt.Sprintf("harness: A3 %v: %v", core, err))
 			}
-			seqResults[i] = res
+			start := time.Now()
+			tally := plan.TallyShard(o.Seed, trials, 1, 1)
+			return tally, time.Since(start)
 		}
-		seqDur := time.Since(seqStart)
-		concStart := time.Now()
-		for i := 0; i < trials; i++ {
-			c := *cfg
-			c.Seed = o.Seed + uint64(i)
-			res, err := sim.RunConcurrent(&c)
-			if err != nil {
-				panic(err)
-			}
-			if res.Success != seqResults[i].Success || res.Stats != seqResults[i].Stats {
-				identical = false
-			}
-		}
-		concDur := time.Since(concStart)
-		ratio := float64(concDur) / float64(seqDur)
+		bit, bitDur := tally(faultcast.CoreBitset)
+		lanes, laneDur := tally(faultcast.CoreLanes)
+		identical := slices.Equal(bit.Successes, lanes.Successes)
+		ratio := float64(bitDur) / float64(laneDur)
 		t.AddRow(ng.g.Name(), trials, identical,
-			seqDur.Round(time.Millisecond).String(), concDur.Round(time.Millisecond).String(),
+			bitDur.Round(time.Microsecond).String(), laneDur.Round(time.Microsecond).String(),
 			fmt.Sprintf("%.1fx", ratio), verdict(identical))
 		o.logf("A3 %s: identical=%v ratio=%.1f", ng.g.Name(), identical, ratio)
 	}

@@ -270,7 +270,6 @@ func RunE6(o Options) []*Table {
 	o = o.withDefaults()
 	t := &Table{
 		Title:   "E6 (§2.2.2) — 'hello' timing protocol on K2, limited malicious, dropping adversary",
-		Note:    "bit 1 never errs; bit 0 success must match the exact closed form P[two consecutive healthy steps in 2m] — decaying error for any p < 1",
 		Headers: []string{"p", "m", "bit", "success", "95% CI", "predicted", "verdict"},
 	}
 	ms := []int{16, 64, 256}
@@ -278,6 +277,10 @@ func RunE6(o Options) []*Table {
 		ms = []int{16, 64}
 	}
 	ps := []float64{0.3, 0.5, 0.7, 0.85}
+	rows0 := len(ms) * len(ps)
+	t.Note = fmt.Sprintf("bit 1 never errs; bit 0 success must match the exact closed form P[two consecutive healthy steps in 2m] — decaying error for any p < 1. "+
+		"Bit-0 rows pass when the closed form lies in the 99.9%% Wilson band (z = 3.29), so by the union bound a correct engine fails one of the %d bit-0 rows with probability about %.1f%% at most",
+		rows0, 0.1*float64(rows0))
 	bits := []string{string(twonode.Bit0), string(twonode.Bit1)}
 	cs := make([]float64, len(ms))
 	for i, m := range ms {
@@ -306,7 +309,13 @@ func RunE6(o Options) []*Table {
 				if bit == "0" {
 					predicted = probConsecutivePair(2*m, 1-p)
 				}
-				pass := est.Low <= predicted && predicted <= est.Hi
+				// Every bit-0 row reads one band: check the 99.9% band, as
+				// E3 and E5 do, to bound the family-wise false-alarm rate.
+				wlo, whi := stat.Proportion{Successes: est.Succeeds, Trials: est.Trials}.Wilson(3.29)
+				if est.Succeeds == est.Trials {
+					whi = 1 // exact here; Wilson's float sum lands ulps below it
+				}
+				pass := wlo <= predicted && predicted <= whi
 				if bit == "1" {
 					pass = est.Rate == 1
 				}

@@ -88,7 +88,7 @@ func Registry() []Experiment {
 		{ID: "E11", Claim: "Thm 3.4: radio, both fault types: almost-safe in O(opt·log n)", Run: RunE11},
 		{ID: "A1", Claim: "Ablation: window constant c in m=⌈c·log n⌉ trades time for safety", Run: RunA1},
 		{ID: "A2", Claim: "Ablation: adversary strength (crash < noise < flip < equivocator)", Run: RunA2},
-		{ID: "A3", Claim: "Ablation: sequential vs goroutine-per-node engine equivalence", Run: RunA3},
+		{ID: "A3", Claim: "Ablation: round engine vs lane core equivalence and cost", Run: RunA3},
 		{ID: "A4", Claim: "Ablation: synchronized phases vs the unsynchronized sliding-window variant", Run: RunA4},
 		{ID: "A5", Claim: "Ablation: anonymous radio schedules (modulo-K / prime powers, §2.1)", Run: RunA5},
 		{ID: "A6", Claim: "Ablation: Kučera serial fan-out ρ — time constant vs error exponent", Run: RunA6},

@@ -98,27 +98,35 @@ func TestDeterministicPerSeed(t *testing.T) {
 }
 
 func TestEnginesAgreeOnRandomizedProtocol(t *testing.T) {
-	// The per-node random streams are engine-independent, so even a
-	// randomized protocol must produce identical results on both engines.
+	// The per-node random streams are reseeded per trial, so even a
+	// randomized protocol must give a reused Runner's trial the result of a
+	// fresh Run with the same seed. (The goroutine-per-node reference
+	// engine is checked on this protocol in internal/sim's tests.)
 	g := graph.Grid(3, 3)
 	proto := New(g)
-	mk := func() *sim.Config {
-		return &sim.Config{
-			Graph: g, Model: sim.Radio, Fault: sim.Omission, P: 0.3,
-			Source: 0, SourceMsg: []byte("M"),
-			NewNode: proto.NewNode, Rounds: proto.Rounds(30), Seed: 11,
-		}
+	cfg := &sim.Config{
+		Graph: g, Model: sim.Radio, Fault: sim.Omission, P: 0.3,
+		Source: 0, SourceMsg: []byte("M"),
+		NewNode: proto.NewNode, Rounds: proto.Rounds(30), Seed: 11,
 	}
-	a, err := sim.Run(mk())
+	runner, err := sim.NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sim.RunConcurrent(mk())
+	// Perturb the runner's state with another seed first.
+	if _, err := runner.Run(cfg.Seed + 1); err != nil {
+		t.Fatal(err)
+	}
+	a, err := runner.Run(cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Success != b.Success || a.Stats != b.Stats {
-		t.Fatalf("engines diverged on randomized protocol: %+v vs %+v", a.Stats, b.Stats)
+		t.Fatalf("reused runner diverged on randomized protocol: %+v vs %+v", a.Stats, b.Stats)
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"sync"
 )
 
-// RunConcurrent executes the configuration with one goroutine per node,
-// synchronized round-by-round with barriers — the paper's synchronous
-// model realized literally. Fault sampling, adversary calls, and the
+// RunConcurrent is the goroutine-per-node reference engine, kept in the
+// tests as a differential witness of the sequential engine (and exported
+// to package sim_test). It executes the configuration with one goroutine
+// per node, synchronized round-by-round with barriers — the paper's
+// synchronous model realized literally. Fault sampling, adversary calls, and the
 // delivery rule stay centralized (they are global per-round computations),
 // while each node's Transmit and Deliver calls run on that node's own
 // goroutine. Given the same Config, the outcome is bit-identical to Run;
@@ -97,4 +99,12 @@ func RunConcurrent(cfg *Config) (*Result, error) {
 	}
 	shutdown()
 	return st.result(), nil
+}
+
+func newRunState(cfg *Config) (*runState, error) {
+	st := allocRunState(cfg)
+	if err := st.Reset(cfg.Seed); err != nil {
+		return nil, err
+	}
+	return st, nil
 }

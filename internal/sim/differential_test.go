@@ -151,22 +151,17 @@ func diffResults(a, b *Result) error {
 const diffCases = 200
 
 // TestDifferentialBitsetVsScalar: for every generated configuration the
-// bitset core and the scalar reference core produce bit-identical
-// executions on the sequential engine.
+// production bitset core and the scalar reference core (scalar_test.go)
+// produce bit-identical executions.
 func TestDifferentialBitsetVsScalar(t *testing.T) {
 	for i := 0; i < diffCases; i++ {
 		c := genCase(i)
 
-		bitCfg := *c.cfg
-		bitCfg.ScalarCore = false
-		got, err := Run(&bitCfg)
+		got, err := Run(c.cfg)
 		if err != nil {
 			t.Fatalf("%s: bitset core: %v", c.desc, err)
 		}
-
-		refCfg := *c.cfg
-		refCfg.ScalarCore = true
-		want, err := Run(&refCfg)
+		want, err := RunScalar(c.cfg)
 		if err != nil {
 			t.Fatalf("%s: scalar core: %v", c.desc, err)
 		}
@@ -178,8 +173,9 @@ func TestDifferentialBitsetVsScalar(t *testing.T) {
 }
 
 // TestDifferentialSequentialVsConcurrent: for every generated configuration
-// the sequential and goroutine-per-node engines produce bit-identical
-// executions (both riding the bitset core).
+// the sequential engine and the goroutine-per-node reference engine
+// (concurrent_test.go) produce bit-identical executions (both riding the
+// bitset core).
 func TestDifferentialSequentialVsConcurrent(t *testing.T) {
 	for i := 0; i < diffCases; i++ {
 		c := genCase(i)

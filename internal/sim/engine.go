@@ -9,11 +9,9 @@ import (
 	"faultcast/internal/rng"
 )
 
-// Run executes the configuration on the sequential engine and returns the
-// result. It is the engine used by the Monte-Carlo harness; RunConcurrent
-// provides identical semantics with one goroutine per node. Trial streams
-// over a fixed configuration should use a Runner, which reuses the run
-// state instead of reallocating it per trial.
+// Run executes the configuration on the round engine and returns the
+// result. Trial streams over a fixed configuration should use a Runner,
+// which reuses the run state instead of reallocating it per trial.
 func Run(cfg *Config) (*Result, error) {
 	r, err := NewRunner(cfg)
 	if err != nil {
@@ -63,9 +61,11 @@ func (r *Runner) Run(seed uint64) (*Result, error) {
 	return st.result(), nil
 }
 
-// runState holds all mutable execution state shared by the two engines. It
-// is allocated once (allocRunState) and rewound to a fresh execution by
-// Reset, so a Runner can stream trials without reallocating its buffers.
+// runState holds all mutable execution state of one run, shared with the
+// reference engines in the tests (the scalar core and the
+// goroutine-per-node engine). It is allocated once (allocRunState) and
+// rewound to a fresh execution by Reset, so a Runner can stream trials
+// without reallocating its buffers.
 type runState struct {
 	cfg      *Config
 	n        int
@@ -93,7 +93,7 @@ type runState struct {
 	seenOnce     bitset.Set // radio: covered by >= 1 transmitter
 	seenTwice    bitset.Set // radio: covered by >= 2 transmitters
 	talkers      []int      // transmitMask as ids, reused
-	limSlots     []int      // checkLimited scratch, len n+1, all zero between calls
+	limSlots     []int      // checkLimitedInto scratch, len n+1, all zero between calls
 	exec         Exec       // adversary view, static fields set per trial
 
 	stats          Stats
@@ -197,14 +197,6 @@ func (st *runState) Reset(seed uint64) error {
 	return nil
 }
 
-func newRunState(cfg *Config) (*runState, error) {
-	st := allocRunState(cfg)
-	if err := st.Reset(cfg.Seed); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
 // transmitPhase collects and validates every node's intent (sequentially).
 func (st *runState) transmitPhase(round int) error {
 	for id := 0; id < st.n; id++ {
@@ -238,39 +230,39 @@ func (st *runState) validateTransmissions(id int, ts []Transmission) error {
 }
 
 // faultAndDeliver samples faults, applies fault semantics, and computes
-// this round's deliveries into st.delivered. It is the per-round core
-// shared by both engines: the word-parallel bitset implementation by
-// default, the scalar reference when Config.ScalarCore is set, with
-// bit-identical executions either way.
+// this round's deliveries into st.delivered: the word-parallel round core.
 func (st *runState) faultAndDeliver(round int) error {
-	// Phase 2: sample faults. The scalar core draws per node in id order;
-	// the bitset core fills the fault mask with the same draws in the same
-	// RNG order (rng.BernoulliMask), so the fault pattern is identical
-	// across cores and engines. Both maintain the id list (adversary,
-	// stats, and history want ids) and the mask (silencing and the
-	// corruption guard want set algebra).
+	// Phase 2: sample faults. rng.BernoulliMask fills the fault mask with
+	// one draw per node in id order (the scalar reference's per-id
+	// Bernoulli order), so the fault pattern is fixed by the seed alone.
+	// The id list serves the adversary, stats, and history; the mask
+	// serves silencing and the corruption guard.
 	st.faulty = st.faulty[:0]
 	if st.cfg.Fault != NoFaults {
-		if st.cfg.ScalarCore {
-			st.faultMask.Clear()
-			for id := 0; id < st.n; id++ {
-				if st.faultRnd.Bernoulli(st.cfg.P) {
-					st.faulty = append(st.faulty, id)
-					st.faultMask.Add(id)
-				}
-			}
-		} else {
-			st.faultRnd.BernoulliMask(st.cfg.P, st.n, st.faultMask)
-			st.faulty = st.faultMask.AppendIDs(st.faulty)
-		}
+		st.faultRnd.BernoulliMask(st.cfg.P, st.n, st.faultMask)
+		st.faulty = st.faultMask.AppendIDs(st.faulty)
 	}
-	st.stats.Faults += len(st.faulty)
+	if err := st.applyFaults(round); err != nil {
+		return err
+	}
+	if st.cfg.Model == MessagePassing {
+		st.deliverMessagePassingBitset()
+	} else {
+		st.deliverRadioBitset(round)
+	}
+	return nil
+}
 
-	// Phase 3: map intents to actual transmissions, maintaining
-	// transmitMask = { id : len(actual[id]) > 0 }. The intent mask is
-	// rebuilt centrally (not in transmitPhase) because the concurrent
-	// engine's workers write st.intents in parallel and must not share
-	// mask words.
+// applyFaults is phase 3 over this round's sampled faults (st.faulty and
+// st.faultMask): it maps intents to actual transmissions, maintaining
+// transmitMask = { id : len(actual[id]) > 0 }, and empties the delivery
+// lists for phase 4. The scalar reference core in the tests samples and
+// delivers on its own but runs this same phase.
+func (st *runState) applyFaults(round int) error {
+	st.stats.Faults += len(st.faulty)
+	// The intent mask is rebuilt centrally (not in transmitPhase) because
+	// the concurrent reference engine's workers write st.intents in
+	// parallel and must not share mask words.
 	st.intentMask.Clear()
 	for id := 0; id < st.n; id++ {
 		if len(st.intents[id]) > 0 {
@@ -300,25 +292,11 @@ func (st *runState) faultAndDeliver(round int) error {
 		}
 	}
 
-	// Phase 4: delivery rule. Truncate (not nil) so a reused state keeps
-	// its per-receiver backing arrays across rounds and trials; receivers
-	// must not retain the slices (the Node contract), and history records
-	// are deep-cloned.
+	// Truncate (not nil) so a reused state keeps its per-receiver backing
+	// arrays across rounds and trials; receivers must not retain the
+	// slices (the Node contract), and history records are deep-cloned.
 	for i := range st.delivered {
 		st.delivered[i] = st.delivered[i][:0]
-	}
-	if st.cfg.Model == MessagePassing {
-		if st.cfg.ScalarCore {
-			st.deliverMessagePassing()
-		} else {
-			st.deliverMessagePassingBitset()
-		}
-	} else {
-		if st.cfg.ScalarCore {
-			st.deliverRadio(round)
-		} else {
-			st.deliverRadioBitset(round)
-		}
 	}
 	return nil
 }
@@ -371,28 +349,13 @@ func (st *runState) applyCorruption(repl map[int][]Transmission) error {
 	return nil
 }
 
-// checkLimited verifies that actual is obtainable from intent by altering
-// payloads and dropping transmissions: for every destination, the adversary
-// may emit at most as many transmissions as were intended to it.
-func checkLimited(intent, actual []Transmission) error {
-	maxTo := 0
-	for _, t := range intent {
-		if t.To > maxTo {
-			maxTo = t.To
-		}
-	}
-	for _, t := range actual {
-		if t.To > maxTo {
-			maxTo = t.To
-		}
-	}
-	return checkLimitedInto(make([]int, maxTo+2), intent, actual)
-}
-
-// checkLimitedInto is checkLimited over caller-provided scratch: slots must
-// hold maxTo+2 counters (index To+1; Broadcast is -1) and be all-zero; it
-// is restored to all-zero before returning, so a runState can reuse one
-// buffer for every corrupted node without clearing it in between.
+// checkLimitedInto verifies that actual is obtainable from intent by
+// altering payloads and dropping transmissions: for every destination, the
+// adversary may emit at most as many transmissions as were intended to it.
+// slots is caller-provided scratch: it must hold maxTo+2 counters (index
+// To+1; Broadcast is -1) and be all-zero; it is restored to all-zero
+// before returning, so a runState can reuse one buffer for every
+// corrupted node without clearing it in between.
 func checkLimitedInto(slots []int, intent, actual []Transmission) error {
 	for _, t := range intent {
 		slots[t.To+1]++
@@ -481,56 +444,6 @@ func (st *runState) deliverRadioBitset(round int) {
 		}
 	}
 	st.stats.Transmissions += len(st.talkers)
-	st.stats.Collisions += collisions
-	st.lastCollisions = collisions
-}
-
-func (st *runState) deliverMessagePassing() {
-	// Iterate senders in increasing id so each receiver's list arrives in
-	// increasing sender order (deterministic across engines).
-	for from := 0; from < st.n; from++ {
-		for _, t := range st.actual[from] {
-			st.stats.Transmissions++
-			if t.To == Broadcast {
-				st.cfg.Graph.ForNeighbors(from, func(w int) {
-					st.delivered[w] = append(st.delivered[w], Received{From: from, Payload: t.Payload})
-					st.stats.Deliveries++
-				})
-			} else {
-				st.delivered[t.To] = append(st.delivered[t.To], Received{From: from, Payload: t.Payload})
-				st.stats.Deliveries++
-			}
-		}
-	}
-}
-
-func (st *runState) deliverRadio(round int) {
-	collisions := 0
-	for v := 0; v < st.n; v++ {
-		if len(st.actual[v]) > 0 {
-			continue // a transmitting node hears nothing
-		}
-		talkers := 0
-		talker := -1
-		st.cfg.Graph.ForNeighbors(v, func(w int) {
-			if len(st.actual[w]) > 0 {
-				talkers++
-				talker = w
-			}
-		})
-		switch {
-		case talkers == 1:
-			st.delivered[v] = append(st.delivered[v], Received{From: talker, Payload: st.actual[talker][0].Payload})
-			st.stats.Deliveries++
-		case talkers > 1:
-			collisions++
-		}
-	}
-	for v := 0; v < st.n; v++ {
-		if len(st.actual[v]) > 0 {
-			st.stats.Transmissions++
-		}
-	}
 	st.stats.Collisions += collisions
 	st.lastCollisions = collisions
 }

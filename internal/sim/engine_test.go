@@ -522,6 +522,23 @@ func (flipAdversary) Corrupt(e *Exec, faulty []int) map[int][]Transmission {
 	return out
 }
 
+// checkLimited is checkLimitedInto over fresh scratch sized for the
+// largest destination in intent or actual.
+func checkLimited(intent, actual []Transmission) error {
+	maxTo := 0
+	for _, t := range intent {
+		if t.To > maxTo {
+			maxTo = t.To
+		}
+	}
+	for _, t := range actual {
+		if t.To > maxTo {
+			maxTo = t.To
+		}
+	}
+	return checkLimitedInto(make([]int, maxTo+2), intent, actual)
+}
+
 func TestCheckLimited(t *testing.T) {
 	intent := []Transmission{{To: 1, Payload: []byte("a")}, {To: 2, Payload: []byte("b")}}
 	if err := checkLimited(intent, nil); err != nil {

@@ -58,14 +58,15 @@ func hashIDs(ids []int) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// digestRun executes the configuration (RecordHistory and TrackCompletion
-// forced on) and compresses the execution to per-round digests.
-func digestRun(t *testing.T, family string, cfg *sim.Config) goldenTrace {
+// digestRun executes the configuration on engine (RecordHistory and
+// TrackCompletion forced on) and compresses the execution to per-round
+// digests.
+func digestRun(t *testing.T, family string, cfg *sim.Config, engine func(*sim.Config) (*sim.Result, error)) goldenTrace {
 	t.Helper()
 	c := *cfg
 	c.RecordHistory = true
 	c.TrackCompletion = true
-	res, err := sim.Run(&c)
+	res, err := engine(&c)
 	if err != nil {
 		t.Fatalf("%s: %v", family, err)
 	}
@@ -92,7 +93,7 @@ func digestRun(t *testing.T, family string, cfg *sim.Config) goldenTrace {
 	return trace
 }
 
-// goldenCase is one fixed-seed experiment family: the scalar/bitset
+// goldenCase is one fixed-seed experiment family: the round-engine
 // configuration plus, when the protocol has a lane lowering, the
 // equivalent LaneSpec for the trial-parallel core.
 type goldenCase struct {
@@ -178,7 +179,7 @@ func TestGoldenTraces(t *testing.T) {
 	for family, gc := range goldenCases(t) {
 		cfg := gc.cfg
 		t.Run(family, func(t *testing.T) {
-			got := digestRun(t, family, cfg)
+			got := digestRun(t, family, cfg, sim.Run)
 			path := filepath.Join("testdata", "golden", family+".json")
 			if *updateGolden {
 				data, err := json.MarshalIndent(got, "", "  ")
@@ -218,22 +219,26 @@ func TestGoldenTraces(t *testing.T) {
 }
 
 // TestGoldenTracesCoreInvariant: the golden digests must be identical on
-// the scalar reference core — a second, protocol-level witness of the
-// differential guarantee on real experiment workloads.
+// the scalar reference core and on the goroutine-per-node reference
+// engine — a second, protocol-level witness of the differential guarantee
+// on real experiment workloads.
 func TestGoldenTracesCoreInvariant(t *testing.T) {
+	refs := []struct {
+		name   string
+		engine func(*sim.Config) (*sim.Result, error)
+	}{{"scalar", sim.RunScalar}, {"concurrent", sim.RunConcurrent}}
 	for family, gc := range goldenCases(t) {
-		cfg := gc.cfg
-		bit := digestRun(t, family, cfg)
-		scalar := *cfg
-		scalar.ScalarCore = true
-		ref := digestRun(t, family, &scalar)
-		if len(bit.Rounds) != len(ref.Rounds) {
-			t.Fatalf("%s: round counts diverge across cores", family)
-		}
-		for r := range bit.Rounds {
-			if bit.Rounds[r] != ref.Rounds[r] {
-				t.Fatalf("%s: round %d diverges across cores:\n  bitset %+v\n  scalar %+v",
-					family, r, bit.Rounds[r], ref.Rounds[r])
+		bit := digestRun(t, family, gc.cfg, sim.Run)
+		for _, ref := range refs {
+			got := digestRun(t, family, gc.cfg, ref.engine)
+			if len(bit.Rounds) != len(got.Rounds) {
+				t.Fatalf("%s: round counts diverge between bitset and %s", family, ref.name)
+			}
+			for r := range bit.Rounds {
+				if bit.Rounds[r] != got.Rounds[r] {
+					t.Fatalf("%s: round %d diverges:\n  bitset %+v\n  %s %+v",
+						family, r, bit.Rounds[r], ref.name, got.Rounds[r])
+				}
 			}
 		}
 	}
@@ -255,11 +260,9 @@ func TestGoldenTracesLaneCore(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: NewLaneRunner: %v", family, err)
 		}
-		scalar := *gc.cfg
-		scalar.ScalarCore = true
-		runner, err := sim.NewRunner(&scalar)
+		runner, err := sim.NewScalarRunner(gc.cfg)
 		if err != nil {
-			t.Fatalf("%s: NewRunner: %v", family, err)
+			t.Fatalf("%s: NewScalarRunner: %v", family, err)
 		}
 		got := lr.Run(gc.cfg.Seed, sim.LaneWidth)
 		var want uint64

@@ -27,8 +27,8 @@ import (
 // two (k = 2). The public layer computes the alphabet and only routes a
 // plan here when the encoding is faithful (see run.go buildLaneSpec);
 // everything needing per-round
-// histories, stats, or arbitrary payloads stays on the scalar/bitset
-// reference paths, which remain selectable and differentially tested.
+// histories, stats, or arbitrary payloads stays on the bitset round
+// engine, which is differentially tested against the scalar reference.
 //
 // Bit-identity contract: lane L of Run(baseSeed, count) equals the scalar
 // engine's Result.Success for seed baseSeed+L. It holds because

@@ -388,12 +388,11 @@ func checkLanesVsScalar(t *testing.T, c diffCase) {
 	}
 
 	refCfg := *c.cfg
-	refCfg.ScalarCore = true
 	refCfg.RecordHistory = false
 	refCfg.TrackCompletion = false
-	runner, err := NewRunner(&refCfg)
+	runner, err := NewScalarRunner(&refCfg)
 	if err != nil {
-		t.Fatalf("%s: NewRunner: %v", c.desc, err)
+		t.Fatalf("%s: NewScalarRunner: %v", c.desc, err)
 	}
 
 	base := c.cfg.Seed

@@ -97,7 +97,7 @@ type Env struct {
 	// paper's algorithms are deterministic and ignore it; randomized
 	// baselines (e.g. the Decay protocol) draw from it. Each node may use
 	// its own stream only — sharing streams across nodes would break the
-	// concurrent engine's determinism.
+	// goroutine-per-node reference engine's determinism.
 	Rand *rng.Source
 }
 
@@ -220,8 +220,7 @@ type Adversary interface {
 //     passing, the exactly-one-transmitting-neighbor rule for radio;
 //  5. deliveries are handed to nodes in increasing sender order.
 //
-// This file defines the shared types; engine.go implements the sequential
-// engine and concurrent.go the goroutine-per-node engine.
+// This file defines the shared types; engine.go implements the engine.
 
 // Config fully describes a run. The zero value is not runnable; all fields
 // below without a "(optional)" note are required.
@@ -254,12 +253,6 @@ type Config struct {
 	// Observer, if non-nil, is invoked after each round with that round's
 	// record (regardless of RecordHistory). (optional)
 	Observer func(r *RoundRecord)
-	// ScalarCore selects the scalar reference implementation of fault
-	// sampling and the delivery rules instead of the word-parallel bitset
-	// core. Executions are bit-identical either way — the differential test
-	// harness enforces it — so the switch exists only to keep the reference
-	// semantics runnable and testable, not as a tuning knob. (optional)
-	ScalarCore bool
 }
 
 // Validate reports configuration errors before a run starts.

@@ -2,16 +2,15 @@
 // logs for the CLI and counter aggregation for experiments.
 //
 // Per-round observation is a round-engine feature. The word-parallel
-// bitset engine, the scalar reference engine (Core=scalar), and the
-// goroutine-per-node concurrent engine (Core=concurrent,
-// sim.RunConcurrent) all invoke Config.Observer after every round with
-// an identical RoundRecord — observers see the same stream whichever
-// round core runs the trial. The lane-transposed trial-parallel core
+// bitset round engine (sim.Run, sim.Runner) invokes Config.Observer after
+// every round with the same RoundRecord it appends to the recorded
+// History; the reference engines in internal/sim's tests are pinned to
+// that stream bit for bit. The lane-transposed trial-parallel core
 // (sim.LaneRunner) packs 64 trials into each machine word and never
 // materializes per-round records, so estimation on Core=lanes does not
 // invoke observers; observation there is per-batch
 // (faultcast.WithBatchProbe) or per-request (telemetry spans). Plan.Run
-// always executes on a round engine, so per-round logs remain available
+// always executes on the round engine, so per-round logs remain available
 // for any scenario — including ones whose estimation path is
 // lane-lowered.
 package trace

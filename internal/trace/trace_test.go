@@ -72,63 +72,76 @@ func TestCountersAggregate(t *testing.T) {
 
 // lane-eligible scenario: simpleomission over MessagePassing is one of
 // the configurations the root package lowers to the lane core for
-// estimation. Per-round observation still goes through the round
-// engines, and both round cores must feed observers identically.
-func laneEligibleConfig(scalar bool, observer func(*sim.RoundRecord)) *sim.Config {
+// estimation. Per-round observation still goes through the round engine,
+// which both streams records to the observer and, with RecordHistory,
+// keeps them in Result.History.
+func laneEligibleConfig(observer func(*sim.RoundRecord)) *sim.Config {
 	g := graph.Line(7)
 	proto := simpleomission.New(g, 0, sim.MessagePassing, 1)
 	return &sim.Config{
 		Graph: g, Model: sim.MessagePassing, Fault: sim.Omission, P: 0.45,
 		Source: 0, SourceMsg: []byte("1"),
 		NewNode: proto.NewNode, Rounds: proto.Rounds(), Seed: 12,
-		ScalarCore: scalar,
-		Observer:   observer,
+		RecordHistory: true,
+		Observer:      observer,
 	}
 }
 
-// TestCountersIdenticalAcrossRoundCores pins the observer contract for
-// the two round cores on a lane-eligible scenario: the scalar reference
-// engine and the word-parallel bitset engine must deliver the same
-// per-round stream, so Counters aggregates to the same totals. (The lane
-// core is absent by design — it has no per-round records to observe; see
-// the package comment.)
+// replayHistory feeds a run's recorded history to observe, record by
+// record — the stream an observer attached to that run must have seen.
+func replayHistory(h *sim.History, observe func(*sim.RoundRecord)) {
+	for i := range h.Rounds {
+		observe(&h.Rounds[i])
+	}
+}
+
+// TestCountersIdenticalAcrossRoundCores pins the observer contract on a
+// lane-eligible scenario: the per-round stream the observer receives is
+// the run's recorded History, so Counters fed live and Counters fed from
+// the History aggregate to the same totals. (The lane core is absent by
+// design — it has no per-round records to observe; see the package
+// comment. The scalar and goroutine-per-node reference engines are
+// pinned to the same History in internal/sim's differential tests.)
 func TestCountersIdenticalAcrossRoundCores(t *testing.T) {
-	run := func(scalar bool) *Counters {
-		c := NewCounters()
-		if _, err := sim.Run(laneEligibleConfig(scalar, c.Observe)); err != nil {
-			t.Fatal(err)
-		}
-		return c
+	live := NewCounters()
+	res, err := sim.Run(laneEligibleConfig(live.Observe))
+	if err != nil {
+		t.Fatal(err)
 	}
-	scalar, bitset := run(true), run(false)
-	if scalar.Rounds == 0 || scalar.Transmissions == 0 {
-		t.Fatalf("scalar counters empty: %+v", scalar)
+	recorded := NewCounters()
+	replayHistory(res.History, recorded.Observe)
+	if live.Rounds == 0 || live.Transmissions == 0 {
+		t.Fatalf("live counters empty: %+v", live)
 	}
-	if scalar.Rounds != bitset.Rounds || scalar.Faults != bitset.Faults ||
-		scalar.Transmissions != bitset.Transmissions ||
-		scalar.Deliveries != bitset.Deliveries || scalar.Collisions != bitset.Collisions {
-		t.Fatalf("round cores observe differently:\nscalar %+v\nbitset %+v", scalar, bitset)
+	if live.Rounds != recorded.Rounds || live.Faults != recorded.Faults ||
+		live.Transmissions != recorded.Transmissions ||
+		live.Deliveries != recorded.Deliveries || live.Collisions != recorded.Collisions {
+		t.Fatalf("observer stream differs from the history:\nlive     %+v\nrecorded %+v", live, recorded)
 	}
-	for k, v := range scalar.FaultsPerRound {
-		if bitset.FaultsPerRound[k] != v {
-			t.Fatalf("fault histograms differ at %d: scalar %d, bitset %d", k, v, bitset.FaultsPerRound[k])
+	if live.Faults != res.Stats.Faults || live.Deliveries != res.Stats.Deliveries {
+		t.Fatalf("observer totals %+v disagree with the run's stats %+v", live, res.Stats)
+	}
+	for k, v := range live.FaultsPerRound {
+		if recorded.FaultsPerRound[k] != v {
+			t.Fatalf("fault histograms differ at %d: live %d, recorded %d", k, v, recorded.FaultsPerRound[k])
 		}
 	}
 }
 
 // TestLoggerIdenticalAcrossRoundCores: the rendered per-round log — the
-// user-visible face of observation — is byte-identical across the round
-// cores.
+// user-visible face of observation — is byte-identical whether it is
+// written live or rendered afterwards from the run's recorded History.
 func TestLoggerIdenticalAcrossRoundCores(t *testing.T) {
-	render := func(scalar bool) string {
-		var sb strings.Builder
-		l := &Logger{W: &sb, Verbose: true}
-		if _, err := sim.Run(laneEligibleConfig(scalar, l.Observe)); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
+	var live, recorded strings.Builder
+	res, err := sim.Run(laneEligibleConfig((&Logger{W: &live, Verbose: true}).Observe))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s, b := render(true), render(false); s != b {
-		t.Fatalf("logs differ between round cores:\nscalar:\n%s\nbitset:\n%s", s, b)
+	replayHistory(res.History, (&Logger{W: &recorded, Verbose: true}).Observe)
+	if live.Len() == 0 {
+		t.Fatal("empty live log")
+	}
+	if l, r := live.String(), recorded.String(); l != r {
+		t.Fatalf("live log differs from the recorded history:\nlive:\n%s\nrecorded:\n%s", l, r)
 	}
 }

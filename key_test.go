@@ -21,7 +21,7 @@ func TestConfigFingerprintSemantics(t *testing.T) {
 	// Engine selection and tracing are observation, not semantics: the
 	// engines are proven bit-identical, so the key must not split on them.
 	same := base
-	same.Core = CoreConcurrent
+	same.Core = CoreBitset
 	same.Trace = os.Stderr
 	if same.Fingerprint() != base.Fingerprint() {
 		t.Error("Core/Trace changed the fingerprint")

@@ -11,7 +11,7 @@ import (
 // laneScenarios enumerates one configuration per (algorithm × model ×
 // fault × adversary) combination that has a lane lowering. Every entry
 // must produce per-trial verdicts, estimates, stop decisions, and shard
-// tallies bit-identical to the scalar and bitset cores.
+// tallies bit-identical to the bitset core.
 func laneScenarios() map[string]Config {
 	msg := []byte("hi") // non-bit so WorstCase lowers to Flip
 	return map[string]Config{
@@ -253,9 +253,10 @@ func withCore(cfg Config, core Core) Config {
 
 // TestLanesPerTrialIdentity pins the tentpole contract at per-trial
 // granularity: a shard tally with batch 1 exposes every individual trial
-// verdict, and the lane-transposed core must match the bitset and scalar
-// cores verdict for verdict — across full and partial lane blocks (70
-// trials = one full 64-wide block plus a 6-trial tail).
+// verdict, and the lane-transposed core must match the bitset core
+// verdict for verdict — across full and partial lane blocks (70 trials =
+// one full 64-wide block plus a 6-trial tail). The scalar reference is
+// held to the same verdicts inside internal/sim.
 func TestLanesPerTrialIdentity(t *testing.T) {
 	const trials = 70
 	for name, cfg := range laneScenarios() {
@@ -270,17 +271,11 @@ func TestLanesPerTrialIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile bitset: %v", name, err)
 		}
-		scalar, err := Compile(withCore(cfg, CoreScalar))
-		if err != nil {
-			t.Fatalf("%s: compile scalar: %v", name, err)
-		}
 		got := lanes.TallyShard(cfg.Seed+11, trials, 1, 4)
-		wantB := bitset.TallyShard(cfg.Seed+11, trials, 1, 4)
-		wantS := scalar.TallyShard(cfg.Seed+11, trials, 1, 4)
+		want := bitset.TallyShard(cfg.Seed+11, trials, 1, 4)
 		for i := 0; i < trials; i++ {
-			if got.Successes[i] != wantB.Successes[i] || got.Successes[i] != wantS.Successes[i] {
-				t.Fatalf("%s: trial %d: lanes=%d bitset=%d scalar=%d",
-					name, i, got.Successes[i], wantB.Successes[i], wantS.Successes[i])
+			if got.Successes[i] != want.Successes[i] {
+				t.Fatalf("%s: trial %d: lanes=%d bitset=%d", name, i, got.Successes[i], want.Successes[i])
 			}
 		}
 	}
@@ -578,7 +573,7 @@ func TestCoreLanesErrorNamesFeature(t *testing.T) {
 func TestCoreExcludedFromFingerprint(t *testing.T) {
 	cfg := laneScenarios()["composed/limited/flip"]
 	base := cfg.Fingerprint()
-	for _, core := range []Core{CoreBitset, CoreScalar, CoreLanes, CoreConcurrent} {
+	for _, core := range []Core{CoreBitset, CoreLanes} {
 		if got := withCore(cfg, core).Fingerprint(); got != base {
 			t.Fatalf("Core=%v changed the fingerprint", core)
 		}

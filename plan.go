@@ -17,8 +17,8 @@ import (
 // the BFS spanning tree, and the greedy radio schedule), the adversary,
 // and the round horizon — performed once, so that many Monte-Carlo trials
 // can run without repeating any of it. Compile also resolves Config.Core
-// to the one engine the plan's trials run on (lanes, bitset, scalar or
-// concurrent; all bit-identical, as the differential tests prove).
+// to the one engine the plan's estimation trials run on (lanes or bitset;
+// bit-identical, as the differential tests prove).
 //
 // Compile once per scenario, then call Run per trial or Estimate per
 // sweep point. A Plan is immutable after Compile and safe for concurrent
@@ -46,7 +46,8 @@ type Plan struct {
 //
 // Config.Core is resolved here, once: CoreAuto becomes CoreLanes when the
 // scenario has a lane lowering (and is not heldOnRoundCore), CoreBitset
-// otherwise; CoreLanes without a lowering is an error.
+// otherwise; CoreLanes without a lowering, and any value outside auto,
+// lanes and bitset, is an error.
 //
 // Config.Seed is kept as the default base seed for Estimate; Config.Trace
 // is honored by Plan.Run (each run appends to the writer), and ignored by
@@ -68,9 +69,7 @@ func Compile(cfg Config) (*Plan, error) {
 			return nil, fmt.Errorf("faultcast: Core=lanes unsupported here: %s (algorithm %s, adversary %s, message %q)",
 				laneGate, cfg.Algorithm, cfg.Adversary, cfg.Message)
 		}
-	case CoreBitset, CoreConcurrent:
-	case CoreScalar:
-		simCfg.ScalarCore = true
+	case CoreBitset:
 	default:
 		return nil, fmt.Errorf("faultcast: unknown core %d", int(cfg.Core))
 	}
@@ -103,8 +102,8 @@ func (p *Plan) AlmostSafeTarget() float64 {
 // Run executes one trial of the compiled scenario with the given seed. It
 // is bit-identical to the one-shot Run with the same Config and seed, and
 // repeated calls with the same seed return identical results (no state
-// leaks between trials). CoreConcurrent selects the goroutine-per-node
-// engine; Config.Trace, if set, receives this run's per-round log.
+// leaks between trials). Every core runs single trials on the bitset
+// round engine; Config.Trace, if set, receives this run's per-round log.
 func (p *Plan) Run(seed uint64) (Result, error) {
 	simCfg := *p.sim
 	simCfg.Seed = seed
@@ -112,11 +111,7 @@ func (p *Plan) Run(seed uint64) (Result, error) {
 		logger := &trace.Logger{W: p.cfg.Trace}
 		simCfg.Observer = logger.Observe
 	}
-	engine := sim.Run
-	if p.core == CoreConcurrent {
-		engine = sim.RunConcurrent
-	}
-	res, err := engine(&simCfg)
+	res, err := sim.Run(&simCfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -244,10 +239,6 @@ func WithBatchProbe(f func(exec.BatchStat)) EstimateOption {
 // 95% Wilson interval. Each sequential worker reuses one engine state for
 // its whole trial stream, so per-trial cost is simulation only — no plan
 // rebuilding, no state reallocation.
-//
-// Under CoreConcurrent every trial runs on the goroutine-per-node
-// reference engine. Results are bit-identical to the sequential engine's,
-// but slower — use it to cross-check, not to sweep.
 //
 // With a stopping option (WithTarget, WithAlmostSafeTarget,
 // WithHalfWidth), the estimate stops early once decided; Estimate.Trials
@@ -380,30 +371,15 @@ func (p *Plan) TallyShard(baseSeed uint64, trials, batch, workers int) ShardTall
 
 // EstimationCore reports which execution core this plan's estimation
 // paths (Estimate, TallyShard) run trials on: "lanes" (the
-// trial-parallel lane-transposed core), "bitset" (the word-parallel round
-// core), "scalar" (the scalar reference round core), or "concurrent" (the
-// goroutine-per-node reference engine). The choice is a pure function of
+// trial-parallel lane-transposed core) or "bitset" (the word-parallel
+// round core). The choice is a pure function of
 // the compiled plan — results are bit-identical across cores; this is the
 // observability hook the serving layer reports per response.
 func (p *Plan) EstimationCore() string { return p.core.String() }
 
 // newTrialMaker returns the per-worker trial constructor for this plan:
-// a reusable engine Runner per worker (the fast path), or the
-// goroutine-per-node reference engine under CoreConcurrent.
+// a reusable round-engine Runner per worker.
 func (p *Plan) newTrialMaker() stat.TrialMaker {
-	if p.core == CoreConcurrent {
-		return func() stat.Trial {
-			return func(seed uint64) bool {
-				simCfg := *p.sim
-				simCfg.Seed = seed
-				res, err := sim.RunConcurrent(&simCfg)
-				if err != nil {
-					panic(fmt.Sprintf("faultcast: estimate trial: %v", err))
-				}
-				return res.Success
-			}
-		}
-	}
 	return func() stat.Trial {
 		runner, err := sim.NewRunner(p.sim)
 		if err != nil {

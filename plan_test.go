@@ -92,39 +92,58 @@ func TestPlanRunMatchesOneShot(t *testing.T) {
 }
 
 // TestPlanCoresAndEnginesEquivalent: for every compiled scenario — the
-// paper's real protocols, not test fixtures — the round engines Plan.Run
-// can select (the word-parallel bitset core, the scalar reference core,
-// and the goroutine-per-node engine) must produce identical public
-// Results on identical seeds. This is the public-API face of the engine's
-// differential-equivalence matrix.
+// paper's real protocols, not test fixtures — Plan.Run must return the
+// same public Result whichever core the plan resolved (Run always takes
+// the bitset round engine), and its per-trial success must equal the lane
+// plan's per-trial verdict (TallyShard at batch 1) wherever the scenario
+// has a lane lowering. This is the public-API face of the engine's
+// differential-equivalence matrix; the scalar and goroutine-per-node
+// reference engines are checked against the round engine in internal/sim.
 func TestPlanCoresAndEnginesEquivalent(t *testing.T) {
+	const trials = 70 // one full 64-lane block plus a 6-trial tail
+	lowered := 0
 	for name, cfg := range planScenarios() {
 		t.Run(name, func(t *testing.T) {
 			plan, err := Compile(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, core := range []Core{CoreBitset, CoreScalar, CoreConcurrent} {
-				vname := core.String()
-				vplan, err := Compile(withCore(cfg, core))
+			bitset, err := Compile(withCore(cfg, CoreBitset))
+			if err != nil {
+				t.Fatalf("bitset: %v", err)
+			}
+			for seed := uint64(1); seed <= 3; seed++ {
+				want, err := plan.Run(seed)
 				if err != nil {
-					t.Fatalf("%s: %v", vname, err)
+					t.Fatal(err)
 				}
-				for seed := uint64(1); seed <= 3; seed++ {
-					want, err := plan.Run(seed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := vplan.Run(seed)
-					if err != nil {
-						t.Fatalf("%s seed %d: %v", vname, seed, err)
-					}
-					if got != want {
-						t.Fatalf("%s seed %d: %+v != default %+v", vname, seed, got, want)
-					}
+				got, err := bitset.Run(seed)
+				if err != nil {
+					t.Fatalf("bitset seed %d: %v", seed, err)
+				}
+				if got != want {
+					t.Fatalf("bitset seed %d: %+v != default %+v", seed, got, want)
+				}
+			}
+			lanes, err := Compile(withCore(cfg, CoreLanes))
+			if err != nil {
+				return // no lane lowering: nothing to compare Run with
+			}
+			lowered++
+			tally := lanes.TallyShard(cfg.Seed+5, trials, 1, 2)
+			for i := 0; i < trials; i++ {
+				res, err := bitset.Run(cfg.Seed + 5 + uint64(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if verdict := tally.Successes[i] == 1; verdict != res.Success {
+					t.Fatalf("trial %d: lane verdict %v, Plan.Run success %v", i, verdict, res.Success)
 				}
 			}
 		})
+	}
+	if lowered == 0 {
+		t.Fatal("no scenario has a lane lowering; the per-trial check compared nothing")
 	}
 }
 
@@ -191,10 +210,10 @@ func TestPlanEstimateMatchesPerTrialRuns(t *testing.T) {
 
 // TestPlanCoresResolvedAtCompile pins the engine resolution table:
 // Compile turns every Core value into exactly one concrete engine, which
-// EstimationCore reports, the lane block maker follows, and the scalar
-// round core is switched on for. CoreAuto picks lanes only for a lowered
-// shape that is not held; CoreLanes without a lowering, and an
-// out-of-range Core, fail to compile.
+// EstimationCore reports and the lane block maker follows. CoreAuto picks
+// lanes only for a lowered shape that is not held; CoreLanes without a
+// lowering, and any Core other than auto, lanes and bitset, fail to
+// compile.
 func TestPlanCoresResolvedAtCompile(t *testing.T) {
 	star := Config{
 		Graph: Star(4), Source: 0, Message: []byte("1"),
@@ -208,15 +227,12 @@ func TestPlanCoresResolvedAtCompile(t *testing.T) {
 	}{
 		"lane-lowered": {planScenarios()["mp/omission/flooding"], map[Core]string{
 			CoreAuto: "lanes", CoreLanes: "lanes", CoreBitset: "bitset",
-			CoreScalar: "scalar", CoreConcurrent: "concurrent",
 		}},
 		"default message": {defaultMsg, map[Core]string{
 			CoreAuto: "bitset", CoreLanes: "", CoreBitset: "bitset",
-			CoreScalar: "scalar", CoreConcurrent: "concurrent",
 		}},
 		"held hub-source star": {star, map[Core]string{
 			CoreAuto: "bitset", CoreLanes: "lanes", CoreBitset: "bitset",
-			CoreScalar: "scalar", CoreConcurrent: "concurrent",
 		}},
 	}
 	for name, sc := range scenarios {
@@ -237,44 +253,45 @@ func TestPlanCoresResolvedAtCompile(t *testing.T) {
 			if lanes := plan.newBlockMaker() != nil; lanes != (want == "lanes") {
 				t.Errorf("%s, Core=%v: lane block maker %v, resolved %q", name, core, lanes, want)
 			}
-			if plan.sim.ScalarCore != (want == "scalar") {
-				t.Errorf("%s, Core=%v: sim.ScalarCore %v, resolved %q", name, core, plan.sim.ScalarCore, want)
-			}
 		}
-		if _, err := Compile(withCore(sc.cfg, Core(99))); err == nil || !strings.Contains(err.Error(), "unknown core") {
-			t.Errorf("%s: Core(99) compile error %v, want unknown core", name, err)
+		// 2 and 4 named the retired scalar and goroutine-per-node cores.
+		for _, bad := range []Core{-1, 2, 4, 5, 99} {
+			if _, err := Compile(withCore(sc.cfg, bad)); err == nil || !strings.Contains(err.Error(), "unknown core") {
+				t.Errorf("%s: Core(%d) compile error %v, want unknown core", name, int(bad), err)
+			}
 		}
 	}
 }
 
-// TestPlanEstimateHonorsConcurrent: with Core=CoreConcurrent the
-// estimate must use the goroutine-per-node engine — whose results are
-// bit-identical — so the two estimates must agree exactly.
+// TestPlanEstimateHonorsConcurrent: an explicit Core=bitset plan must
+// estimate on the bitset core, with workers, and return exactly the
+// default (Core=auto, here lanes) plan's estimate: the core selector
+// changes only how fast an answer arrives.
 func TestPlanEstimateHonorsConcurrent(t *testing.T) {
 	cfg := planScenarios()["mp/omission/flooding"]
 	cfg.Seed = 9
-	seqPlan, err := Compile(cfg)
+	autoPlan, err := Compile(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Core = CoreConcurrent
-	concPlan, err := Compile(cfg)
+	cfg.Core = CoreBitset
+	bitPlan, err := Compile(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := concPlan.EstimationCore(); got != "concurrent" {
-		t.Fatalf("EstimationCore = %q, want concurrent", got)
+	if got := bitPlan.EstimationCore(); got != "bitset" {
+		t.Fatalf("EstimationCore = %q, want bitset", got)
 	}
-	seq, err := seqPlan.Estimate(30)
+	auto, err := autoPlan.Estimate(30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conc, err := concPlan.Estimate(30, WithWorkers(2))
+	bit, err := bitPlan.Estimate(30, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != conc {
-		t.Fatalf("engines disagree through Estimate: %+v vs %+v", seq, conc)
+	if auto != bit {
+		t.Fatalf("cores disagree through Estimate: %+v vs %+v", auto, bit)
 	}
 }
 
@@ -368,7 +385,7 @@ func TestCompileRejectsLimitedMaliciousStar(t *testing.T) {
 		Model: Radio, Fault: LimitedMalicious, P: 0.2, WindowC: 4,
 		Adversary: WorstCase,
 	}
-	for _, core := range []Core{CoreAuto, CoreLanes, CoreBitset, CoreScalar, CoreConcurrent} {
+	for _, core := range []Core{CoreAuto, CoreLanes, CoreBitset} {
 		if _, err := Compile(withCore(star, core)); err == nil || !strings.Contains(err.Error(), "star adversary") {
 			t.Errorf("Core=%v: Compile error %v, want one naming the star adversary", core, err)
 		}

@@ -208,38 +208,35 @@ type Config struct {
 	// transmissions, deliveries, collisions). Single runs only; ignored
 	// by EstimateSuccess.
 	Trace io.Writer
-	// Core selects the engine that runs this scenario's trials. The
-	// default CoreAuto uses the lane-transposed trial-parallel core — 64
-	// trials per machine word — for estimation whenever the scenario
-	// supports it, falling back to the bitset core otherwise; all cores
-	// are proven bit-identical by the differential test matrix, so Core
-	// changes only how fast an answer arrives. Single runs (Plan.Run)
-	// always use a round engine (bitset, scalar or concurrent), the only
-	// ones that produce full per-run statistics.
+	// Core selects the engine that runs this scenario's estimation
+	// trials. The default CoreAuto uses the lane-transposed
+	// trial-parallel core — 64 trials per machine word — whenever the
+	// scenario supports it, falling back to the bitset round core
+	// otherwise; the cores are proven bit-identical by the differential
+	// test matrix, so Core changes only how fast an answer arrives.
+	// Single runs (Plan.Run) always use the bitset round core, the only
+	// one that produces full per-run statistics.
 	Core Core
 }
 
-// Core selects the execution engine. Compile resolves it once: a Plan
-// runs on exactly one of lanes, bitset, scalar or concurrent.
+// Core selects the estimation engine. Compile resolves it once: a Plan
+// estimates on exactly one of lanes or bitset.
 type Core int
 
+// The Core values. 2 and 4 are retired (they named the scalar and
+// goroutine-per-node reference engines, now test-only) and fail to
+// compile like any other out-of-range value.
 const (
 	// CoreAuto picks the fastest supported core: the lane-transposed
 	// trial-parallel core when the scenario has a lane lowering, the
 	// word-parallel bitset core otherwise. One lowered shape is held on
 	// the bitset core (see heldOnRoundCore).
-	CoreAuto Core = iota
+	CoreAuto Core = 0
 	// CoreBitset forces the word-parallel bitset round core.
-	CoreBitset
-	// CoreScalar forces the scalar reference round core (kept so the
-	// bitset core stays differentially testable end to end).
-	CoreScalar
+	CoreBitset Core = 1
 	// CoreLanes forces the lane-transposed trial-parallel core for
 	// estimation; Compile fails if the scenario has no lane lowering.
-	CoreLanes
-	// CoreConcurrent runs every trial on the goroutine-per-node engine,
-	// the model-faithful reference implementation (slower).
-	CoreConcurrent
+	CoreLanes Core = 3
 )
 
 // String returns the core's name, the form Plan.EstimationCore reports.
@@ -249,12 +246,8 @@ func (c Core) String() string {
 		return "auto"
 	case CoreBitset:
 		return "bitset"
-	case CoreScalar:
-		return "scalar"
 	case CoreLanes:
 		return "lanes"
-	case CoreConcurrent:
-		return "concurrent"
 	default:
 		return fmt.Sprintf("Core(%d)", int(c))
 	}
@@ -365,7 +358,7 @@ func EstimateSuccess(cfg Config, trials int) (Estimate, error) {
 
 // build lowers the public Config to an engine configuration, plus the
 // lane-transposed trial-parallel lowering when the scenario has one (nil
-// otherwise — callers fall back to the scalar/bitset engine, and laneGate
+// otherwise — callers fall back to the bitset round engine, and laneGate
 // says which scenario feature blocked the lowering).
 func build(cfg Config) (simCfg *sim.Config, lanes *sim.LaneSpec, laneGate string, err error) {
 	if cfg.Graph == nil {

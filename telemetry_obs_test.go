@@ -29,7 +29,7 @@ func TestTracedEstimateBitIdentical(t *testing.T) {
 		if !ok {
 			t.Fatalf("scenario %s missing from laneScenarios", name)
 		}
-		for _, core := range []Core{CoreLanes, CoreBitset, CoreScalar} {
+		for _, core := range []Core{CoreLanes, CoreBitset} {
 			plan, err := Compile(withCore(cfg, core))
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, core, err)
@@ -119,9 +119,8 @@ func TestTracedStoreRefinementBitIdentical(t *testing.T) {
 
 // TestPerRoundObservationByCore documents and pins which cores support
 // per-round observation (internal/trace observers, Config.Trace logs):
-// the round engines — bitset, scalar, and the goroutine-per-node
-// concurrent engine — invoke the observer after every round, and
-// Plan.Run always executes on a round engine, so per-trial round logs
+// the bitset round engine invokes the observer after every round, and
+// Plan.Run always executes on it, so per-trial round logs
 // work even for a plan whose *estimation* runs on the lane-transposed
 // core. The lane core itself packs 64 trials per word and never
 // materializes per-round records, so estimation-path observation is
