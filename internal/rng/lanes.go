@@ -13,7 +13,9 @@ const LaneCount = 64
 // lockstep, one per bit lane of a uint64. It backs the trial-parallel
 // simulation core: lane L carries the fault stream of Monte-Carlo trial
 // baseSeed+L, and BernoulliWords transposes the 64 per-lane draws of each
-// step into one word per vertex.
+// step into one word per vertex. Skip passes over draws nobody reads with
+// the state steps alone, so a stream's read positions keep their values
+// while the unread ones are never computed.
 //
 // The state is laid out structure-of-arrays (four word banks indexed by
 // lane) so the per-lane advance loop is a straight-line pass over dense
@@ -214,6 +216,22 @@ func (l *Lanes) BernoulliWords(p float64, n, lanes int, live, out []uint64) {
 			s0 ^= s3
 			s2 ^= tt
 			s3 = bits.RotateLeft64(s3, 45)
+		}
+		l.s0[lane], l.s1[lane], l.s2[lane], l.s3[lane] = s0, s1, s2, s3
+	}
+}
+
+// Skip advances lanes 0..lanes-1 by draws steps each and computes no
+// output: afterwards every such lane's stream is where draws Uint64 calls
+// (or BernoulliWords draws at 0 < p < 1) would have left it. Lanes at or
+// above lanes keep their state. The lane runner passes over the fault
+// words of rounds nobody reads with it.
+func (l *Lanes) Skip(draws, lanes int) {
+	for lane := 0; lane < lanes; lane++ {
+		s0, s1, s2, s3 := l.s0[lane], l.s1[lane], l.s2[lane], l.s3[lane]
+		for range draws { // the xoshiro256** state step of Uint64
+			s2, s3 = s2^s0, s3^s1
+			s0, s1, s2, s3 = s0^s3, s1^s2, s2^s1<<17, bits.RotateLeft64(s3, 45)
 		}
 		l.s0[lane], l.s1[lane], l.s2[lane], l.s3[lane] = s0, s1, s2, s3
 	}

@@ -139,12 +139,12 @@ func TestBernoulliWordsPartialLanes(t *testing.T) {
 }
 
 // TestBernoulliWordsLiveMask is the RNG contract of the live mask the lane
-// runner passes (its intended transmitters plus the vertices whose fault
-// bit it reads regardless of intent): for an empty, a single-vertex, a
-// full and random masks, at the edge values of p, the live words equal the
-// scalar Bernoulli stream draw for draw, the other words are zero, and the
-// bank ends every call in the state an all-live call leaves — so the next
-// call draws identically whatever the previous mask was.
+// runner passes (the fault words its corruption reads): for an empty, a
+// single-vertex, a full and random masks, at the edge values of p, the
+// live words equal the scalar Bernoulli stream draw for draw, the other
+// words are zero, and the bank ends every call in the state an all-live
+// call leaves — so the next call draws identically whatever the previous
+// mask was.
 func TestBernoulliWordsLiveMask(t *testing.T) {
 	const n = 36
 	seedOf := func(lane int) uint64 { return 0x51ed_2701_0000_0003 + uint64(lane)*0x9e3779b97f4a7c15 }
@@ -222,6 +222,46 @@ func TestBernoulliWordsLiveMask(t *testing.T) {
 				}
 				if high := out[0] >> uint(count) << uint(count); count < LaneCount && high != 0 {
 					t.Fatalf("%s count=%d: bits %#x at or above the lane count", name, count, high)
+				}
+			}
+		}
+	}
+}
+
+// TestLanesSkip is the stream contract of the lane runner's deferred
+// rounds: Skip(k, count) followed by BernoulliWords equals, lane for lane,
+// the scalar Source stream with k draws discarded — from no draw and a
+// single one to a 36-vertex round and a whole 576-round grid:6x6 horizon —
+// while the lanes at or above count keep their state and continue from
+// their first draw. The fill after the skip runs on every lane at two
+// rates, so a lane that stepped too far, too little or at all when it
+// should not have reads a different draw.
+func TestLanesSkip(t *testing.T) {
+	for _, count := range []int{LaneCount, 17} {
+		for _, k := range []int{0, 1, 35, 36 * 576} {
+			var seeds [LaneCount]uint64
+			scalars := make([]*Source, LaneCount)
+			for lane := range seeds {
+				seeds[lane] = 0x5ca1ab1e + uint64(lane)*0x9e3779b97f4a7c15
+				scalars[lane] = New(seeds[lane])
+				if lane < count {
+					for i := 0; i < k; i++ {
+						scalars[lane].Uint64()
+					}
+				}
+			}
+			lanes := NewLanes(&seeds)
+			lanes.Skip(k, count)
+			out := make([]uint64, 40)
+			for _, p := range []float64{0.42, 0.5} {
+				lanes.BernoulliWords(p, len(out), LaneCount, allLive, out)
+				for lane := 0; lane < LaneCount; lane++ {
+					for i := range out {
+						want := scalars[lane].Bernoulli(p)
+						if got := out[i]>>uint(lane)&1 == 1; got != want {
+							t.Fatalf("count=%d k=%d p=%v lane=%d draw=%d: lanes=%v scalar=%v", count, k, p, lane, i, got, want)
+						}
+					}
 				}
 			}
 		}

@@ -34,7 +34,11 @@
 //     differential_test.go and engine_test.go.
 //   - The lane core's per-trial verdicts ≡ the scalar reference's over
 //     full and partial 64-trial blocks: TestDifferentialLanesVsScalar*
-//     in lanes_test.go.
+//     in lanes_test.go. The lane sampler computes only the fault words a
+//     round's corruption reads; unread rounds are deferred, and a
+//     block's trailing ones are never drawn, so every value read comes
+//     from the scalar trial's stream position
+//     (TestDifferentialLanesVsScalarDeferredRounds).
 //   - A reused Runner is bit-identical to a fresh Run with the same seed,
 //     and results never alias reused state: TestRunnerMatchesRun,
 //     TestRunnerResultsDoNotAlias, TestDifferentialRunnerReuse.

@@ -35,12 +35,13 @@ import (
 //   - the per-lane fault stream is seeded exactly like the scalar trial's
 //     (rng.New(seed).Uint64() is the fault Split of the trial master) and
 //     rng.Lanes draws per lane in the scalar order (n draws per round).
-//     Only the live vertices' draws are computed — the round's intended
-//     transmitters plus the vertices whose fault bit the corruption reads
-//     regardless of intent (every vertex under LaneStar, the source
-//     under LaneEquivocate) — since no other fault bit is ever
-//     read. The generators still step through the unread draws, so every
-//     stream stays aligned with the scalar trial's draw for draw;
+//     Only the live words are computed — the fault words the round's
+//     corruption reads (see markLive) — since no other fault bit is ever
+//     read. Unread rounds are deferred, and a block's trailing ones are
+//     never drawn: a round with no live word is passed over with
+//     rng.Lanes.Skip before the next sampled round (the slowing
+//     equivocator replays its per-round source reads there instead), so
+//     every value read comes from the scalar trial's stream position;
 //   - adversaries that draw (RandomNoise's per-transmission alphabet
 //     draws, the equivocator's and the star's slowing draws) are
 //     reproduced on a second per-lane bank seeded like the scalar
@@ -250,11 +251,7 @@ type LaneRunner struct {
 
 	seeds [rng.LaneCount]uint64
 	rnd   rng.Lanes
-	// always marks the vertices whose fault bit is read whether or not
-	// they transmit (see NewLaneRunner); live is this round's
-	// intent|always, the words the sampler computes.
-	always []uint64
-	live   []uint64
+	live  []uint64 // this round's fault words the corruption reads (markLive)
 
 	// Adversary draw bank, seeded per block only when the corruption draws
 	// (LaneNoise always; LaneEquivocate's slowing for P > 1/2, LaneStar's
@@ -265,6 +262,9 @@ type LaneRunner struct {
 	// starKeep is LaneStar's slowing probability p*/P, or 0 when P <= p*
 	// and the star adversary keeps every faulty vertex.
 	starKeep float64
+	// equivSkip is LaneEquivocate's slowing probability (P-1/2)/P of
+	// skipping the swap, or 0 when P <= 1/2 and every faulty source swaps.
+	equivSkip float64
 
 	// Per-vertex lane words, reused across rounds and blocks.
 	intent []uint64   // kernel's intended transmitters
@@ -297,26 +297,18 @@ func NewLaneRunner(spec *LaneSpec) (*LaneRunner, error) {
 		fault:  make([]uint64, n),
 		heard:  make([]uint64, n),
 		pc:     make([]uint64, k),
-		always: make([]uint64, n),
 		live:   make([]uint64, n),
 	}
-	// Fault bits read outside the intended transmitters: a jamming faulty
-	// vertex speaks out of turn (and the star's slowing draws walk every
-	// faulty vertex), and the equivocator's slowing draw is gated by the
-	// source's fault bit whether or not the source transmits.
 	switch {
 	case !maliciousFault:
 	case spec.Corruption == LaneStar:
-		for v := range r.always {
-			r.always[v] = ^uint64(0)
-		}
 		if pStar := stat.RadioThreshold(spec.Graph.MaxDegree()); spec.P > pStar {
 			r.starKeep = pStar / spec.P
 		}
-	case spec.Corruption == LaneEquivocate:
-		r.always[spec.Source] = ^uint64(0)
+	case spec.Corruption == LaneEquivocate && spec.P > 0.5:
+		r.equivSkip = (spec.P - 0.5) / spec.P
 	}
-	r.needAdv = r.noise || r.starKeep > 0 || (maliciousFault && spec.Corruption == LaneEquivocate && spec.P > 0.5)
+	r.needAdv = r.noise || r.starKeep > 0 || r.equivSkip > 0
 	r.pay = make([][]uint64, k)
 	r.sym = make([][]uint64, k)
 	for c := 0; c < k; c++ {
@@ -372,70 +364,72 @@ func (r *LaneRunner) Run(baseSeed uint64, count int) uint64 {
 		r.adv.Seed(r.advSeeds[:lanes])
 	}
 	r.kernel.Reset()
+	pending := 0 // rounds since the last sampled one whose draws are deferred
 	for round := 0; round < spec.Rounds; round++ {
-		for v := 0; v < n; v++ {
-			r.intent[v] = 0
-		}
-		for c := 0; c < r.k; c++ {
-			payc := r.pay[c]
-			for v := 0; v < n; v++ {
-				payc[v] = 0
-			}
+		clear(r.intent)
+		for _, payc := range r.pay {
+			clear(payc)
 		}
 		r.kernel.Transmit(round, r.intent, r.pay)
 
-		// Fault semantics. NoFaults draws nothing (matching the scalar
-		// engine, which skips sampling entirely); otherwise each vertex
-		// draws one Bernoulli per lane per round, in scalar order, and the
-		// sampler computes the live ones: fault[v] is zero for the rest.
-		if spec.Fault == NoFaults {
-			copy(r.act, r.intent)
-		} else {
-			for v := 0; v < n; v++ {
-				r.live[v] = r.intent[v] | r.always[v]
-			}
+		// Fault semantics. Each vertex draws one Bernoulli per lane per
+		// round, in scalar order, and the sampler computes the live words
+		// (markLive): fault[v] is zero for the rest. A round with no live
+		// word is deferred: its fault words are zero, so the corruption
+		// below reads and draws nothing, and its draws are passed over only
+		// if a later round is sampled. NoFaults and p = 0 set no fault bit,
+		// so every round is deferred and a block draws nothing (matching
+		// the scalar engine, which skips sampling for NoFaults entirely).
+		if spec.Fault != NoFaults && spec.P > 0 && r.markLive(n) {
+			r.catchUp(pending, n, lanes)
+			pending = 0
 			r.rnd.BernoulliWords(spec.P, n, lanes, r.live, r.fault)
-			switch {
-			case spec.Fault == Omission || spec.Corruption == LaneSilence:
-				for v := 0; v < n; v++ {
-					r.act[v] = r.intent[v] &^ r.fault[v]
-				}
-			case spec.Corruption == LaneFlip:
-				// Targets unchanged; faulty payloads become the default. A
-				// faulty vertex with no intent stays silent (Flip never adds
-				// transmissions), which act=intent preserves.
-				for v := 0; v < n; v++ {
-					r.act[v] = r.intent[v]
-				}
-				for c := 0; c < r.k; c++ {
-					payc := r.pay[c]
-					for v := 0; v < n; v++ {
-						payc[v] &^= r.fault[v]
-					}
-				}
-			case spec.Corruption == LaneEquivocate:
-				// Targets and non-source payloads unchanged (SourceOnly).
-				// The slowing draw fires on every lane whose source is
-				// faulty this round, transmitting or not, exactly like the
-				// scalar adversary (it is invoked on the faulty set, not the
-				// transmitting set); the surviving lanes toggle the source's
-				// intended payloads between "0" and "1" (one column flip).
-				copy(r.act, r.intent)
-				src := spec.Source
-				swap := r.fault[src]
-				if spec.P > 0.5 && swap != 0 {
-					swap &^= r.adv.LessMasked((spec.P-0.5)/spec.P, swap)
-				}
-				r.pay[0][src] ^= swap & r.intent[src]
-			case spec.Corruption == LaneStar:
-				copy(r.act, r.intent)
-				r.corruptStar(n)
-			default: // LaneNoise
-				// Targets unchanged; payload draws are fused into delivery,
-				// which visits faulty transmissions in the scalar Corrupt
-				// order (senders ascending, intents in emission order).
-				copy(r.act, r.intent)
+		} else {
+			clear(r.fault)
+			pending++
+		}
+		switch {
+		case spec.Fault == Omission || spec.Corruption == LaneSilence:
+			for v := 0; v < n; v++ {
+				r.act[v] = r.intent[v] &^ r.fault[v]
 			}
+		case spec.Corruption == LaneFlip:
+			// Targets unchanged; faulty payloads become the default. A
+			// faulty vertex with no intent stays silent (Flip never adds
+			// transmissions), which act=intent preserves.
+			for v := 0; v < n; v++ {
+				r.act[v] = r.intent[v]
+			}
+			for c := 0; c < r.k; c++ {
+				payc := r.pay[c]
+				for v := 0; v < n; v++ {
+					payc[v] &^= r.fault[v]
+				}
+			}
+		case spec.Corruption == LaneEquivocate:
+			// Targets and non-source payloads unchanged (SourceOnly).
+			// The slowing draw fires on every lane whose source is faulty
+			// this round, transmitting or not, exactly like the scalar
+			// adversary (it is invoked on the faulty set, not the
+			// transmitting set; catchUp replays it for the rounds in which
+			// the source intends in no lane); the surviving lanes toggle
+			// the source's intended payloads between "0" and "1" (one
+			// column flip).
+			copy(r.act, r.intent)
+			src := spec.Source
+			swap := r.fault[src]
+			if r.equivSkip > 0 && swap != 0 {
+				swap &^= r.adv.LessMasked(r.equivSkip, swap)
+			}
+			r.pay[0][src] ^= swap & r.intent[src]
+		case spec.Corruption == LaneStar:
+			copy(r.act, r.intent)
+			r.corruptStar(n)
+		default: // LaneNoise
+			// Targets unchanged; payload draws are fused into delivery,
+			// which visits faulty transmissions in the scalar Corrupt
+			// order (senders ascending, intents in emission order).
+			copy(r.act, r.intent)
 		}
 
 		if spec.Model == MessagePassing {
@@ -446,6 +440,70 @@ func (r *LaneRunner) Run(baseSeed uint64, count int) uint64 {
 		r.kernel.Absorb(round, r.heard, r.sym)
 	}
 	return r.kernel.Verdict() & (^uint64(0) >> uint(LaneWidth-lanes))
+}
+
+// markLive fills r.live with the fault words this round's corruption
+// reads and reports whether any is nonzero. Omission and the silencing,
+// flipping and noise corruptions read the intended transmitters'. The
+// equivocator reads only the source's (act = intent, and only the
+// source's payload changes): in the lanes where it intends, or — when
+// the slowing draw is gated on it — in every lane of a round where it
+// intends in any. The star reads every vertex's, in the S-step lanes
+// only unless it slows (faults outside S-steps have no effect).
+func (r *LaneRunner) markLive(n int) bool {
+	switch r.spec.Corruption {
+	case LaneEquivocate:
+		w := r.intent[r.spec.Source]
+		if r.equivSkip > 0 && w != 0 {
+			w = ^uint64(0)
+		}
+		r.live[r.spec.Source] = w
+		return w != 0
+	case LaneStar:
+		w := ^uint64(0)
+		if r.starKeep == 0 {
+			w = r.sStep(n)
+		}
+		for v := 0; v < n; v++ {
+			r.live[v] = w
+		}
+		return w != 0
+	}
+	var or uint64
+	for v := 0; v < n; v++ {
+		r.live[v] = r.intent[v]
+		or |= r.intent[v]
+	}
+	return or != 0
+}
+
+// catchUp advances the fault stream over the pending rounds deferred since
+// the last sampled one, just before the next is sampled. The slowing
+// equivocator replays each round's source read and its slowing draws in
+// round order, since the adversary stream's position depends on them
+// (r.live holds exactly the source's word then); every other corruption
+// read nothing in those rounds, so their draws are state steps alone.
+func (r *LaneRunner) catchUp(pending, n, lanes int) {
+	for ; r.equivSkip > 0 && pending > 0; pending-- {
+		r.rnd.BernoulliWords(r.spec.P, n, lanes, r.live, r.fault)
+		r.adv.LessMasked(r.equivSkip, r.fault[r.spec.Source])
+	}
+	if pending > 0 {
+		r.rnd.Skip(pending*n, lanes)
+	}
+}
+
+// sStep returns the S-step lanes: the source intends to transmit and
+// nobody else does.
+func (r *LaneRunner) sStep(n int) uint64 {
+	src := r.spec.Source
+	var others uint64
+	for v := 0; v < n; v++ {
+		if v != src {
+			others |= r.intent[v]
+		}
+	}
+	return r.intent[src] &^ others
 }
 
 // corruptStar applies LaneStar to this round's intents (act = intent on
@@ -462,15 +520,8 @@ func (r *LaneRunner) corruptStar(n int) {
 			}
 		}
 	}
-	// S-step lanes: the source intends to transmit and nobody else does.
 	src := r.spec.Source
-	var others uint64
-	for v := 0; v < n; v++ {
-		if v != src {
-			others |= r.intent[v]
-		}
-	}
-	sStep := r.intent[src] &^ others
+	sStep := r.sStep(n)
 	if sStep == 0 {
 		return
 	}
@@ -499,14 +550,9 @@ func (r *LaneRunner) corruptStar(n int) {
 // payload per directed target (or once per broadcast), matching the scalar
 // adversary's one-draw-per-intent rule.
 func (r *LaneRunner) deliverMP(n int) {
-	for u := 0; u < n; u++ {
-		r.heard[u] = 0
-	}
-	for c := 0; c < r.k; c++ {
-		symc := r.sym[c]
-		for u := 0; u < n; u++ {
-			symc[u] = 0
-		}
+	clear(r.heard)
+	for _, symc := range r.sym {
+		clear(symc)
 	}
 	targets := r.spec.Targets
 	if r.k == 1 && !r.noise {
@@ -594,15 +640,10 @@ func (r *LaneRunner) deliverMP(n int) {
 // redraws a faulty transmitter's payload once per vertex (a radio
 // transmission is a single broadcast intent).
 func (r *LaneRunner) deliverRadio(n int) {
-	for v := 0; v < n; v++ {
-		r.once[v] = 0
-		r.twice[v] = 0
-	}
-	for c := 0; c < r.k; c++ {
-		seenc := r.seen[c]
-		for v := 0; v < n; v++ {
-			seenc[v] = 0
-		}
+	clear(r.once)
+	clear(r.twice)
+	for _, seenc := range r.seen {
+		clear(seenc)
 	}
 	if r.k == 1 && !r.noise {
 		// Two-symbol fast path: the original one-column collision loop.

@@ -520,6 +520,108 @@ func TestDifferentialLanesVsScalarStar(t *testing.T) {
 	}
 }
 
+// burstRounds are the rounds the burst protocol speaks in: runs of two,
+// one and three rounds with silent rounds between them, and silent rounds
+// after them up to burstHorizon. Every corruption defers the silent
+// rounds, mid-block and at the block's end.
+var burstRounds = map[int]bool{0: true, 1: true, 5: true, 9: true, 10: true, 11: true}
+
+const burstHorizon = 16
+
+// burstNode is floodNode speaking only in burstRounds.
+type burstNode struct{ floodNode }
+
+func (b *burstNode) Transmit(round int) []Transmission {
+	if !burstRounds[round] {
+		return nil
+	}
+	return b.floodNode.Transmit(round)
+}
+
+// burstLaneKernel is burstNode in the transposed layout.
+type burstLaneKernel struct{ *floodLaneKernel }
+
+func (k burstLaneKernel) Transmit(round int, intent []uint64, pay [][]uint64) {
+	if burstRounds[round] {
+		k.floodLaneKernel.Transmit(round, intent, pay)
+	}
+}
+
+// TestDifferentialLanesVsScalarDeferredRounds witnesses the lane runner's
+// deferral of rounds whose fault words nobody reads. Under the burst
+// protocol the source speaks in rounds {0, 1}, {5} and {9-11} only, so
+// the equivocator (at p <= 1/2 and with the slowing draws at p > 1/2),
+// silencing and the star adversary below p*(Δ) each pass over the silent
+// rounds between the bursts before sampling the next one, and drop the
+// trailing ones. Per trial, over 272 seeds, full 64-lane and partial
+// 17-lane blocks must agree with the scalar reference, which draws every
+// round.
+func TestDifferentialLanesVsScalarDeferredRounds(t *testing.T) {
+	type shape struct {
+		name  string
+		model Model
+		fault FaultType
+		p     float64
+		adv   Adversary
+	}
+	const seeds = 272
+	for _, g := range []*graph.Graph{graph.Line(6), graph.Star(5), graph.Grid(3, 3)} {
+		pStar := stat.RadioThreshold(g.MaxDegree())
+		for _, sh := range []shape{
+			{"equivocator", MessagePassing, Malicious, 0.3, equivocatorAdversary{}},
+			{"equivocator", MessagePassing, LimitedMalicious, 0.6, equivocatorAdversary{}},
+			{"silencer", Radio, Malicious, 0.4, silencerAdversary{}},
+			{"star", Radio, Malicious, 0.8 * pStar, starAdversary{}},
+		} {
+			cfg := &Config{
+				Graph: g, Model: sh.model, Fault: sh.fault, P: sh.p,
+				Source:    1,
+				SourceMsg: []byte("1"),
+				Rounds:    burstHorizon,
+				Adversary: sh.adv,
+				NewNode:   func(id int) Node { return &burstNode{floodNode{genuine: true}} },
+			}
+			desc := fmt.Sprintf("%s %v/%v p=%v g=%v", sh.name, sh.model, sh.fault, sh.p, g)
+			spec := laneSpecFor(cfg, sh.name)
+			spec.NewKernel = func(symbols int) LaneKernel {
+				return burstLaneKernel{newFloodLaneKernel(cfg.Source, g.N(), symbols, true)}
+			}
+			lr, err := NewLaneRunner(spec)
+			if err != nil {
+				t.Fatalf("%s: NewLaneRunner: %v", desc, err)
+			}
+			runner, err := NewScalarRunner(cfg)
+			if err != nil {
+				t.Fatalf("%s: NewScalarRunner: %v", desc, err)
+			}
+			const base = 0xdefe44ed
+			var want [seeds]bool
+			successes := 0
+			for i := range want {
+				res, err := runner.Run(base + uint64(i))
+				if err != nil {
+					t.Fatalf("%s: scalar trial %d: %v", desc, i, err)
+				}
+				if want[i] = res.Success; want[i] {
+					successes++
+				}
+			}
+			t.Logf("%s: %d/%d", desc, successes, seeds)
+			for _, count := range []int{LaneWidth, 17} {
+				for first := 0; first+count <= seeds; first += count {
+					got := lr.Run(base+uint64(first), count)
+					for lane := 0; lane < count; lane++ {
+						if got>>uint(lane)&1 == 1 != want[first+lane] {
+							t.Fatalf("%s: block of %d at seed %d, lane %d: lanes=%v scalar=%v",
+								desc, count, base+first, lane, !want[first+lane], want[first+lane])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestLaneSpecValidate pins the gates that keep unsupported shapes out of
 // the lane engine.
 func TestLaneSpecValidate(t *testing.T) {
