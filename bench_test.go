@@ -90,11 +90,11 @@ func BenchmarkE2SimpleMalicious(b *testing.B) {
 // Plan.Estimate on the trial-parallel core, where each round's single
 // transmitter is the only live word of the fault sampler.
 func BenchmarkE2SimpleMaliciousLanes(b *testing.B) {
-	benchEstimatePlan(b, laneCore(faultcast.Config{
+	benchEstimateOn(b, faultcast.Config{
 		Graph: faultcast.KaryTree(31, 2), Source: 0, Message: []byte("1"),
 		Model: faultcast.MessagePassing, Fault: faultcast.Malicious, P: 0.3,
 		WindowC: 12, Algorithm: faultcast.SimpleMalicious, Adversary: faultcast.FlipAdv,
-	}))
+	}, "lanes")
 }
 
 // BenchmarkE3Equivocator times the Theorem 2.3 impossibility workload: the
@@ -154,11 +154,11 @@ func BenchmarkE5RadioImpossible(b *testing.B) {
 // (LaneStar: every vertex live, S-step swaps and third-symbol jams).
 func BenchmarkE5RadioImpossibleLanes(b *testing.B) {
 	g := faultcast.Star(6)
-	benchEstimatePlan(b, laneCore(faultcast.Config{
+	benchEstimateOn(b, faultcast.Config{
 		Graph: g, Source: 1, Message: []byte("1"),
 		Model: faultcast.Radio, Fault: faultcast.Malicious, P: faultcast.RadioThreshold(g.MaxDegree()),
 		WindowC: 8, Algorithm: faultcast.SimpleMalicious, Adversary: faultcast.WorstCase,
-	}))
+	}, "lanes")
 }
 
 // BenchmarkE6HelloProtocol times the two-node timing protocol at p = 0.7.
@@ -476,8 +476,12 @@ func benchEstimateSeedPath(b *testing.B, cfg faultcast.Config) {
 	}
 }
 
-func benchEstimatePlan(b *testing.B, cfg faultcast.Config) {
-	plan, err := faultcast.Compile(cfg)
+func benchEstimatePlan(b *testing.B, cfg faultcast.Config) { benchEstimateOn(b, cfg, "auto") }
+
+// benchEstimateOn is benchEstimatePlan with the estimation forced onto
+// core ("lanes" or "bitset"), for the paired core benchmarks.
+func benchEstimateOn(b *testing.B, cfg faultcast.Config, core string) {
+	plan, err := faultcast.CompileOn(cfg, core)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -505,23 +509,13 @@ func BenchmarkEstimatePlanRadioRepeat(b *testing.B) { benchEstimatePlan(b, radio
 // The *Lanes/*BitsetCore pairs pin the trial-parallel tentpole: the same
 // Estimate workload with the core forced either to the lane engine (64
 // trials per machine word) or to the word-parallel-per-round bitset
-// engine it supersedes on this path. CoreAuto already selects lanes for
+// engine it supersedes on this path. Compile already picks lanes for
 // these scenarios, so the unsuffixed EstimatePlan benchmarks above track
 // the default-path number; the explicit pair keeps the speedup measurable
 // even as defaults move.
 
-func laneCore(cfg faultcast.Config) faultcast.Config {
-	cfg.Core = faultcast.CoreLanes
-	return cfg
-}
-
-func bitsetCore(cfg faultcast.Config) faultcast.Config {
-	cfg.Core = faultcast.CoreBitset
-	return cfg
-}
-
 func BenchmarkEstimatePlanComposedLanes(b *testing.B) {
-	benchEstimatePlan(b, laneCore(composedCfg()))
+	benchEstimateOn(b, composedCfg(), "lanes")
 }
 
 // BenchmarkEstimatePlanComposedLanesHalfWidth is the ruled-estimate twin
@@ -531,7 +525,7 @@ func BenchmarkEstimatePlanComposedLanes(b *testing.B) {
 // — the shape every threshold-curve cell runs at. A partial block samples
 // only its own lanes, so the pair should cost about the same.
 func BenchmarkEstimatePlanComposedLanesHalfWidth(b *testing.B) {
-	plan, err := faultcast.Compile(laneCore(composedCfg()))
+	plan, err := faultcast.CompileOn(composedCfg(), "lanes")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -556,8 +550,7 @@ func BenchmarkEstimatePlanComposedLanesHalfWidth(b *testing.B) {
 // budgeted at under 2% — spans are per-batch, not per-trial, so the cost
 // amortizes over the whole batch of simulations.
 func BenchmarkEstimatePlanComposedLanesTraced(b *testing.B) {
-	cfg := laneCore(composedCfg())
-	plan, err := faultcast.Compile(cfg)
+	plan, err := faultcast.CompileOn(composedCfg(), "lanes")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -586,15 +579,15 @@ func BenchmarkEstimatePlanComposedLanesTraced(b *testing.B) {
 }
 
 func BenchmarkEstimatePlanComposedBitsetCore(b *testing.B) {
-	benchEstimatePlan(b, bitsetCore(composedCfg()))
+	benchEstimateOn(b, composedCfg(), "bitset")
 }
 
 func BenchmarkEstimatePlanRadioRepeatLanes(b *testing.B) {
-	benchEstimatePlan(b, laneCore(radioRepeatCfg()))
+	benchEstimateOn(b, radioRepeatCfg(), "lanes")
 }
 
 func BenchmarkEstimatePlanRadioRepeatBitsetCore(b *testing.B) {
-	benchEstimatePlan(b, bitsetCore(radioRepeatCfg()))
+	benchEstimateOn(b, radioRepeatCfg(), "bitset")
 }
 
 // --- k-bit lane lowerings: noise, equivocator, and timing scenarios ------
@@ -634,27 +627,27 @@ func timingEstimateCfg() faultcast.Config {
 }
 
 func BenchmarkEstimateLanesNoise(b *testing.B) {
-	benchEstimatePlan(b, laneCore(noiseEstimateCfg()))
+	benchEstimateOn(b, noiseEstimateCfg(), "lanes")
 }
 
 func BenchmarkEstimateLanesNoiseBitsetCore(b *testing.B) {
-	benchEstimatePlan(b, bitsetCore(noiseEstimateCfg()))
+	benchEstimateOn(b, noiseEstimateCfg(), "bitset")
 }
 
 func BenchmarkEstimateLanesEquivocator(b *testing.B) {
-	benchEstimatePlan(b, laneCore(equivocatorEstimateCfg()))
+	benchEstimateOn(b, equivocatorEstimateCfg(), "lanes")
 }
 
 func BenchmarkEstimateLanesEquivocatorBitsetCore(b *testing.B) {
-	benchEstimatePlan(b, bitsetCore(equivocatorEstimateCfg()))
+	benchEstimateOn(b, equivocatorEstimateCfg(), "bitset")
 }
 
 func BenchmarkEstimateLanesTiming(b *testing.B) {
-	benchEstimatePlan(b, laneCore(timingEstimateCfg()))
+	benchEstimateOn(b, timingEstimateCfg(), "lanes")
 }
 
 func BenchmarkEstimateLanesTimingBitsetCore(b *testing.B) {
-	benchEstimatePlan(b, bitsetCore(timingEstimateCfg()))
+	benchEstimateOn(b, timingEstimateCfg(), "bitset")
 }
 
 // benchEngineRun times the round core itself — one full Plan.Run per

@@ -64,8 +64,8 @@
 //     scalar and goroutine-per-node reference engines kept in
 //     internal/sim's tests (its differential test matrix and the
 //     public-API face TestPlanCoresAndEnginesEquivalent) — which is why
-//     the engine selector Config.Core is excluded from
-//     Config.Fingerprint.
+//     Compile picks the engine from the scenario alone, with no setting
+//     for it, and Config.Fingerprint does not depend on it.
 //   - Estimates are independent of the worker count, early stopping cuts
 //     the seed sequence only at deterministic batch boundaries, and an
 //     estimate resumed from a TallyStore equals a cold run of the same

@@ -103,3 +103,61 @@ func TestLaneGT(t *testing.T) {
 		}
 	}
 }
+
+// TestLaneVotesMatchesScalarPlurality: votes cast through Add, on random
+// heard lanes and payload columns, decide per lane exactly as a scalar
+// per-symbol tally does ("strictly the most votes, else default"), Cast
+// writes that winner into the payload columns, and Reset empties the
+// tally.
+func TestLaneVotesMatchesScalarPlurality(t *testing.T) {
+	const votes = 12
+	for _, symbols := range []int{2, 3} {
+		lv := NewLaneVotes(2, symbols, votes)
+		state := uint64(symbols)
+		var counts [64][3]int // per lane: default, M, third
+		for step := 0; step < votes; step++ {
+			heard := lcg(&state)
+			sym := [][]uint64{{0, lcg(&state)}, {0, lcg(&state)}}
+			if symbols == 2 {
+				sym = sym[:1]
+			} else {
+				sym[1][1] &^= sym[0][1] // a payload is one symbol
+			}
+			lv.Add(1, heard, sym)
+			for lane := 0; lane < 64; lane++ {
+				if heard>>uint(lane)&1 == 0 {
+					continue
+				}
+				s := 0
+				for c := range sym {
+					if sym[c][1]>>uint(lane)&1 == 1 {
+						s = c + 1
+					}
+				}
+				counts[lane][s]++
+			}
+		}
+		pay := [][]uint64{make([]uint64, 2), make([]uint64, 2)}
+		lv.Cast(1, pay)
+		w1, w2 := lv.Winner(1)
+		if pay[0][1] != w1 || (symbols == 3 && pay[1][1] != w2) {
+			t.Fatalf("%d symbols: Cast wrote %#x/%#x, Winner %#x/%#x", symbols, pay[0][1], pay[1][1], w1, w2)
+		}
+		for lane := 0; lane < 64; lane++ {
+			c := counts[lane]
+			want1 := c[1] > c[0] && c[1] > c[2]
+			want2 := c[2] > c[0] && c[2] > c[1]
+			if w1>>uint(lane)&1 == 1 != want1 || w2>>uint(lane)&1 == 1 != want2 {
+				t.Fatalf("%d symbols, lane %d %v: winners %v/%v, want %v/%v", symbols, lane, c,
+					w1>>uint(lane)&1 == 1, w2>>uint(lane)&1 == 1, want1, want2)
+			}
+		}
+		if w1|w2 == 0 {
+			t.Fatalf("%d symbols: no lane elected a non-default winner", symbols)
+		}
+		lv.Reset()
+		if w1, w2 := lv.Winner(1); w1|w2 != 0 {
+			t.Fatalf("%d symbols: Reset left winners %#x/%#x", symbols, w1, w2)
+		}
+	}
+}

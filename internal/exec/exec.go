@@ -97,26 +97,29 @@ type Cell struct {
 	// NewTrial builds a worker-private trial function. It is called at
 	// most once per (worker, SharedKey) pair, so per-trial state — a
 	// reusable engine runner — persists across every batch a worker
-	// executes for this cell.
+	// executes for this cell. It is unused when NewBlock is set.
 	NewTrial stat.TrialMaker
 	// NewBlock, when non-nil, builds a worker-private block-trial function
-	// whose verdicts are bit-identical to NewTrial's over the same seeds
-	// (the lane-transposed engine core). Workers then claim trials in
-	// stat.BlockWidth-sized chunks, clipped to batch boundaries — so batch
-	// totals, stop decisions, and the final Proportion are unchanged; only
-	// the per-trial cost drops. NewTrial must still be set: dispatchers
-	// without block support (and failover paths) fall back to it.
+	// (the lane-transposed engine core) and takes precedence over
+	// NewTrial everywhere, the local failover of a remote dispatcher
+	// included. Workers then claim trials in stat.BlockWidth-sized
+	// chunks, clipped to batch boundaries — so batch totals, stop
+	// decisions, and the final Proportion are those per-trial verdicts
+	// would give; only the per-trial cost drops. A cell sets one of the
+	// two; if it sets both, their verdicts must be bit-identical over the
+	// same seeds.
 	NewBlock stat.TrialBlockMaker
-	// SharedKey, when non-empty, lets a worker reuse one Trial across all
-	// cells carrying the same key. Cells may share a key only when their
-	// NewTrial functions are interchangeable — e.g. cells compiled from
-	// the same plan, whose trials differ only in the seed argument.
+	// SharedKey, when non-empty, lets a worker reuse one Trial (or
+	// TrialBlock) across all cells carrying the same key. Cells may share
+	// a key only when their trial functions are interchangeable — e.g.
+	// cells compiled from the same plan, whose trials differ only in the
+	// seed argument.
 	SharedKey string
 	// Scenario is an opaque wire description of the cell's computation,
 	// consumed by remote Dispatchers (the cluster coordinator ships it to
 	// workers, which recompile the plan there). The in-process Dispatcher
-	// ignores it; NewTrial remains authoritative locally — including for a
-	// remote dispatcher's failover path.
+	// ignores it; the cell's trial constructor remains authoritative
+	// locally — including for a remote dispatcher's failover path.
 	Scenario any
 }
 

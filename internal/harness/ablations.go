@@ -92,13 +92,14 @@ func RunA2(o Options) []*Table {
 }
 
 // RunA3 checks the two production estimation cores against each other:
-// the bitset round engine and the lane-transposed core must agree on every
-// per-trial verdict, and the table reports their cost ratio.
+// the auto plan estimates on the lane core, its Plan.Run runs the bitset
+// round engine, and the two must agree on every per-trial verdict; the
+// table reports their cost ratio.
 func RunA3(o Options) []*Table {
 	o = o.withDefaults()
 	t := &Table{
 		Title:   "A3 — round engine vs lane core",
-		Note:    "per-trial verdicts must be bit-identical (same seeds, TallyShard at batch 1, one worker each); ratio = bitset round engine time / lane core time",
+		Note:    "per-trial verdicts must be bit-identical (same seeds: Plan.Run per seed against TallyShard at batch 1, one worker); ratio = round engine time / lane core time, where the round engine time includes Plan.Run's per-run setup (a fresh engine state per seed)",
 		Headers: []string{"graph", "trials", "identical", "bitset time", "lanes time", "ratio", "verdict"},
 	}
 	graphs := []namedGraph{{graph.Grid(6, 6), 0}, {graph.Line(48), 0}}
@@ -107,24 +108,33 @@ func RunA3(o Options) []*Table {
 	}
 	trials := o.Trials * 4
 	for _, ng := range graphs {
-		cfg := faultcast.Config{
+		plan, err := faultcast.Compile(faultcast.Config{
 			Graph: ng.g, Source: ng.src, Message: msg1,
 			Model: faultcast.MessagePassing, Fault: faultcast.Omission, P: 0.4,
 			Algorithm: faultcast.SimpleOmission, WindowC: 2,
+		})
+		if err != nil {
+			panic(fmt.Sprintf("harness: A3: %v", err))
 		}
-		tally := func(core faultcast.Core) (faultcast.ShardTally, time.Duration) {
-			cfg.Core = core
-			plan, err := faultcast.Compile(cfg)
+		if core := plan.EstimationCore(); core != "lanes" {
+			panic(fmt.Sprintf("harness: A3 estimates on %s, want lanes", core))
+		}
+		start := time.Now()
+		lanes := plan.TallyShard(o.Seed, trials, 1, 1)
+		laneDur := time.Since(start)
+		bit := make([]int, trials)
+		start = time.Now()
+		for i := range bit {
+			res, err := plan.Run(o.Seed + uint64(i))
 			if err != nil {
-				panic(fmt.Sprintf("harness: A3 %v: %v", core, err))
+				panic(fmt.Sprintf("harness: A3 run: %v", err))
 			}
-			start := time.Now()
-			tally := plan.TallyShard(o.Seed, trials, 1, 1)
-			return tally, time.Since(start)
+			if res.Success {
+				bit[i] = 1
+			}
 		}
-		bit, bitDur := tally(faultcast.CoreBitset)
-		lanes, laneDur := tally(faultcast.CoreLanes)
-		identical := slices.Equal(bit.Successes, lanes.Successes)
+		bitDur := time.Since(start)
+		identical := slices.Equal(bit, lanes.Successes)
 		ratio := float64(bitDur) / float64(laneDur)
 		t.AddRow(ng.g.Name(), trials, identical,
 			bitDur.Round(time.Microsecond).String(), laneDur.Round(time.Microsecond).String(),

@@ -312,9 +312,6 @@ func RunE6(o Options) []*Table {
 				// Every bit-0 row reads one band: check the 99.9% band, as
 				// E3 and E5 do, to bound the family-wise false-alarm rate.
 				wlo, whi := stat.Proportion{Successes: est.Succeeds, Trials: est.Trials}.Wilson(3.29)
-				if est.Succeeds == est.Trials {
-					whi = 1 // exact here; Wilson's float sum lands ulps below it
-				}
 				pass := wlo <= predicted && predicted <= whi
 				if bit == "1" {
 					pass = est.Rate == 1

@@ -1,8 +1,6 @@
 package radiorepeat
 
 import (
-	"math/bits"
-
 	"faultcast/internal/bitset"
 	"faultcast/internal/sim"
 )
@@ -12,9 +10,9 @@ import (
 // which the step's transmitter set broadcasts; a node listening in series
 // S_i either adopts the first NON-default reception and sticks with it
 // (Omission-Radio — an informed bit plus the adopted payload's symbol
-// columns per vertex) or votes (Malicious-Radio — one bit-sliced counter
-// per payload symbol, winner by word-parallel plurality, the same
-// reduction as simplemalicious: commitment freezes the window so
+// columns per vertex) or votes (Malicious-Radio — the bitset.LaneVotes
+// simplemalicious counts in, one bit-sliced counter per payload symbol
+// with a word-parallel plurality winner: commitment freezes the window so
 // committed and truncated outputs share the formula).
 
 // NewLaneKernel returns the transposed protocol instance for the given
@@ -36,19 +34,7 @@ func (p *Proto) NewLaneKernel(symbols int) sim.LaneKernel {
 	}
 	k := &laneKernel{proto: p, stepSets: stepSets, recvSets: recvSets}
 	if p.variant == MaliciousVariant {
-		width := bits.Len(uint(p.m)) // a series holds at most m votes
-		k.cntM = make([][]uint64, n)
-		k.cntD = make([][]uint64, n)
-		if symbols == 3 {
-			k.cnt2 = make([][]uint64, n)
-		}
-		for v := 0; v < n; v++ {
-			k.cntM[v] = make([]uint64, width)
-			k.cntD[v] = make([]uint64, width)
-			if k.cnt2 != nil {
-				k.cnt2[v] = make([]uint64, width)
-			}
-		}
+		k.votes = bitset.NewLaneVotes(n, symbols, p.m) // a series holds at most m votes
 	} else {
 		k.has = make([]uint64, n)
 		k.bel = make([][]uint64, symbols-1)
@@ -68,17 +54,8 @@ type laneKernel struct {
 	has []uint64
 	bel [][]uint64 // adopted payload symbol columns; bel[0] = "belief is M"
 
-	// MaliciousVariant: per-symbol vote counters (cnt2 nil for 2 symbols).
-	cntM, cntD, cnt2 [][]uint64
-}
-
-// winner returns the lanes where v's plurality vote resolves to the
-// source message (w1) and to the third symbol (w2; zero for two symbols).
-func (k *laneKernel) winner(v int) (w1, w2 uint64) {
-	if k.cnt2 == nil {
-		return bitset.LaneGT(k.cntM[v], k.cntD[v]), 0
-	}
-	return bitset.LanePlurality(k.cntD[v], k.cntM[v], k.cnt2[v])
+	// MaliciousVariant: per-symbol vote counters.
+	votes *bitset.LaneVotes
 }
 
 func (k *laneKernel) Reset() {
@@ -95,14 +72,7 @@ func (k *laneKernel) Reset() {
 		}
 		return
 	}
-	for v := range k.cntM {
-		for j := range k.cntM[v] {
-			k.cntM[v][j], k.cntD[v][j] = 0, 0
-			if k.cnt2 != nil {
-				k.cnt2[v][j] = 0
-			}
-		}
-	}
+	k.votes.Reset()
 }
 
 func (k *laneKernel) Transmit(round int, intent []uint64, pay [][]uint64) {
@@ -124,11 +94,7 @@ func (k *laneKernel) Transmit(round int, intent []uint64, pay [][]uint64) {
 			// The listening series is over and the vote committed; the
 			// counters are frozen, so recomputing the winner each round
 			// reproduces the scalar M_v exactly.
-			w1, w2 := k.winner(v)
-			pay[0][v] = w1
-			if k.cnt2 != nil {
-				pay[1][v] = w2
-			}
+			k.votes.Cast(v, pay)
 		default:
 			// not yet committed: "transmit 0" (columns stay clear)
 		}
@@ -153,13 +119,7 @@ func (k *laneKernel) Absorb(round int, heard []uint64, sym [][]uint64) {
 			k.has[v] |= adopt
 			continue
 		}
-		bitset.LaneAdd(k.cntM[v], heard[v]&sym[0][v])
-		if k.cnt2 == nil {
-			bitset.LaneAdd(k.cntD[v], heard[v]&^sym[0][v])
-			continue
-		}
-		bitset.LaneAdd(k.cnt2[v], heard[v]&sym[1][v])
-		bitset.LaneAdd(k.cntD[v], heard[v]&^sym[0][v]&^sym[1][v])
+		k.votes.Add(v, heard[v], sym)
 	}
 }
 
@@ -171,11 +131,11 @@ func (k *laneKernel) Verdict() uint64 {
 		}
 		return and
 	}
-	for v := range k.cntM {
+	for v := range k.proto.recvStep {
 		if k.proto.recvStep[v] < 0 {
 			continue // the source holds M by definition
 		}
-		w1, _ := k.winner(v)
+		w1, _ := k.votes.Winner(v)
 		and &= w1
 	}
 	return and

@@ -1,21 +1,19 @@
 package simplemalicious
 
 import (
-	"math/bits"
-
 	"faultcast/internal/bitset"
 	"faultcast/internal/sim"
 )
 
 // Lane kernel: Simple-Malicious in the transposed layout. A node's vote
 // over its listening window becomes one bit-sliced counter per payload
-// symbol — cntD (default), cntM (the source message), and, in the
-// three-symbol universe the noise adversary induces, cnt2 (the third
-// value) — and the plurality winner is computed word-parallel: for two
-// symbols, winner M exactly where cntM > cntD; for three, the strict
-// argmax of bitset.LanePlurality, whose ties resolve to the default just
-// like protocol.Tally.Winner. That one formula covers every scalar Output
-// path: the committed value is the winner of the full window (commitment
+// symbol in a bitset.LaneVotes — the default, the source message, and, in
+// the three-symbol universe the noise adversary induces, the third value
+// — and the plurality winner is computed word-parallel: for two symbols,
+// winner M exactly where M has more votes than the default; for three,
+// the strict argmax of bitset.LanePlurality, whose ties resolve to the
+// default just like protocol.Tally.Winner. That one formula covers every
+// scalar Output path: the committed value is the winner of the full window (commitment
 // happens only after the window closes and votes are frozen), the
 // horizon-truncated fallback is the winner of the votes so far, and an
 // empty tally gives all-zero counters, whose strict comparison fails just
@@ -30,25 +28,12 @@ func (p *Proto) NewLaneKernel(symbols int) sim.LaneKernel {
 	for ph, v := range order {
 		listeners[ph] = p.tree.Children[v]
 	}
-	width := bits.Len(uint(p.m)) // a window holds at most m votes
-	k := &laneKernel{
+	return &laneKernel{
 		proto:     p,
 		order:     order,
 		listeners: listeners,
-		cntM:      make([][]uint64, n),
-		cntD:      make([][]uint64, n),
+		votes:     bitset.NewLaneVotes(n, symbols, p.m), // a window holds at most m votes
 	}
-	if symbols == 3 {
-		k.cnt2 = make([][]uint64, n)
-	}
-	for v := 0; v < n; v++ {
-		k.cntM[v] = make([]uint64, width)
-		k.cntD[v] = make([]uint64, width)
-		if k.cnt2 != nil {
-			k.cnt2[v] = make([]uint64, width)
-		}
-	}
-	return k
 }
 
 // LaneTargets returns the per-vertex send-target lists for the message
@@ -68,30 +53,11 @@ type laneKernel struct {
 	// the phase's lone transmitter, but only these nodes count votes
 	// (everyone else's window is a different phase), so the two models
 	// share the listener sets.
-	listeners  [][]int
-	cntM, cntD [][]uint64
-	cnt2       [][]uint64 // nil in the two-symbol universe
+	listeners [][]int
+	votes     *bitset.LaneVotes
 }
 
-// winner returns the lanes where v's plurality vote resolves to the
-// source message (w1) and to the third symbol (w2; zero for two symbols).
-func (k *laneKernel) winner(v int) (w1, w2 uint64) {
-	if k.cnt2 == nil {
-		return bitset.LaneGT(k.cntM[v], k.cntD[v]), 0
-	}
-	return bitset.LanePlurality(k.cntD[v], k.cntM[v], k.cnt2[v])
-}
-
-func (k *laneKernel) Reset() {
-	for v := range k.cntM {
-		for j := range k.cntM[v] {
-			k.cntM[v][j], k.cntD[v][j] = 0, 0
-			if k.cnt2 != nil {
-				k.cnt2[v][j] = 0
-			}
-		}
-	}
-}
+func (k *laneKernel) Reset() { k.votes.Reset() }
 
 func (k *laneKernel) Transmit(round int, intent []uint64, pay [][]uint64) {
 	phase := round / k.proto.m
@@ -110,11 +76,7 @@ func (k *laneKernel) Transmit(round int, intent []uint64, pay [][]uint64) {
 	// By the level-respecting enumeration v's parent's phase — v's
 	// listening window — is strictly earlier, so v's votes are frozen and
 	// this is the committed M_v of the scalar protocol.
-	w1, w2 := k.winner(v)
-	pay[0][v] = w1
-	if k.cnt2 != nil {
-		pay[1][v] = w2
-	}
+	k.votes.Cast(v, pay)
 }
 
 func (k *laneKernel) Absorb(round int, heard []uint64, sym [][]uint64) {
@@ -123,23 +85,17 @@ func (k *laneKernel) Absorb(round int, heard []uint64, sym [][]uint64) {
 		return
 	}
 	for _, v := range k.listeners[phase] {
-		bitset.LaneAdd(k.cntM[v], heard[v]&sym[0][v])
-		if k.cnt2 == nil {
-			bitset.LaneAdd(k.cntD[v], heard[v]&^sym[0][v])
-			continue
-		}
-		bitset.LaneAdd(k.cnt2[v], heard[v]&sym[1][v])
-		bitset.LaneAdd(k.cntD[v], heard[v]&^sym[0][v]&^sym[1][v])
+		k.votes.Add(v, heard[v], sym)
 	}
 }
 
 func (k *laneKernel) Verdict() uint64 {
 	and := ^uint64(0)
-	for v := range k.cntM {
+	for v := range k.proto.tree.N() {
 		if v == k.proto.tree.Root {
 			continue // the source holds M by definition
 		}
-		w1, _ := k.winner(v)
+		w1, _ := k.votes.Winner(v)
 		and &= w1
 	}
 	return and

@@ -194,8 +194,8 @@ type counters struct {
 
 	// Per-core execution counters: which engine (Plan.EstimationCore)
 	// actually simulated, across estimates, sweep cells, and shards. No
-	// request selects an engine, so every plan resolves Core=auto: lanes
-	// or bitset.
+	// request selects an engine: Compile picks lanes or bitset from the
+	// scenario.
 	coreLanes  atomic.Uint64
 	coreBitset atomic.Uint64
 }

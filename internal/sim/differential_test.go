@@ -70,7 +70,6 @@ func genCase(i int) diffCase {
 		SourceMsg:       []byte("diff"),
 		Rounds:          1 + r.Intn(2*n+4),
 		Seed:            uint64(i)*2654435761 + 99,
-		RecordHistory:   true,
 		TrackCompletion: true,
 	}
 	if model == MessagePassing {
@@ -102,8 +101,29 @@ func genCase(i int) diffCase {
 	}
 }
 
-// diffResults compares two executions bit for bit, including histories.
-func diffResults(a, b *Result) error {
+// execution is one run's result plus every round record its Observer
+// kept: the whole execution, for bit-for-bit comparisons.
+type execution struct {
+	*Result
+	rounds []*RoundRecord
+}
+
+// recorder is an Observer that keeps every round record it receives.
+type recorder struct{ rounds []*RoundRecord }
+
+func (r *recorder) observe(rec *RoundRecord) { r.rounds = append(r.rounds, rec) }
+
+// observed runs cfg on engine with a recorder attached.
+func observed(cfg *Config, engine func(*Config) (*Result, error)) (execution, error) {
+	var rec recorder
+	c := *cfg
+	c.Observer = rec.observe
+	res, err := engine(&c)
+	return execution{res, rec.rounds}, err
+}
+
+// diffResults compares two executions bit for bit, round records included.
+func diffResults(a, b execution) error {
 	if a.Success != b.Success || a.FirstFailed != b.FirstFailed ||
 		a.CompletedRound != b.CompletedRound || a.Stats != b.Stats {
 		return fmt.Errorf("result headers diverge: %+v vs %+v", a.Stats, b.Stats)
@@ -121,17 +141,11 @@ func diffResults(a, b *Result) error {
 			return fmt.Errorf("informed round of node %d diverges: %d vs %d", id, a.InformedRound[id], b.InformedRound[id])
 		}
 	}
-	if (a.History == nil) != (b.History == nil) {
-		return fmt.Errorf("one execution lacks a history")
+	if len(a.rounds) != len(b.rounds) {
+		return fmt.Errorf("record counts diverge: %d vs %d", len(a.rounds), len(b.rounds))
 	}
-	if a.History == nil {
-		return nil
-	}
-	if len(a.History.Rounds) != len(b.History.Rounds) {
-		return fmt.Errorf("history lengths diverge: %d vs %d", len(a.History.Rounds), len(b.History.Rounds))
-	}
-	for r := range a.History.Rounds {
-		ra, rb := &a.History.Rounds[r], &b.History.Rounds[r]
+	for r := range a.rounds {
+		ra, rb := a.rounds[r], b.rounds[r]
 		if ra.Collisions != rb.Collisions {
 			return fmt.Errorf("round %d collisions diverge: %d vs %d", r, ra.Collisions, rb.Collisions)
 		}
@@ -157,11 +171,11 @@ func TestDifferentialBitsetVsScalar(t *testing.T) {
 	for i := 0; i < diffCases; i++ {
 		c := genCase(i)
 
-		got, err := Run(c.cfg)
+		got, err := observed(c.cfg, Run)
 		if err != nil {
 			t.Fatalf("%s: bitset core: %v", c.desc, err)
 		}
-		want, err := RunScalar(c.cfg)
+		want, err := observed(c.cfg, RunScalar)
 		if err != nil {
 			t.Fatalf("%s: scalar core: %v", c.desc, err)
 		}
@@ -180,11 +194,11 @@ func TestDifferentialSequentialVsConcurrent(t *testing.T) {
 	for i := 0; i < diffCases; i++ {
 		c := genCase(i)
 
-		seq, err := Run(c.cfg)
+		seq, err := observed(c.cfg, Run)
 		if err != nil {
 			t.Fatalf("%s: sequential: %v", c.desc, err)
 		}
-		conc, err := RunConcurrent(c.cfg)
+		conc, err := observed(c.cfg, RunConcurrent)
 		if err != nil {
 			t.Fatalf("%s: concurrent: %v", c.desc, err)
 		}
@@ -201,19 +215,24 @@ func TestDifferentialSequentialVsConcurrent(t *testing.T) {
 func TestDifferentialRunnerReuse(t *testing.T) {
 	for i := 0; i < diffCases; i += 4 { // every 4th case, 3 seeds each
 		c := genCase(i)
-		runner, err := NewRunner(c.cfg)
+		var rec recorder
+		reused := *c.cfg
+		reused.Observer = rec.observe
+		runner, err := NewRunner(&reused)
 		if err != nil {
 			t.Fatalf("%s: NewRunner: %v", c.desc, err)
 		}
 		for s := uint64(0); s < 3; s++ {
 			seed := c.cfg.Seed + 1000*s
-			got, err := runner.Run(seed)
+			rec.rounds = nil
+			res, err := runner.Run(seed)
 			if err != nil {
 				t.Fatalf("%s: runner seed %d: %v", c.desc, seed, err)
 			}
+			got := execution{res, rec.rounds}
 			fresh := *c.cfg
 			fresh.Seed = seed
-			want, err := Run(&fresh)
+			want, err := observed(&fresh, Run)
 			if err != nil {
 				t.Fatalf("%s: fresh seed %d: %v", c.desc, seed, err)
 			}

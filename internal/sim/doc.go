@@ -24,10 +24,14 @@
 // which validates the configuration once and rewinds a single execution
 // state per trial instead of reallocating it.
 //
+// A run is watched through one hook, Config.Observer, which receives a
+// deep copy of every round's record; the engine keeps no history of its
+// own (no adversary reads one), and builds records only for an observer.
+//
 // # Invariants
 //
 //   - Bitset core ≡ scalar reference ≡ goroutine-per-node reference, bit
-//     for bit over full execution histories, across a randomized matrix
+//     for bit over every observed round record, across a randomized matrix
 //     of ~200 configurations (model × fault × adversary × graph family ×
 //     p × seed): TestDifferentialBitsetVsScalar,
 //     TestDifferentialSequentialVsConcurrent, TestEnginesEquivalent in

@@ -72,7 +72,6 @@ type runState struct {
 	nodes    []Node
 	faultRnd rng.Source // reseeded in place by Reset, like advRnd
 	advRnd   rng.Source
-	history  *History
 
 	// Per-node streams and environments, rewritten in place by Reset.
 	nodeSrcs []rng.Source
@@ -145,10 +144,6 @@ func (st *runState) Reset(seed uint64) error {
 	master.Seed(seed)
 	st.faultRnd.Seed(master.Uint64())
 	st.advRnd.Seed(master.Uint64())
-	st.history = nil
-	if cfg.RecordHistory {
-		st.history = &History{}
-	}
 	st.stats = Stats{}
 	st.lastCollisions = 0
 	st.completedRound = -1
@@ -162,7 +157,6 @@ func (st *runState) Reset(seed uint64) error {
 		SourceMsg: cfg.SourceMsg,
 		P:         cfg.P,
 		Intents:   st.intents,
-		History:   st.history,
 		Rand:      &st.advRnd,
 		repl:      st.exec.repl,
 		txs:       st.exec.txs,
@@ -235,7 +229,7 @@ func (st *runState) faultAndDeliver(round int) error {
 	// Phase 2: sample faults. rng.BernoulliMask fills the fault mask with
 	// one draw per node in id order (the scalar reference's per-id
 	// Bernoulli order), so the fault pattern is fixed by the seed alone.
-	// The id list serves the adversary, stats, and history; the mask
+	// The id list serves the adversary, stats, and observer; the mask
 	// serves silencing and the corruption guard.
 	st.faulty = st.faulty[:0]
 	if st.cfg.Fault != NoFaults {
@@ -294,7 +288,7 @@ func (st *runState) applyFaults(round int) error {
 
 	// Truncate (not nil) so a reused state keeps its per-receiver backing
 	// arrays across rounds and trials; receivers must not retain the
-	// slices (the Node contract), and history records are deep-cloned.
+	// slices (the Node contract), and observer records are deep-cloned.
 	for i := range st.delivered {
 		st.delivered[i] = st.delivered[i][:0]
 	}
@@ -457,24 +451,17 @@ func (st *runState) deliverPhase(round int) {
 	}
 }
 
-// finishRound records history/observer state and completion tracking.
+// finishRound builds the observer's record and tracks completion.
 func (st *runState) finishRound(round int) {
 	st.stats.Rounds = round + 1
-	var rec *RoundRecord
-	if st.history != nil || st.cfg.Observer != nil {
-		rec = &RoundRecord{
+	if st.cfg.Observer != nil {
+		st.cfg.Observer(&RoundRecord{
 			Round:      round,
 			Faulty:     append([]int(nil), st.faulty...),
 			Actual:     cloneTransmissions(st.actual),
 			Delivered:  cloneReceived(st.delivered),
 			Collisions: st.lastCollisions,
-		}
-	}
-	if st.history != nil {
-		st.history.Rounds = append(st.history.Rounds, *rec)
-	}
-	if st.cfg.Observer != nil {
-		st.cfg.Observer(rec)
+		})
 	}
 	st.lastCollisions = 0
 	if st.trackDone && !st.doneAt {
@@ -504,7 +491,6 @@ func (st *runState) result() *Result {
 		CompletedRound: st.completedRound,
 		Outputs:        make([][]byte, st.n),
 		Stats:          st.stats,
-		History:        st.history,
 	}
 	if st.informedRound != nil {
 		// Copy: the state (and this slice) is rewound on the next Reset,

@@ -559,13 +559,12 @@ func TestCheckLimited(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	g := graph.Grid(4, 4)
-	run := func() *Result {
+	run := func() execution {
 		cfg := floodConfig(g, 30)
 		cfg.Fault = Omission
 		cfg.P = 0.4
 		cfg.Seed = 99
-		cfg.RecordHistory = true
-		res, err := Run(cfg)
+		res, err := observed(cfg, Run)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -575,8 +574,8 @@ func TestDeterminism(t *testing.T) {
 	if a.Success != b.Success || a.Stats != b.Stats {
 		t.Fatalf("same seed diverged: %+v vs %+v", a.Stats, b.Stats)
 	}
-	for r := range a.History.Rounds {
-		fa, fb := a.History.Rounds[r].Faulty, b.History.Rounds[r].Faulty
+	for r := range a.rounds {
+		fa, fb := a.rounds[r].Faulty, b.rounds[r].Faulty
 		if len(fa) != len(fb) {
 			t.Fatalf("round %d fault sets differ", r)
 		}
@@ -627,23 +626,24 @@ func TestObserverInvokedEveryRound(t *testing.T) {
 
 func TestHistoryRecordsDeliveries(t *testing.T) {
 	g := graph.Line(3)
-	cfg := floodConfig(g, 3)
-	cfg.RecordHistory = true
-	res, err := Run(cfg)
+	res, err := observed(floodConfig(g, 3), Run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.History == nil || len(res.History.Rounds) != 3 {
-		t.Fatal("history missing")
+	if len(res.rounds) != 3 {
+		t.Fatalf("observer kept %d records, want 3", len(res.rounds))
 	}
-	// In round 0 node 1 hears M from 0.
-	d := res.History.Rounds[0].Delivered[1]
+	// In round 0 node 1 hears M from 0, and node 2 nothing yet.
+	d := res.rounds[0].Delivered[1]
 	if len(d) != 1 || d[0].From != 0 || !bytes.Equal(d[0].Payload, []byte("M")) {
 		t.Fatalf("round 0 deliveries to node 1: %v", d)
 	}
-	got := res.History.DeliveredTo(2)
-	if len(got) == 0 || got[0].From != 1 {
-		t.Fatalf("DeliveredTo(2) = %v", got)
+	if d := res.rounds[0].Delivered[2]; len(d) != 0 {
+		t.Fatalf("round 0 deliveries to node 2: %v", d)
+	}
+	// Node 2's first delivery comes from node 1, in round 1.
+	if d := res.rounds[1].Delivered[2]; len(d) == 0 || d[0].From != 1 {
+		t.Fatalf("round 1 deliveries to node 2: %v", d)
 	}
 }
 
@@ -662,17 +662,17 @@ func TestEnginesEquivalent(t *testing.T) {
 			Source: r.Intn(n), SourceMsg: []byte("msg"),
 			NewNode: func(id int) Node { return &floodNode{} },
 			Rounds:  20, Seed: uint64(seed) * 31,
-			RecordHistory: true, TrackCompletion: true,
+			TrackCompletion: true,
 		}
 		if fault == Malicious || fault == LimitedMalicious {
 			cfg.Adversary = silencerAdversary{}
 		}
-		a, err := Run(cfg)
+		a, err := observed(cfg, Run)
 		if err != nil {
 			t.Logf("seq error: %v", err)
 			return false
 		}
-		b, err := RunConcurrent(cfg)
+		b, err := observed(cfg, RunConcurrent)
 		if err != nil {
 			t.Logf("conc error: %v", err)
 			return false
@@ -687,8 +687,8 @@ func TestEnginesEquivalent(t *testing.T) {
 				return false
 			}
 		}
-		for r := range a.History.Rounds {
-			ra, rb := &a.History.Rounds[r], &b.History.Rounds[r]
+		for r := range a.rounds {
+			ra, rb := a.rounds[r], b.rounds[r]
 			if fmt.Sprint(ra.Faulty) != fmt.Sprint(rb.Faulty) {
 				t.Logf("round %d faulty diverges", r)
 				return false

@@ -58,22 +58,22 @@ func hashIDs(ids []int) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// digestRun executes the configuration on engine (RecordHistory and
-// TrackCompletion forced on) and compresses the execution to per-round
-// digests.
+// digestRun executes the configuration on engine (TrackCompletion forced
+// on, and an Observer keeping every round record) and compresses the
+// execution to per-round digests.
 func digestRun(t *testing.T, family string, cfg *sim.Config, engine func(*sim.Config) (*sim.Result, error)) goldenTrace {
 	t.Helper()
 	c := *cfg
-	c.RecordHistory = true
 	c.TrackCompletion = true
+	var rounds []*sim.RoundRecord
+	c.Observer = func(rec *sim.RoundRecord) { rounds = append(rounds, rec) }
 	res, err := engine(&c)
 	if err != nil {
 		t.Fatalf("%s: %v", family, err)
 	}
 	trace := goldenTrace{Family: family, Graph: cfg.Graph.String(), Seed: cfg.Seed}
 	informed := make([]int, 0, cfg.Graph.N())
-	for r := range res.History.Rounds {
-		rec := &res.History.Rounds[r]
+	for r, rec := range rounds {
 		deliveries := 0
 		for _, d := range rec.Delivered {
 			deliveries += len(d)

@@ -388,7 +388,6 @@ func checkLanesVsScalar(t *testing.T, c diffCase) {
 	}
 
 	refCfg := *c.cfg
-	refCfg.RecordHistory = false
 	refCfg.TrackCompletion = false
 	runner, err := NewScalarRunner(&refCfg)
 	if err != nil {

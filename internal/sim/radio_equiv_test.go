@@ -55,7 +55,6 @@ func TestEnginesEquivalentRadio(t *testing.T) {
 			Source: r.Intn(n), SourceMsg: []byte("radio"),
 			NewNode: func(id int) Node { return &relayNode{} },
 			Rounds:  3 * n, Seed: uint64(seed)*17 + 3,
-			RecordHistory: true,
 		}
 		if fault == Malicious {
 			cfg.Adversary = outOfTurnAdversary{}
@@ -63,12 +62,12 @@ func TestEnginesEquivalentRadio(t *testing.T) {
 		if fault == LimitedMalicious {
 			cfg.Adversary = flipAdversary{}
 		}
-		a, err := Run(cfg)
+		a, err := observed(cfg, Run)
 		if err != nil {
 			t.Logf("seq: %v", err)
 			return false
 		}
-		b, err := RunConcurrent(cfg)
+		b, err := observed(cfg, RunConcurrent)
 		if err != nil {
 			t.Logf("conc: %v", err)
 			return false
@@ -82,8 +81,8 @@ func TestEnginesEquivalentRadio(t *testing.T) {
 				return false
 			}
 		}
-		for r := range a.History.Rounds {
-			if a.History.Rounds[r].Collisions != b.History.Rounds[r].Collisions {
+		for r := range a.rounds {
+			if a.rounds[r].Collisions != b.rounds[r].Collisions {
 				t.Logf("round %d collisions diverge", r)
 				return false
 			}

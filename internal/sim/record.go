@@ -7,8 +7,7 @@ type Received struct {
 }
 
 // RoundRecord captures everything that happened in one round. The engine
-// appends one per round when Config.RecordHistory is set and also passes it
-// to Config.Observer.
+// builds one per round for Config.Observer.
 type RoundRecord struct {
 	Round  int
 	Faulty []int // ids whose transmitter failed this round, increasing
@@ -21,32 +20,6 @@ type RoundRecord struct {
 	// Collisions counts radio receivers that had two or more transmitting
 	// neighbors this round (always 0 for message passing).
 	Collisions int
-}
-
-// History is the sequence of per-round records of an execution.
-type History struct {
-	Rounds []RoundRecord
-}
-
-// DeliveredTo returns, flattened across all recorded rounds, the messages
-// delivered to node v in order. The equivocating adversary uses this as
-// the σ of the Theorem 2.3/2.4 proofs (the sequence of messages actually
-// delivered to the receiver).
-func (h *History) DeliveredTo(v int) []Received {
-	var out []Received
-	for i := range h.Rounds {
-		out = append(out, h.Rounds[i].Delivered[v]...)
-	}
-	return out
-}
-
-// FaultCount returns the total number of (node, round) transmitter faults.
-func (h *History) FaultCount() int {
-	n := 0
-	for i := range h.Rounds {
-		n += len(h.Rounds[i].Faulty)
-	}
-	return n
 }
 
 // Stats aggregates an execution for reporting.
@@ -77,6 +50,4 @@ type Result struct {
 	InformedRound []int
 	Outputs       [][]byte
 	Stats         Stats
-	// History is non-nil iff Config.RecordHistory.
-	History *History
 }

@@ -133,27 +133,29 @@ func TestRunnerResultsDoNotAlias(t *testing.T) {
 	}
 }
 
-// TestRunnerHistoryFresh: with RecordHistory, each trial must get its own
-// history, not an append onto the previous trial's.
+// TestRunnerHistoryFresh: on a reused Runner, each trial's observer
+// stream must restart at round 0 and cover exactly the horizon, not
+// continue the previous trial's.
 func TestRunnerHistoryFresh(t *testing.T) {
 	cfg := runnerConfig(MessagePassing)
-	cfg.RecordHistory = true
+	var rec recorder
+	cfg.Observer = rec.observe
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := r.Run(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := r.Run(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.History == b.History {
-		t.Fatal("trials share a History")
-	}
-	if len(a.History.Rounds) != cfg.Rounds || len(b.History.Rounds) != cfg.Rounds {
-		t.Fatalf("history lengths %d/%d, want %d", len(a.History.Rounds), len(b.History.Rounds), cfg.Rounds)
+	for seed := uint64(1); seed <= 2; seed++ {
+		rec.rounds = nil
+		if _, err := r.Run(seed); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.rounds) != cfg.Rounds {
+			t.Fatalf("seed %d: observer saw %d rounds, want %d", seed, len(rec.rounds), cfg.Rounds)
+		}
+		for i, rr := range rec.rounds {
+			if rr.Round != i {
+				t.Fatalf("seed %d: record %d is round %d", seed, i, rr.Round)
+			}
+		}
 	}
 }

@@ -125,9 +125,10 @@ type Node interface {
 }
 
 // Exec is the read-only view of the current execution handed to an
-// Adversary each round. The paper's adversary is adaptive: it sees the
-// whole history, the algorithm's intended behaviour, and the source
-// message.
+// Adversary each round: the round, the algorithm's intended behaviour,
+// and the source message. The paper's adversary may also see the whole
+// history, but none of the adversaries here reads it (the equivocator is
+// history-free), so the engine keeps none.
 //
 // An Exec is valid only for the duration of the Corrupt call: the engine
 // reuses one value across rounds and trials, so adversaries must not
@@ -148,9 +149,6 @@ type Exec struct {
 	// Intents holds every node's intended transmissions this round,
 	// indexed by node id. Adversaries must not mutate it.
 	Intents [][]Transmission
-	// History is non-nil iff Config.RecordHistory; adaptive adversaries
-	// that need past deliveries (e.g. the equivocator) require it.
-	History *History
 	// Rand is the adversary's private random stream (deterministic per
 	// seed). Randomized adversary policies draw from it.
 	Rand *rng.Source
@@ -173,7 +171,7 @@ func (e *Exec) Replacements() map[int][]Transmission {
 // lists, with unspecified contents the caller overwrites. Slices from
 // successive calls within one Corrupt call are disjoint; all of them are
 // recycled on the next Corrupt call, after the engine has delivered (and,
-// when recording, deep-copied) the round they were returned for.
+// when observed, deep-copied) the round they were returned for.
 func (e *Exec) Transmissions(n int) []Transmission {
 	used := len(e.txs)
 	if used+n > cap(e.txs) {
@@ -241,17 +239,15 @@ type Config struct {
 	Seed uint64
 	// Adversary is required for Malicious/LimitedMalicious runs.
 	Adversary Adversary
-	// RecordHistory retains per-round actual transmissions and deliveries
-	// (memory-proportional to the execution); required by history-driven
-	// adversaries and by the trace CLI. (optional)
-	RecordHistory bool
 	// TrackCompletion makes the engine check after every round whether all
 	// outputs are already correct, so Result.CompletedRound reports the
 	// measured broadcast time. It costs an O(n) scan per round, so the
 	// Monte-Carlo harness enables it only for timing experiments. (optional)
 	TrackCompletion bool
 	// Observer, if non-nil, is invoked after each round with that round's
-	// record (regardless of RecordHistory). (optional)
+	// record, a deep copy the observer may keep. It is the one way to watch
+	// a run round by round (the trace CLI's log and counters, and the
+	// engine tests' record comparisons). (optional)
 	Observer func(r *RoundRecord)
 }
 

@@ -131,7 +131,9 @@ func (p Proportion) Rate() float64 {
 
 // Wilson returns the Wilson score interval at the given z (e.g. 1.96 for
 // 95%). It behaves sensibly at the extremes 0 and 1, unlike the normal
-// approximation.
+// approximation: an all-success sample's upper bound is exactly 1 and a
+// zero-success sample's lower bound exactly 0, as the closed form gives
+// (its float evaluation lands a few ulps inside).
 func (p Proportion) Wilson(z float64) (lo, hi float64) {
 	if p.Trials == 0 {
 		return 0, 1
@@ -143,10 +145,10 @@ func (p Proportion) Wilson(z float64) (lo, hi float64) {
 	center := (ph + z2/(2*n)) / den
 	half := z / den * math.Sqrt(ph*(1-ph)/n+z2/(4*n*n))
 	lo, hi = center-half, center+half
-	if lo < 0 {
+	if lo < 0 || p.Successes == 0 {
 		lo = 0
 	}
-	if hi > 1 {
+	if hi > 1 || p.Successes == p.Trials {
 		hi = 1
 	}
 	return lo, hi

@@ -221,6 +221,24 @@ func TestProportionRateAndWilson(t *testing.T) {
 	}
 }
 
+// TestWilsonExactAtExtremes: the closed form puts an all-success
+// sample's upper bound at exactly 1 and a zero-success sample's lower
+// bound at exactly 0, for every sample size and band; the float
+// evaluation lands a few ulps inside for many of them (n = 6 at z = 1.96
+// gives 1 − 1.1e−16).
+func TestWilsonExactAtExtremes(t *testing.T) {
+	for _, z := range []float64{1.96, 2.576, 3.29, 1.96 * 1.3, 2.576 * 1.3} {
+		for n := 1; n <= 5000; n++ {
+			if _, hi := (Proportion{Successes: n, Trials: n}).Wilson(z); hi != 1 {
+				t.Fatalf("z=%v n=%d all-success: hi = 1%+g, want 1", z, n, hi-1)
+			}
+			if lo, _ := (Proportion{Successes: 0, Trials: n}).Wilson(z); lo != 0 {
+				t.Fatalf("z=%v n=%d zero-success: lo = %g, want 0", z, n, lo)
+			}
+		}
+	}
+}
+
 func TestProportionEmpty(t *testing.T) {
 	p := Proportion{}
 	if !math.IsNaN(p.Rate()) {

@@ -3,12 +3,11 @@
 //
 // Per-round observation is a round-engine feature. The word-parallel
 // bitset round engine (sim.Run, sim.Runner) invokes Config.Observer after
-// every round with the same RoundRecord it appends to the recorded
-// History; the reference engines in internal/sim's tests are pinned to
-// that stream bit for bit. The lane-transposed trial-parallel core
-// (sim.LaneRunner) packs 64 trials into each machine word and never
-// materializes per-round records, so estimation on Core=lanes does not
-// invoke observers; observation there is per-batch
+// every round with that round's RoundRecord; the reference engines in
+// internal/sim's tests are pinned to that stream bit for bit. The
+// lane-transposed trial-parallel core (sim.LaneRunner) packs 64 trials
+// into each machine word and never materializes per-round records, so
+// estimation on the lane core does not invoke observers; observation there is per-batch
 // (faultcast.WithBatchProbe) or per-request (telemetry spans). Plan.Run
 // always executes on the round engine, so per-round logs remain available
 // for any scenario — including ones whose estimation path is

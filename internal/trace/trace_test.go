@@ -73,8 +73,7 @@ func TestCountersAggregate(t *testing.T) {
 // lane-eligible scenario: simpleomission over MessagePassing is one of
 // the configurations the root package lowers to the lane core for
 // estimation. Per-round observation still goes through the round engine,
-// which both streams records to the observer and, with RecordHistory,
-// keeps them in Result.History.
+// which streams one record per round to the observer.
 func laneEligibleConfig(observer func(*sim.RoundRecord)) *sim.Config {
 	g := graph.Line(7)
 	proto := simpleomission.New(g, 0, sim.MessagePassing, 1)
@@ -82,26 +81,32 @@ func laneEligibleConfig(observer func(*sim.RoundRecord)) *sim.Config {
 		Graph: g, Model: sim.MessagePassing, Fault: sim.Omission, P: 0.45,
 		Source: 0, SourceMsg: []byte("1"),
 		NewNode: proto.NewNode, Rounds: proto.Rounds(), Seed: 12,
-		RecordHistory: true,
-		Observer:      observer,
+		Observer: observer,
 	}
 }
 
-// replayHistory feeds a run's recorded history to observe, record by
-// record — the stream an observer attached to that run must have seen.
-func replayHistory(h *sim.History, observe func(*sim.RoundRecord)) {
-	for i := range h.Rounds {
-		observe(&h.Rounds[i])
+// recordRun runs the lane-eligible scenario once more, keeping every
+// record its observer receives, and replays them into observe — the
+// stream an observer attached to an identical run must have seen.
+func recordRun(t *testing.T, observe func(*sim.RoundRecord)) {
+	t.Helper()
+	var recs []*sim.RoundRecord
+	if _, err := sim.Run(laneEligibleConfig(func(r *sim.RoundRecord) { recs = append(recs, r) })); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		observe(r)
 	}
 }
 
 // TestCountersIdenticalAcrossRoundCores pins the observer contract on a
 // lane-eligible scenario: the per-round stream the observer receives is
-// the run's recorded History, so Counters fed live and Counters fed from
-// the History aggregate to the same totals. (The lane core is absent by
-// design — it has no per-round records to observe; see the package
-// comment. The scalar and goroutine-per-node reference engines are
-// pinned to the same History in internal/sim's differential tests.)
+// a deterministic record stream it may keep, so Counters fed live and
+// Counters fed from a kept copy of an identical run aggregate to the same
+// totals. (The lane core is absent by design — it has no per-round
+// records to observe; see the package comment. The scalar and
+// goroutine-per-node reference engines are pinned to the same stream in
+// internal/sim's differential tests.)
 func TestCountersIdenticalAcrossRoundCores(t *testing.T) {
 	live := NewCounters()
 	res, err := sim.Run(laneEligibleConfig(live.Observe))
@@ -109,14 +114,14 @@ func TestCountersIdenticalAcrossRoundCores(t *testing.T) {
 		t.Fatal(err)
 	}
 	recorded := NewCounters()
-	replayHistory(res.History, recorded.Observe)
+	recordRun(t, recorded.Observe)
 	if live.Rounds == 0 || live.Transmissions == 0 {
 		t.Fatalf("live counters empty: %+v", live)
 	}
 	if live.Rounds != recorded.Rounds || live.Faults != recorded.Faults ||
 		live.Transmissions != recorded.Transmissions ||
 		live.Deliveries != recorded.Deliveries || live.Collisions != recorded.Collisions {
-		t.Fatalf("observer stream differs from the history:\nlive     %+v\nrecorded %+v", live, recorded)
+		t.Fatalf("observer stream differs from the kept records:\nlive     %+v\nrecorded %+v", live, recorded)
 	}
 	if live.Faults != res.Stats.Faults || live.Deliveries != res.Stats.Deliveries {
 		t.Fatalf("observer totals %+v disagree with the run's stats %+v", live, res.Stats)
@@ -130,18 +135,17 @@ func TestCountersIdenticalAcrossRoundCores(t *testing.T) {
 
 // TestLoggerIdenticalAcrossRoundCores: the rendered per-round log — the
 // user-visible face of observation — is byte-identical whether it is
-// written live or rendered afterwards from the run's recorded History.
+// written live or rendered afterwards from kept records.
 func TestLoggerIdenticalAcrossRoundCores(t *testing.T) {
 	var live, recorded strings.Builder
-	res, err := sim.Run(laneEligibleConfig((&Logger{W: &live, Verbose: true}).Observe))
-	if err != nil {
+	if _, err := sim.Run(laneEligibleConfig((&Logger{W: &live, Verbose: true}).Observe)); err != nil {
 		t.Fatal(err)
 	}
-	replayHistory(res.History, (&Logger{W: &recorded, Verbose: true}).Observe)
+	recordRun(t, (&Logger{W: &recorded, Verbose: true}).Observe)
 	if live.Len() == 0 {
 		t.Fatal("empty live log")
 	}
 	if l, r := live.String(), recorded.String(); l != r {
-		t.Fatalf("live log differs from the recorded history:\nlive:\n%s\nrecorded:\n%s", l, r)
+		t.Fatalf("live log differs from the kept records:\nlive:\n%s\nrecorded:\n%s", l, r)
 	}
 }

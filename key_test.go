@@ -18,13 +18,11 @@ func TestConfigFingerprintSemantics(t *testing.T) {
 		t.Fatal("fingerprint not deterministic")
 	}
 
-	// Engine selection and tracing are observation, not semantics: the
-	// engines are proven bit-identical, so the key must not split on them.
+	// Tracing is observation, not semantics: the key must not split on it.
 	same := base
-	same.Core = CoreBitset
 	same.Trace = os.Stderr
 	if same.Fingerprint() != base.Fingerprint() {
-		t.Error("Core/Trace changed the fingerprint")
+		t.Error("Trace changed the fingerprint")
 	}
 
 	// A structurally identical graph under a different name hashes equal.
@@ -171,7 +169,7 @@ func TestSweepPlanKeyMatchesSeedlessFingerprint(t *testing.T) {
 		Cells: []Config{
 			{Graph: Line(8), Message: []byte("1"), Model: Radio, Fault: Omission, P: 0.4, Seed: 11},
 			{Graph: Grid(3, 3), Message: []byte("0"), Model: MessagePassing, Fault: LimitedMalicious,
-				P: 0.1, Algorithm: Composed, Seed: 12, Core: CoreBitset},
+				P: 0.1, Algorithm: Composed, Seed: 12},
 		},
 		Seed: 6,
 	}}

@@ -8,7 +8,7 @@ import (
 // TestLaneCoverageGate is the CI lane-coverage gate: every scenario shape
 // the ported experiment tables (internal/harness E1–E8, A1/A2, B1) sweep
 // over, plus the E5 star-adversary shape, must compile to the
-// lane-transposed core under the default Core=auto. No shape is exempt:
+// lane-transposed core under Compile's own choice. No shape is exempt:
 // anything falling back to the round engine is a silent coverage
 // regression and fails here.
 func TestLaneCoverageGate(t *testing.T) {
@@ -96,18 +96,18 @@ func TestLaneCoverageGate(t *testing.T) {
 	for _, s := range shapes {
 		plan, err := Compile(s.cfg)
 		if err != nil {
-			t.Fatalf("%s: Core=auto compile: %v", s.name, err)
+			t.Fatalf("%s: compile: %v", s.name, err)
 		}
 		if core := plan.EstimationCore(); core != "lanes" {
-			t.Errorf("%s: Core=auto selected %q, want the lane core", s.name, core)
+			t.Errorf("%s: Compile selected %q, want the lane core", s.name, core)
 		}
 	}
 }
 
-// TestLaneCoverageHeldShape pins the one shape Core=auto keeps on the
+// TestLaneCoverageHeldShape pins the one shape Compile keeps on the
 // round core although it has a lane lowering (heldOnRoundCore): the star
-// adversary on a star graph whose hub is the source. Core=lanes still
-// runs it on lanes, and the neighbouring shapes (the source at a leaf,
+// adversary on a star graph whose hub is the source. A plan forced onto
+// lanes still runs it there, and the neighbouring shapes (the source at a leaf,
 // omission on the same graph, the star adversary on a line) are not held.
 func TestLaneCoverageHeldShape(t *testing.T) {
 	star := Config{
@@ -121,16 +121,17 @@ func TestLaneCoverageHeldShape(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
+		core string // the core the plan is compiled on
 		want string
 	}{
-		{"hub source", star, "bitset"},
-		{"hub source, Core=lanes", withCore(star, CoreLanes), "lanes"},
-		{"leaf source", leaf, "lanes"},
-		{"omission", omission, "lanes"},
-		{"line", line, "lanes"},
+		{"hub source", star, "auto", "bitset"},
+		{"hub source, forced onto lanes", star, "lanes", "lanes"},
+		{"leaf source", leaf, "auto", "lanes"},
+		{"omission", omission, "auto", "lanes"},
+		{"line", line, "auto", "lanes"},
 	}
 	for _, tc := range cases {
-		plan, err := Compile(tc.cfg)
+		plan, err := compileOn(tc.cfg, tc.core)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

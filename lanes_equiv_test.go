@@ -246,11 +246,6 @@ func laneScenarios() map[string]Config {
 	}
 }
 
-func withCore(cfg Config, core Core) Config {
-	cfg.Core = core
-	return cfg
-}
-
 // TestLanesPerTrialIdentity pins the tentpole contract at per-trial
 // granularity: a shard tally with batch 1 exposes every individual trial
 // verdict, and the lane-transposed core must match the bitset core
@@ -260,14 +255,14 @@ func withCore(cfg Config, core Core) Config {
 func TestLanesPerTrialIdentity(t *testing.T) {
 	const trials = 70
 	for name, cfg := range laneScenarios() {
-		lanes, err := Compile(withCore(cfg, CoreLanes))
+		lanes, err := compileOn(cfg, "lanes")
 		if err != nil {
 			t.Fatalf("%s: compile lanes: %v", name, err)
 		}
-		if lanes.newBlockMaker() == nil {
-			t.Fatalf("%s: lane plan has no block maker", name)
+		if lanes.EstimationCore() != "lanes" {
+			t.Fatalf("%s: forced lane plan estimates on %s", name, lanes.EstimationCore())
 		}
-		bitset, err := Compile(withCore(cfg, CoreBitset))
+		bitset, err := compileOn(cfg, "bitset")
 		if err != nil {
 			t.Fatalf("%s: compile bitset: %v", name, err)
 		}
@@ -288,11 +283,11 @@ func TestLanesPerTrialIdentity(t *testing.T) {
 // stream bit-identically on the lane core.
 func TestLanesEstimateIdentity(t *testing.T) {
 	for name, cfg := range laneScenarios() {
-		lanes, err := Compile(withCore(cfg, CoreLanes))
+		lanes, err := compileOn(cfg, "lanes")
 		if err != nil {
 			t.Fatalf("%s: compile lanes: %v", name, err)
 		}
-		bitset, err := Compile(withCore(cfg, CoreBitset))
+		bitset, err := compileOn(cfg, "bitset")
 		if err != nil {
 			t.Fatalf("%s: compile bitset: %v", name, err)
 		}
@@ -390,11 +385,11 @@ func (s *memTallyStore) AppendTally(planKey string, baseSeed uint64, batch int, 
 // bit-identical to a cold full-budget bitset run.
 func TestLanesStoreBackedRefinementIdentity(t *testing.T) {
 	for name, cfg := range laneScenarios() {
-		lanes, err := Compile(withCore(cfg, CoreLanes))
+		lanes, err := compileOn(cfg, "lanes")
 		if err != nil {
 			t.Fatalf("%s: compile lanes: %v", name, err)
 		}
-		bitset, err := Compile(withCore(cfg, CoreBitset))
+		bitset, err := compileOn(cfg, "bitset")
 		if err != nil {
 			t.Fatalf("%s: compile bitset: %v", name, err)
 		}
@@ -428,11 +423,11 @@ func TestLanesStoreBackedRefinementIdentity(t *testing.T) {
 // boundaries (batch 48 vs block width 64).
 func TestLanesShardTallyIdentity(t *testing.T) {
 	for name, cfg := range laneScenarios() {
-		lanes, err := Compile(withCore(cfg, CoreLanes))
+		lanes, err := compileOn(cfg, "lanes")
 		if err != nil {
 			t.Fatalf("%s: compile lanes: %v", name, err)
 		}
-		bitset, err := Compile(withCore(cfg, CoreBitset))
+		bitset, err := compileOn(cfg, "bitset")
 		if err != nil {
 			t.Fatalf("%s: compile bitset: %v", name, err)
 		}
@@ -449,11 +444,10 @@ func TestLanesShardTallyIdentity(t *testing.T) {
 	}
 }
 
-// TestCoreLanesUnsupported pins the Compile-time gate for the shapes that
-// remain outside the lane lowering: each must fail under Core=lanes with
-// an error naming the specific blocking feature, and silently fall back
-// to the round engine under the default CoreAuto — except a shape no
-// engine can run, which every core must reject with the same error.
+// TestCoreLanesUnsupported pins the shapes that remain outside the lane
+// lowering: each has no lane lowering to force, and Compile falls back to
+// the round engine for it — except a shape no engine can run, which
+// Compile rejects with an error naming it.
 func TestCoreLanesUnsupported(t *testing.T) {
 	base := Config{
 		Graph: Line(6), Source: 0, Message: []byte("1"),
@@ -462,12 +456,11 @@ func TestCoreLanesUnsupported(t *testing.T) {
 	}
 	cases := map[string]struct {
 		cfg      Config
-		want     string
-		rejected bool // no core runs it: CoreAuto fails too
+		want     string // the Compile error of a rejected shape
+		rejected bool   // no core runs it: Compile fails
 	}{
 		"default message": {
-			cfg:  func() Config { c := base; c.Message = []byte("0"); c.Adversary = CrashAdv; return c }(),
-			want: "default symbol",
+			cfg: func() Config { c := base; c.Message = []byte("0"); c.Adversary = CrashAdv; return c }(),
 		},
 		"limited-malicious radio star": {
 			cfg: Config{
@@ -480,42 +473,35 @@ func TestCoreLanesUnsupported(t *testing.T) {
 		},
 	}
 	for name, tc := range cases {
-		cfg := tc.cfg
-		cfg.Core = CoreLanes
-		_, err := Compile(cfg)
-		if err == nil {
-			t.Errorf("%s: Core=lanes compiled but the scenario has no lane lowering", name)
-		} else if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: Core=lanes error %q does not name the blocking feature %q", name, err, tc.want)
+		if _, err := compileOn(tc.cfg, "lanes"); err == nil {
+			t.Errorf("%s: forced onto lanes, but the scenario has no lane lowering", name)
 		}
-		// CoreAuto must still compile (falling back to the round engine) …
-		cfg.Core = CoreAuto
-		plan, err := Compile(cfg)
+		plan, err := Compile(tc.cfg)
 		if tc.rejected {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("%s: CoreAuto error %v, want one naming %q", name, err, tc.want)
+				t.Errorf("%s: Compile error %v, want one naming %q", name, err, tc.want)
 			}
 			continue
 		}
 		if err != nil {
-			t.Fatalf("%s: CoreAuto: %v", name, err)
+			t.Fatalf("%s: Compile: %v", name, err)
 		}
-		// … without a lane block maker.
-		if plan.newBlockMaker() != nil {
-			t.Errorf("%s: CoreAuto plan unexpectedly built a lane block maker", name)
+		if core := plan.EstimationCore(); core != "bitset" {
+			t.Errorf("%s: Compile picked %s, want the round engine", name, core)
 		}
 	}
 }
 
-// TestCoreLanesErrorNamesFeature walks every gated shape and checks the
-// Core=lanes compile error names the unsupported feature, table-driven
-// over the gate reasons buildLaneSpec can emit and the shape Compile
-// rejects outright.
+// TestCoreLanesErrorNamesFeature walks every gated shape, table-driven:
+// a content protocol broadcasting the default message has no lane
+// lowering (the one gate buildLaneSpec keeps) and estimates on the round
+// engine, and the shape Compile rejects outright gets an error naming
+// the unsupported feature.
 func TestCoreLanesErrorNamesFeature(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
-		want string
+		want string // "" = a gated shape that compiles onto bitset
 	}{
 		{
 			name: "flooding default message",
@@ -524,7 +510,6 @@ func TestCoreLanesErrorNamesFeature(t *testing.T) {
 				Model: MessagePassing, Fault: Omission, P: 0.3,
 				Algorithm: Flooding,
 			},
-			want: `message "0" is the default symbol`,
 		},
 		{
 			name: "simple-omission default message",
@@ -533,7 +518,6 @@ func TestCoreLanesErrorNamesFeature(t *testing.T) {
 				Model: MessagePassing, Fault: Omission, P: 0.3, WindowC: 1,
 				Algorithm: SimpleOmission,
 			},
-			want: "default symbol",
 		},
 		{
 			name: "composed default message",
@@ -542,7 +526,6 @@ func TestCoreLanesErrorNamesFeature(t *testing.T) {
 				Model: MessagePassing, Fault: LimitedMalicious, P: 0.2,
 				Algorithm: Composed, Adversary: CrashAdv,
 			},
-			want: "default symbol",
 		},
 		{
 			name: "limited-malicious radio worst-case star",
@@ -555,27 +538,40 @@ func TestCoreLanesErrorNamesFeature(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		cfg := tc.cfg
-		cfg.Core = CoreLanes
-		_, err := Compile(cfg)
-		if err == nil {
-			t.Errorf("%s: expected a Core=lanes compile error", tc.name)
+		if _, lanes, _ := build(tc.cfg); lanes != nil {
+			t.Errorf("%s: the gated shape has a lane lowering", tc.name)
+		}
+		plan, err := Compile(tc.cfg)
+		if tc.want != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: Compile error %v does not contain %q", tc.name, err, tc.want)
+			}
 			continue
 		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		} else if core := plan.EstimationCore(); core != "bitset" {
+			t.Errorf("%s: estimates on %s, want bitset", tc.name, core)
 		}
 	}
 }
 
 // TestCoreExcludedFromFingerprint pins the cache-key contract: the engine
-// selectors cannot change a result, so they must not change the key.
+// a plan estimates on cannot change a result, so plans of one scenario
+// forced onto either core share one key.
 func TestCoreExcludedFromFingerprint(t *testing.T) {
 	cfg := laneScenarios()["composed/limited/flip"]
-	base := cfg.Fingerprint()
-	for _, core := range []Core{CoreBitset, CoreLanes} {
-		if got := withCore(cfg, core).Fingerprint(); got != base {
-			t.Fatalf("Core=%v changed the fingerprint", core)
+	auto, err := Compile(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, core := range []string{"bitset", "lanes"} {
+		plan, err := compileOn(cfg, core)
+		if err != nil {
+			t.Fatalf("%s: %v", core, err)
+		}
+		if plan.Key() != cfg.Fingerprint() || plan.StoreKey() != auto.StoreKey() {
+			t.Fatalf("the %s plan changed the key", core)
 		}
 	}
 	if !strings.Contains(cfg.CanonicalString(), "algo:") {

@@ -39,13 +39,12 @@ func TestSweepGoldenLaneFamilies(t *testing.T) {
 	}
 	for i := range cells {
 		cells[i].Message = []byte("1")
-		cells[i].Core = CoreLanes
 	}
-	sp, err := CompileSweep(SweepSpec{
+	sp, err := compileSweepOn(SweepSpec{
 		Cells:  cells,
 		Seed:   0x5eed,
 		Budget: CellBudget{Trials: 512, HalfWidth: 0.04},
-	})
+	}, "lanes")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,17 +76,17 @@ func TestSweepGoldenLaneFamilies(t *testing.T) {
 // p*(Δ)·{0.5, 0.8, 0.95, 1.1}, window constant 4, message "1", ±0.02
 // half-width within 4096 trials. The two cells above p* run the
 // adversary's slowing draws. The table was recorded on the bitset round
-// core, before the star adversary had a lane lowering; it must hold under
-// Core=auto (which keeps the star:4 cells, source at the hub, on the round
-// core) and with every cell forced onto the lane core. It is
+// core, before the star adversary had a lane lowering; it must hold on
+// Compile's own choice (which keeps the star:4 cells, source at the hub,
+// on the round core) and with every cell forced onto the lane core. It is
 // deterministic on every machine and worker count.
 func TestLanesGoldenStarCurveCells(t *testing.T) {
-	for _, core := range []Core{CoreAuto, CoreLanes} {
-		t.Run(core.String(), func(t *testing.T) { checkGoldenStarCurveCells(t, core) })
+	for _, core := range []string{"auto", "lanes"} {
+		t.Run(core, func(t *testing.T) { checkGoldenStarCurveCells(t, core) })
 	}
 }
 
-func checkGoldenStarCurveCells(t *testing.T, core Core) {
+func checkGoldenStarCurveCells(t *testing.T, core string) {
 	var cells []Config
 	for _, spec := range []string{"star:4", "line:8"} {
 		g, err := ParseGraph(spec, 0)
@@ -98,15 +97,15 @@ func checkGoldenStarCurveCells(t *testing.T, core Core) {
 		for _, f := range []float64{0.5, 0.8, 0.95, 1.1} {
 			cells = append(cells, Config{
 				Graph: g, Message: []byte("1"), Model: Radio, Fault: Malicious,
-				P: f * pStar, WindowC: 4, Adversary: WorstCase, Core: core,
+				P: f * pStar, WindowC: 4, Adversary: WorstCase,
 			})
 		}
 	}
-	sp, err := CompileSweep(SweepSpec{
+	sp, err := compileSweepOn(SweepSpec{
 		Cells:  cells,
 		Seed:   7,
 		Budget: CellBudget{Trials: 4096, HalfWidth: 0.02},
-	})
+	}, core)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +121,8 @@ func checkGoldenStarCurveCells(t *testing.T, core Core) {
 		t.Fatalf("got %d cells, want %d", len(results), len(golden))
 	}
 	for i, want := range golden {
-		if got := sp.Cells()[i].Plan().EstimationCore(); core == CoreLanes && got != "lanes" {
-			t.Errorf("cell %d: Core=lanes ran on %q", i, got)
+		if got := sp.Cells()[i].Plan().EstimationCore(); core == "lanes" && got != "lanes" {
+			t.Errorf("cell %d: forced onto lanes, ran on %q", i, got)
 		}
 		if got := results[i].Estimate; got.Succeeds != want.succ || got.Trials != want.trials {
 			t.Errorf("cell %d: got %d/%d, golden %d/%d (%s)",
@@ -160,17 +159,17 @@ func TestGoldenComposedCurveCells(t *testing.T) {
 		{0.30, 1145, 1145, 508, 63},
 	}
 	for _, run := range []struct {
-		core   Core
+		core   string
 		trials int
-	}{{CoreLanes, 512}, {CoreBitset, 64}} {
+	}{{"lanes", 512}, {"bitset", 64}} {
 		var cells []Config
 		for _, c := range golden {
 			cells = append(cells, Config{
 				Graph: g, Message: []byte("1"), Model: MessagePassing, Fault: LimitedMalicious,
-				P: c.p, Algorithm: Composed, Adversary: WorstCase, Rounds: c.override, Core: run.core,
+				P: c.p, Algorithm: Composed, Adversary: WorstCase, Rounds: c.override,
 			})
 		}
-		sp, err := CompileSweep(SweepSpec{Cells: cells, Seed: 7, Budget: CellBudget{Trials: run.trials}})
+		sp, err := compileSweepOn(SweepSpec{Cells: cells, Seed: 7, Budget: CellBudget{Trials: run.trials}}, run.core)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,14 +179,14 @@ func TestGoldenComposedCurveCells(t *testing.T) {
 		}
 		for i, want := range golden {
 			plan := sp.Cells()[i].Plan()
-			if got := plan.EstimationCore(); got != run.core.String() {
-				t.Errorf("cell %d: Core=%s ran on %q", i, run.core, got)
+			if got := plan.EstimationCore(); got != run.core {
+				t.Errorf("cell %d: forced onto %s, ran on %q", i, run.core, got)
 			}
 			if got := plan.Rounds(); got != want.rounds {
 				t.Errorf("cell %d (p=%v): rounds %d, golden %d", i, want.p, got, want.rounds)
 			}
 			succ := want.lanesSucc
-			if run.core == CoreBitset {
+			if run.core == "bitset" {
 				succ = want.bitsetSucc
 			}
 			if got := results[i].Estimate; got.Succeeds != succ || got.Trials != run.trials {

@@ -43,11 +43,10 @@ func monotoneScenarios() map[string]struct {
 }
 
 // compileAt compiles cfg at failure probability p on core.
-func compileAt(t *testing.T, cfg Config, p float64, core Core) *Plan {
+func compileAt(t *testing.T, cfg Config, p float64, core string) *Plan {
 	t.Helper()
 	cfg.P = p
-	cfg.Core = core
-	plan, err := Compile(cfg)
+	plan, err := compileOn(cfg, core)
 	if err != nil {
 		t.Fatalf("p=%v core=%v: %v", p, core, err)
 	}
@@ -66,7 +65,7 @@ func TestCoupledMonotoneInP(t *testing.T) {
 	)
 	for name, sc := range monotoneScenarios() {
 		t.Run(name, func(t *testing.T) {
-			for _, core := range []Core{CoreLanes, CoreBitset} {
+			for _, core := range []string{"lanes", "bitset"} {
 				prev, varied := trials+1, false
 				for _, p := range sc.ps {
 					est, err := compileAt(t, sc.cfg, p, core).Estimate(trials, WithBaseSeed(seed), WithWorkers(2))
@@ -90,8 +89,8 @@ func TestCoupledMonotoneInP(t *testing.T) {
 			var prevShard ShardTally
 			prevRun := make([]bool, runTrials)
 			for i, p := range sc.ps {
-				shard := compileAt(t, sc.cfg, p, CoreLanes).TallyShard(seed, shardTrials, 1, 2)
-				plan := compileAt(t, sc.cfg, p, CoreBitset)
+				shard := compileAt(t, sc.cfg, p, "lanes").TallyShard(seed, shardTrials, 1, 2)
+				plan := compileAt(t, sc.cfg, p, "bitset")
 				for j := 0; j < shardTrials; j++ {
 					if i > 0 && shard.Successes[j] > prevShard.Successes[j] {
 						t.Fatalf("lane trial %d succeeds at p=%v but fails at p=%v", j, p, sc.ps[i-1])

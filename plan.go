@@ -16,9 +16,9 @@ import (
 // Config — protocol construction (including the Kučera composition plan,
 // the BFS spanning tree, and the greedy radio schedule), the adversary,
 // and the round horizon — performed once, so that many Monte-Carlo trials
-// can run without repeating any of it. Compile also resolves Config.Core
-// to the one engine the plan's estimation trials run on (lanes or bitset;
-// bit-identical, as the differential tests prove).
+// can run without repeating any of it. Compile also picks, from the
+// scenario alone, the one engine the plan's estimation trials run on
+// (lanes or bitset; bit-identical, as the differential tests prove).
 //
 // Compile once per scenario, then call Run per trial or Estimate per
 // sweep point. A Plan is immutable after Compile and safe for concurrent
@@ -28,9 +28,8 @@ import (
 // ignores Trace).
 type Plan struct {
 	cfg   Config        // the scenario, as passed to Compile (Trace/Seed included)
-	core  Core          // the resolved engine: never CoreAuto
 	sim   *sim.Config   // compiled engine configuration template
-	lanes *sim.LaneSpec // lane-transposed lowering (nil unless core is CoreLanes)
+	lanes *sim.LaneSpec // lane-transposed lowering; nil: estimation runs on bitset
 
 	// storeKey memoises StoreKey on first use: the hash is paid once per
 	// plan, and only by plans that touch a tally store.
@@ -44,41 +43,22 @@ type Plan struct {
 // performs every per-scenario computation exactly once; the returned
 // Plan's Run and Estimate only pay per-trial simulation cost.
 //
-// Config.Core is resolved here, once: CoreAuto becomes CoreLanes when the
-// scenario has a lane lowering (and is not heldOnRoundCore), CoreBitset
-// otherwise; CoreLanes without a lowering, and any value outside auto,
-// lanes and bitset, is an error.
+// The estimation engine is chosen here, once: the lane core when the
+// scenario has a lane lowering (and is not heldOnRoundCore), the bitset
+// round core otherwise.
 //
 // Config.Seed is kept as the default base seed for Estimate; Config.Trace
 // is honored by Plan.Run (each run appends to the writer), and ignored by
 // Estimate.
 func Compile(cfg Config) (*Plan, error) {
-	simCfg, lanes, laneGate, err := build(cfg)
+	simCfg, lanes, err := build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	core := cfg.Core
-	switch core {
-	case CoreAuto:
-		core = CoreBitset
-		if lanes != nil && !heldOnRoundCore(cfg) {
-			core = CoreLanes
-		}
-	case CoreLanes:
-		if lanes == nil {
-			return nil, fmt.Errorf("faultcast: Core=lanes unsupported here: %s (algorithm %s, adversary %s, message %q)",
-				laneGate, cfg.Algorithm, cfg.Adversary, cfg.Message)
-		}
-	case CoreBitset:
-	default:
-		return nil, fmt.Errorf("faultcast: unknown core %d", int(cfg.Core))
+	if heldOnRoundCore(cfg) {
+		lanes = nil
 	}
-	if core != CoreLanes {
-		lanes = nil // estimation stays on the round engine
-	} else if err := lanes.Validate(); err != nil {
-		return nil, fmt.Errorf("faultcast: lane lowering: %w", err)
-	}
-	return &Plan{cfg: cfg, core: core, sim: simCfg, lanes: lanes}, nil
+	return &Plan{cfg: cfg, sim: simCfg, lanes: lanes}, nil
 }
 
 // Config returns the scenario this plan was compiled from.
@@ -102,8 +82,9 @@ func (p *Plan) AlmostSafeTarget() float64 {
 // Run executes one trial of the compiled scenario with the given seed. It
 // is bit-identical to the one-shot Run with the same Config and seed, and
 // repeated calls with the same seed return identical results (no state
-// leaks between trials). Every core runs single trials on the bitset
-// round engine; Config.Trace, if set, receives this run's per-round log.
+// leaks between trials). Single trials always run on the bitset round
+// engine, whichever core estimates; Config.Trace, if set, receives this
+// run's per-round log.
 func (p *Plan) Run(seed uint64) (Result, error) {
 	simCfg := *p.sim
 	simCfg.Seed = seed
@@ -252,16 +233,14 @@ func (p *Plan) Estimate(trials int, opts ...EstimateOption) (Estimate, error) {
 	// the same machinery with the same determinism contract. A configured
 	// dispatcher (WithDispatcher) replaces the in-process pool; the cell
 	// carries its Config so a remote dispatcher can ship the scenario.
-	cell := exec.Cell{
+	cell := p.withTrials(exec.Cell{
 		MaxTrials: trials,
 		BaseSeed:  baseSeed,
 		Rule:      o.rule,
-		NewTrial:  p.newTrialMaker(),
-		NewBlock:  p.newBlockMaker(),
 		Scenario:  p.cfg,
 		Trace:     o.span,
 		Probe:     o.probe,
-	}
+	})
 	var rec *tallyRecorder
 	if o.store != nil {
 		replaySpan := o.span.StartChild("store-replay")
@@ -362,10 +341,9 @@ type ShardTally struct {
 // may re-run a dropped shard anywhere, even concurrently with a straggling
 // first attempt, and fold in whichever copy returns.
 func (p *Plan) TallyShard(baseSeed uint64, trials, batch, workers int) ShardTally {
-	t := exec.TallyCell(workers, exec.Cell{
+	t := exec.TallyCell(workers, p.withTrials(exec.Cell{
 		MaxTrials: trials, BaseSeed: baseSeed, Bucket: batch,
-		NewTrial: p.newTrialMaker(), NewBlock: p.newBlockMaker(),
-	})
+	}))
 	return ShardTally{Trials: t.Trials, Batch: t.Batch, Successes: t.Successes}
 }
 
@@ -375,7 +353,23 @@ func (p *Plan) TallyShard(baseSeed uint64, trials, batch, workers int) ShardTall
 // round core). The choice is a pure function of
 // the compiled plan — results are bit-identical across cores; this is the
 // observability hook the serving layer reports per response.
-func (p *Plan) EstimationCore() string { return p.core.String() }
+func (p *Plan) EstimationCore() string {
+	if p.lanes != nil {
+		return "lanes"
+	}
+	return "bitset"
+}
+
+// withTrials sets c's one trial constructor: the lane block maker on a
+// lane plan, the round-engine trial maker otherwise.
+func (p *Plan) withTrials(c exec.Cell) exec.Cell {
+	if p.lanes != nil {
+		c.NewBlock = p.newBlockMaker()
+	} else {
+		c.NewTrial = p.newTrialMaker()
+	}
+	return c
+}
 
 // newTrialMaker returns the per-worker trial constructor for this plan:
 // a reusable round-engine Runner per worker.
@@ -395,14 +389,10 @@ func (p *Plan) newTrialMaker() stat.TrialMaker {
 	}
 }
 
-// newBlockMaker returns the per-worker block-trial constructor for this
-// plan — a reusable lane-transposed runner per worker, computing 64
-// trials per call with verdicts bit-identical to newTrialMaker's — or nil
-// unless the plan resolved to CoreLanes.
+// newBlockMaker returns the per-worker block-trial constructor of a lane
+// plan: a reusable lane-transposed runner per worker, computing 64 trials
+// per call with verdicts bit-identical to newTrialMaker's.
 func (p *Plan) newBlockMaker() stat.TrialBlockMaker {
-	if p.core != CoreLanes {
-		return nil
-	}
 	spec := p.lanes
 	return func() stat.TrialBlock {
 		lr, err := sim.NewLaneRunner(spec)

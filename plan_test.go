@@ -3,6 +3,8 @@ package faultcast
 import (
 	"strings"
 	"testing"
+
+	"faultcast/internal/exec"
 )
 
 // planScenarios enumerates one configuration per (model × fault ×
@@ -108,7 +110,7 @@ func TestPlanCoresAndEnginesEquivalent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bitset, err := Compile(withCore(cfg, CoreBitset))
+			bitset, err := compileOn(cfg, "bitset")
 			if err != nil {
 				t.Fatalf("bitset: %v", err)
 			}
@@ -125,7 +127,7 @@ func TestPlanCoresAndEnginesEquivalent(t *testing.T) {
 					t.Fatalf("bitset seed %d: %+v != default %+v", seed, got, want)
 				}
 			}
-			lanes, err := Compile(withCore(cfg, CoreLanes))
+			lanes, err := compileOn(cfg, "lanes")
 			if err != nil {
 				return // no lane lowering: nothing to compare Run with
 			}
@@ -209,11 +211,11 @@ func TestPlanEstimateMatchesPerTrialRuns(t *testing.T) {
 }
 
 // TestPlanCoresResolvedAtCompile pins the engine resolution table:
-// Compile turns every Core value into exactly one concrete engine, which
-// EstimationCore reports and the lane block maker follows. CoreAuto picks
-// lanes only for a lowered shape that is not held; CoreLanes without a
-// lowering, and any Core other than auto, lanes and bitset, fail to
-// compile.
+// Compile picks exactly one engine from the scenario, which
+// EstimationCore reports and the exec cell's trial constructor follows —
+// lanes only for a lowered shape that is not held — and a plan forced
+// onto a core by the tests runs there, while forcing lanes without a
+// lowering fails.
 func TestPlanCoresResolvedAtCompile(t *testing.T) {
 	star := Config{
 		Graph: Star(4), Source: 0, Message: []byte("1"),
@@ -223,50 +225,45 @@ func TestPlanCoresResolvedAtCompile(t *testing.T) {
 	defaultMsg.Message = []byte("0")
 	scenarios := map[string]struct {
 		cfg  Config
-		want map[Core]string // "" = Compile must fail
+		want map[string]string // forced core → resolved; "" = must fail
 	}{
-		"lane-lowered": {planScenarios()["mp/omission/flooding"], map[Core]string{
-			CoreAuto: "lanes", CoreLanes: "lanes", CoreBitset: "bitset",
+		"lane-lowered": {planScenarios()["mp/omission/flooding"], map[string]string{
+			"auto": "lanes", "lanes": "lanes", "bitset": "bitset",
 		}},
-		"default message": {defaultMsg, map[Core]string{
-			CoreAuto: "bitset", CoreLanes: "", CoreBitset: "bitset",
+		"default message": {defaultMsg, map[string]string{
+			"auto": "bitset", "lanes": "", "bitset": "bitset",
 		}},
-		"held hub-source star": {star, map[Core]string{
-			CoreAuto: "bitset", CoreLanes: "lanes", CoreBitset: "bitset",
+		"held hub-source star": {star, map[string]string{
+			"auto": "bitset", "lanes": "lanes", "bitset": "bitset",
 		}},
 	}
 	for name, sc := range scenarios {
 		for core, want := range sc.want {
-			plan, err := Compile(withCore(sc.cfg, core))
+			plan, err := compileOn(sc.cfg, core)
 			if want == "" {
-				if err == nil || !strings.Contains(err.Error(), "Core=lanes unsupported") {
-					t.Errorf("%s, Core=%v: Compile error %v, want the lane gate", name, core, err)
+				if err == nil {
+					t.Errorf("%s on %s: compiled without a lane lowering", name, core)
 				}
 				continue
 			}
 			if err != nil {
-				t.Fatalf("%s, Core=%v: %v", name, core, err)
+				t.Fatalf("%s on %s: %v", name, core, err)
 			}
 			if got := plan.EstimationCore(); got != want {
-				t.Errorf("%s, Core=%v: resolved %q, want %q", name, core, got, want)
+				t.Errorf("%s on %s: resolved %q, want %q", name, core, got, want)
 			}
-			if lanes := plan.newBlockMaker() != nil; lanes != (want == "lanes") {
-				t.Errorf("%s, Core=%v: lane block maker %v, resolved %q", name, core, lanes, want)
-			}
-		}
-		// 2 and 4 named the retired scalar and goroutine-per-node cores.
-		for _, bad := range []Core{-1, 2, 4, 5, 99} {
-			if _, err := Compile(withCore(sc.cfg, bad)); err == nil || !strings.Contains(err.Error(), "unknown core") {
-				t.Errorf("%s: Core(%d) compile error %v, want unknown core", name, int(bad), err)
+			c := plan.withTrials(exec.Cell{})
+			if (c.NewBlock != nil) != (want == "lanes") || (c.NewTrial != nil) == (want == "lanes") {
+				t.Errorf("%s on %s: cell trial constructors do not follow %q", name, core, want)
 			}
 		}
 	}
 }
 
-// TestPlanEstimateHonorsConcurrent: an explicit Core=bitset plan must
-// estimate on the bitset core, with workers, and return exactly the
-// default (Core=auto, here lanes) plan's estimate: the core selector
-// changes only how fast an answer arrives.
+// TestPlanEstimateHonorsConcurrent: a plan forced onto the bitset core
+// must estimate there, with workers, and return exactly the default
+// (here lanes) plan's estimate: the engine changes only how fast an
+// answer arrives.
 func TestPlanEstimateHonorsConcurrent(t *testing.T) {
 	cfg := planScenarios()["mp/omission/flooding"]
 	cfg.Seed = 9
@@ -274,8 +271,7 @@ func TestPlanEstimateHonorsConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Core = CoreBitset
-	bitPlan, err := Compile(cfg)
+	bitPlan, err := compileOn(cfg, "bitset")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,9 +381,9 @@ func TestCompileRejectsLimitedMaliciousStar(t *testing.T) {
 		Model: Radio, Fault: LimitedMalicious, P: 0.2, WindowC: 4,
 		Adversary: WorstCase,
 	}
-	for _, core := range []Core{CoreAuto, CoreLanes, CoreBitset} {
-		if _, err := Compile(withCore(star, core)); err == nil || !strings.Contains(err.Error(), "star adversary") {
-			t.Errorf("Core=%v: Compile error %v, want one naming the star adversary", core, err)
+	for _, core := range []string{"auto", "lanes", "bitset"} {
+		if _, err := compileOn(star, core); err == nil || !strings.Contains(err.Error(), "star adversary") {
+			t.Errorf("on %s: Compile error %v, want one naming the star adversary", core, err)
 		}
 	}
 	if _, err := Run(star); err == nil {

@@ -208,49 +208,6 @@ type Config struct {
 	// transmissions, deliveries, collisions). Single runs only; ignored
 	// by EstimateSuccess.
 	Trace io.Writer
-	// Core selects the engine that runs this scenario's estimation
-	// trials. The default CoreAuto uses the lane-transposed
-	// trial-parallel core — 64 trials per machine word — whenever the
-	// scenario supports it, falling back to the bitset round core
-	// otherwise; the cores are proven bit-identical by the differential
-	// test matrix, so Core changes only how fast an answer arrives.
-	// Single runs (Plan.Run) always use the bitset round core, the only
-	// one that produces full per-run statistics.
-	Core Core
-}
-
-// Core selects the estimation engine. Compile resolves it once: a Plan
-// estimates on exactly one of lanes or bitset.
-type Core int
-
-// The Core values. 2 and 4 are retired (they named the scalar and
-// goroutine-per-node reference engines, now test-only) and fail to
-// compile like any other out-of-range value.
-const (
-	// CoreAuto picks the fastest supported core: the lane-transposed
-	// trial-parallel core when the scenario has a lane lowering, the
-	// word-parallel bitset core otherwise. One lowered shape is held on
-	// the bitset core (see heldOnRoundCore).
-	CoreAuto Core = 0
-	// CoreBitset forces the word-parallel bitset round core.
-	CoreBitset Core = 1
-	// CoreLanes forces the lane-transposed trial-parallel core for
-	// estimation; Compile fails if the scenario has no lane lowering.
-	CoreLanes Core = 3
-)
-
-// String returns the core's name, the form Plan.EstimationCore reports.
-func (c Core) String() string {
-	switch c {
-	case CoreAuto:
-		return "auto"
-	case CoreBitset:
-		return "bitset"
-	case CoreLanes:
-		return "lanes"
-	default:
-		return fmt.Sprintf("Core(%d)", int(c))
-	}
 }
 
 // CanonicalString returns a deterministic serialization of the
@@ -261,11 +218,8 @@ func (c Core) String() string {
 // produce the same string iff every trial stream they describe is
 // bit-identical.
 //
-// Excluded on purpose: Trace (observation, not semantics) and the engine
-// selector Core — every core is proven bit-identical to the default by
-// the differential test matrix, so it cannot change a result, only how
-// fast it arrives. Seed
-// IS included: results are deterministic in (config, seed), so different
+// Excluded on purpose: Trace (observation, not semantics). Seed IS
+// included: results are deterministic in (config, seed), so different
 // seeds are different computations.
 func (cfg Config) CanonicalString() string {
 	var b strings.Builder
@@ -285,9 +239,8 @@ func (cfg Config) CanonicalString() string {
 
 // Fingerprint returns a 64-hex-digit SHA-256 key over CanonicalString —
 // the cache key of the serving layer: semantically identical requests
-// (same topology, scenario, and seed, regardless of graph name, engine
-// selection, or tracing) hash equal, so their plans and estimates are
-// shareable.
+// (same topology, scenario, and seed, regardless of graph name or
+// tracing) hash equal, so their plans and estimates are shareable.
 func (cfg Config) Fingerprint() string { return fingerprintOf(cfg.CanonicalString()) }
 
 // fingerprintOf hashes a rendered CanonicalString into its Fingerprint,
@@ -357,21 +310,20 @@ func EstimateSuccess(cfg Config, trials int) (Estimate, error) {
 }
 
 // build lowers the public Config to an engine configuration, plus the
-// lane-transposed trial-parallel lowering when the scenario has one (nil
-// otherwise — callers fall back to the bitset round engine, and laneGate
-// says which scenario feature blocked the lowering).
-func build(cfg Config) (simCfg *sim.Config, lanes *sim.LaneSpec, laneGate string, err error) {
+// validated lane-transposed trial-parallel lowering when the scenario has
+// one (nil otherwise: estimation falls back to the bitset round engine).
+func build(cfg Config) (simCfg *sim.Config, lanes *sim.LaneSpec, err error) {
 	if cfg.Graph == nil {
-		return nil, nil, "", errors.New("faultcast: Config.Graph is nil")
+		return nil, nil, errors.New("faultcast: Config.Graph is nil")
 	}
 	if len(cfg.Message) == 0 {
-		return nil, nil, "", errors.New("faultcast: empty message")
+		return nil, nil, errors.New("faultcast: empty message")
 	}
 	if cfg.Source < 0 || cfg.Source >= cfg.Graph.N() {
-		return nil, nil, "", fmt.Errorf("faultcast: source %d out of range", cfg.Source)
+		return nil, nil, fmt.Errorf("faultcast: source %d out of range", cfg.Source)
 	}
 	if cfg.P < 0 || cfg.P >= 1 {
-		return nil, nil, "", fmt.Errorf("faultcast: P=%v outside [0,1)", cfg.P)
+		return nil, nil, fmt.Errorf("faultcast: P=%v outside [0,1)", cfg.P)
 	}
 	model := sim.MessagePassing
 	if cfg.Model == Radio {
@@ -386,10 +338,10 @@ func build(cfg Config) (simCfg *sim.Config, lanes *sim.LaneSpec, laneGate string
 	case LimitedMalicious:
 		fault = sim.LimitedMalicious
 		if isStar(cfg) {
-			return nil, nil, "", errors.New("faultcast: the radio worst-case adversary on a bit message is Theorem 2.4's star adversary, which jams out of turn; limited-malicious faults cannot do that (use malicious faults, or the crash, flip or noise adversary)")
+			return nil, nil, errors.New("faultcast: the radio worst-case adversary on a bit message is Theorem 2.4's star adversary, which jams out of turn; limited-malicious faults cannot do that (use malicious faults, or the crash, flip or noise adversary)")
 		}
 	default:
-		return nil, nil, "", fmt.Errorf("faultcast: unknown fault %d", int(cfg.Fault))
+		return nil, nil, fmt.Errorf("faultcast: unknown fault %d", int(cfg.Fault))
 	}
 
 	algo := cfg.Algorithm
@@ -398,7 +350,7 @@ func build(cfg Config) (simCfg *sim.Config, lanes *sim.LaneSpec, laneGate string
 	}
 	newNode, rounds, lp, err := buildProtocol(cfg, algo, model)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, nil, err
 	}
 	if cfg.Rounds > 0 {
 		rounds = cfg.Rounds
@@ -417,8 +369,12 @@ func build(cfg Config) (simCfg *sim.Config, lanes *sim.LaneSpec, laneGate string
 	if fault == sim.Malicious || fault == sim.LimitedMalicious {
 		simCfg.Adversary = buildAdversary(cfg)
 	}
-	lanes, laneGate = buildLaneSpec(cfg, simCfg, lp)
-	return simCfg, lanes, laneGate, nil
+	if lanes = buildLaneSpec(cfg, simCfg, lp); lanes != nil {
+		if err := lanes.Validate(); err != nil {
+			return nil, nil, fmt.Errorf("faultcast: lane lowering: %w", err)
+		}
+	}
+	return simCfg, lanes, nil
 }
 
 // laneParts is a protocol's contribution to its lane lowering: the
@@ -434,7 +390,7 @@ type laneParts struct {
 }
 
 // buildLaneSpec assembles the lane-transposed lowering of a built
-// scenario, or nil plus the gating reason when it has none. Each
+// scenario, or nil when it has none. Each
 // adversary buildAdversary picks has a lane corruption: crash silences,
 // flip and the non-bit worst case rewrite to the default, noise redraws,
 // the message-passing worst case is the source-only equivocator
@@ -449,12 +405,9 @@ type laneParts struct {
 // payload any execution can carry, which leaves one gated shape: a
 // content protocol broadcasting the default message itself (the encoding
 // cannot tell M from an adopted default).
-func buildLaneSpec(cfg Config, simCfg *sim.Config, lp *laneParts) (*sim.LaneSpec, string) {
-	if lp == nil {
-		return nil, "the algorithm has no lane kernel"
-	}
+func buildLaneSpec(cfg Config, simCfg *sim.Config, lp *laneParts) *sim.LaneSpec {
 	if !lp.contentFree && protocol.IsDefault(cfg.Message) {
-		return nil, `message "0" is the default symbol, which the lane payload encoding cannot distinguish from an uninformed node's default`
+		return nil
 	}
 	corruption := sim.LaneSilence
 	symbols := 2
@@ -508,7 +461,7 @@ func buildLaneSpec(cfg Config, simCfg *sim.Config, lp *laneParts) (*sim.LaneSpec
 		Source:     cfg.Source,
 		Targets:    lp.targets,
 		NewKernel:  lp.newKernel,
-	}, ""
+	}
 }
 
 func pickAlgorithm(cfg Config) Algorithm {
@@ -534,12 +487,12 @@ func isStar(cfg Config) bool {
 	return cfg.Model == Radio && cfg.Adversary == WorstCase && isBit(cfg.Message)
 }
 
-// heldOnRoundCore reports whether Core=auto keeps a scenario that has a
+// heldOnRoundCore reports whether Compile keeps a scenario that has a
 // lane lowering on the round core anyway. One shape is held: the star
 // adversary on a star graph whose hub is the source. That is not Theorem
 // 2.4's setting, which puts the source at a leaf (E5 and the other paper
-// shapes run on lanes), and Core=lanes runs it bit-identically on the
-// lane core. It is held so that perfbench's curve-sweep, whose star:4
+// shapes run on lanes), and the lane core runs it bit-identically (the
+// equivalence tests force it there). It is held so that perfbench's curve-sweep, whose star:4
 // cells have this shape, keeps a round-core workload, which its core-mix
 // check requires; the hold goes when that check does (ROADMAP item 5).
 func heldOnRoundCore(cfg Config) bool {

@@ -425,18 +425,16 @@ func (sp *SweepPlan) Run(ctx context.Context, emit func(CellResult), opts ...Swe
 				prevs[gi] = e
 			}
 		}
-		execCells[gi] = exec.Cell{
+		execCells[gi] = c.plan.withTrials(exec.Cell{
 			MaxTrials: sp.budget.Trials,
 			BaseSeed:  c.Config.Seed,
 			Start:     stat.Proportion{Successes: prevs[gi].Succeeds, Trials: prevs[gi].Trials},
 			Rule:      sp.budget.rule(c.plan),
-			NewTrial:  c.plan.newTrialMaker(),
-			NewBlock:  c.plan.newBlockMaker(),
 			SharedKey: c.PlanKey,
 			Scenario:  c.Config,
 			Trace:     o.span,
 			Probe:     o.probe,
-		}
+		})
 		if o.store != nil && prevs[gi].Trials == 0 {
 			recs[gi] = resumeFromStore(o.store, c.PlanKey, &execCells[gi])
 			start := execCells[gi].Start

@@ -29,8 +29,8 @@ func TestTracedEstimateBitIdentical(t *testing.T) {
 		if !ok {
 			t.Fatalf("scenario %s missing from laneScenarios", name)
 		}
-		for _, core := range []Core{CoreLanes, CoreBitset} {
-			plan, err := Compile(withCore(cfg, core))
+		for _, core := range []string{"lanes", "bitset"} {
+			plan, err := compileOn(cfg, core)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, core, err)
 			}

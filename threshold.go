@@ -72,11 +72,13 @@ func (r *ThresholdResult) Contains(p float64) bool {
 	return r.Low <= p && p <= r.High
 }
 
+// thresholdMaxProbes caps the number of bisection steps of a search.
+const thresholdMaxProbes = 20
+
 // thresholdOptions collects search tuning; see the option constructors.
 type thresholdOptions struct {
 	trials     int
 	resolution float64
-	maxProbes  int
 	workers    int
 }
 
@@ -95,11 +97,6 @@ func WithThresholdTrials(n int) ThresholdOption {
 // the budget.
 func WithThresholdResolution(w float64) ThresholdOption {
 	return func(o *thresholdOptions) { o.resolution = w }
-}
-
-// WithThresholdMaxProbes caps the number of bisection steps (default 20).
-func WithThresholdMaxProbes(n int) ThresholdOption {
-	return func(o *thresholdOptions) { o.maxProbes = n }
 }
 
 // WithThresholdWorkers sets the worker count per probe (default
@@ -132,11 +129,11 @@ func ThresholdSearch(cfg Config, opts ...ThresholdOption) (*ThresholdResult, err
 	if cfg.Graph == nil {
 		return nil, errors.New("faultcast: ThresholdSearch needs a graph")
 	}
-	o := thresholdOptions{trials: 800, resolution: 1.0 / 32, maxProbes: 20}
+	o := thresholdOptions{trials: 800, resolution: 1.0 / 32}
 	for _, f := range opts {
 		f(&o)
 	}
-	if o.trials < 1 || o.resolution <= 0 || o.maxProbes < 1 {
+	if o.trials < 1 || o.resolution <= 0 {
 		return nil, fmt.Errorf("faultcast: invalid threshold search options %+v", o)
 	}
 	res := &ThresholdResult{
@@ -145,7 +142,7 @@ func ThresholdSearch(cfg Config, opts ...ThresholdOption) (*ThresholdResult, err
 		Theory: Threshold(cfg.Model, cfg.Fault, cfg.Graph.MaxDegree()),
 	}
 	target := 1 - 1/float64(cfg.Graph.N())
-	for res.High-res.Low > o.resolution && len(res.Probes) < o.maxProbes {
+	for res.High-res.Low > o.resolution && len(res.Probes) < thresholdMaxProbes {
 		mid := (res.Low + res.High) / 2
 		probe := cfg
 		probe.P = mid
