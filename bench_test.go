@@ -254,6 +254,28 @@ func BenchmarkCompileSweepComposed(b *testing.B) {
 	}
 }
 
+// BenchmarkTallyShardComposed times what one cluster shard costs a worker
+// once its plan is cached: a 96-trial, batch-32 TallyShard on 2 workers
+// of the curve-sweep cell grid:6x6, limited-malicious Composed, p = 0.3.
+// The plan lends its lane runners to every call, so after warm-up a shard
+// builds no engine state and allocates only its scheduler and tally.
+func BenchmarkTallyShardComposed(b *testing.B) {
+	plan, err := faultcast.Compile(faultcast.Config{
+		Graph: faultcast.Grid(6, 6), Message: []byte("1"), Model: faultcast.MessagePassing,
+		Fault: faultcast.LimitedMalicious, P: 0.3, Adversary: faultcast.WorstCase,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if t := plan.TallyShard(uint64(i)*96, 96, 32, 2); t.Trials != 96 {
+			b.Fatal("short shard")
+		}
+	}
+}
+
 // BenchmarkE9LayeredOpt times the Lemma 3.3 exhaustive optimum search on
 // G_3 (n = 11; the largest exhaustively tractable instance).
 func BenchmarkE9LayeredOpt(b *testing.B) {

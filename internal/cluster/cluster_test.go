@@ -459,14 +459,14 @@ func TestWireRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cfg %d: %v", i, err)
 		}
-		got, err := req.Config()
+		got, key, err := req.Config()
 		if err != nil {
 			t.Fatalf("cfg %d: rebuild: %v", i, err)
 		}
 		seedless := cfg
 		seedless.Seed = 0
-		if got.Fingerprint() != seedless.Fingerprint() {
-			t.Errorf("cfg %d: rebuilt fingerprint %s != %s", i, got.Fingerprint(), seedless.Fingerprint())
+		if got.Fingerprint() != seedless.Fingerprint() || key != seedless.Fingerprint() {
+			t.Errorf("cfg %d: rebuilt fingerprint %s, key %s, want %s", i, got.Fingerprint(), key, seedless.Fingerprint())
 		}
 	}
 	if _, err := cluster.NewShardRequest(faultcast.Config{Message: []byte("1")}); err == nil {
@@ -485,7 +485,7 @@ func TestWireRejectsTampering(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.P = 0.6 // tamper
-	if _, err := req.Config(); err != cluster.ErrPlanKeyMismatch {
+	if _, _, err := req.Config(); err != cluster.ErrPlanKeyMismatch {
 		t.Fatalf("tampered shard: err = %v, want ErrPlanKeyMismatch", err)
 	}
 }

@@ -24,6 +24,15 @@
 // lands in — which also makes shards idempotent: a dropped shard is
 // re-dispatched to another worker (or run locally) and whichever copy
 // returns is the same pure function of the shard spec.
+//
+// # What a shard costs a worker
+//
+// A worker decodes the request (ShardRequest.Config parses the edge list
+// and hashes the scenario once, and that hash is the plan-cache key),
+// looks the plan up or compiles it, and runs Plan.TallyShard. A cached
+// plan lends the shard the engine runners earlier shards built, so after
+// warm-up a shard pays decoding, the round trip and per-trial engine work,
+// and builds no engine state (BENCH_engine.json, TallyShardComposed).
 package cluster
 
 import (
@@ -149,30 +158,32 @@ func NewShardRequest(cfg faultcast.Config) (ShardRequest, error) {
 
 // Config rebuilds the seed-less scenario on the worker side, validating
 // every field (the request came over the network and is never trusted)
-// and verifying the plan-key integrity check. The enum fields round-trip
-// through the Parse*(String()) identities the parse round-trip tests pin.
-func (r *ShardRequest) Config() (faultcast.Config, error) {
+// and verifying the plan-key integrity check. It returns the scenario with
+// its key, Config.Fingerprint — hashed once per shard, and the key the
+// worker's plan cache is looked up by. The enum fields round-trip through
+// the Parse*(String()) identities the parse round-trip tests pin.
+func (r *ShardRequest) Config() (faultcast.Config, string, error) {
 	if len(r.Graph) == 0 {
-		return faultcast.Config{}, errors.New("cluster: shard without a graph")
+		return faultcast.Config{}, "", errors.New("cluster: shard without a graph")
 	}
 	g, err := graph.ReadEdgeList(strings.NewReader(r.Graph), "shard")
 	if err != nil {
-		return faultcast.Config{}, err
+		return faultcast.Config{}, "", err
 	}
 	if err := g.Validate(); err != nil {
-		return faultcast.Config{}, fmt.Errorf("cluster: shard graph: %w", err)
+		return faultcast.Config{}, "", fmt.Errorf("cluster: shard graph: %w", err)
 	}
 	if r.Source < 0 || r.Source >= g.N() {
-		return faultcast.Config{}, fmt.Errorf("cluster: shard source %d out of range [0, %d)", r.Source, g.N())
+		return faultcast.Config{}, "", fmt.Errorf("cluster: shard source %d out of range [0, %d)", r.Source, g.N())
 	}
 	if r.Message == "" {
-		return faultcast.Config{}, errors.New("cluster: shard with an empty message")
+		return faultcast.Config{}, "", errors.New("cluster: shard with an empty message")
 	}
 	if r.P < 0 || r.P >= 1 {
-		return faultcast.Config{}, fmt.Errorf("cluster: shard p=%v outside [0, 1)", r.P)
+		return faultcast.Config{}, "", fmt.Errorf("cluster: shard p=%v outside [0, 1)", r.P)
 	}
 	if r.WindowC < 0 || r.Alpha < 0 || r.Rounds < 0 {
-		return faultcast.Config{}, errors.New("cluster: shard with negative window constant, alpha, or rounds")
+		return faultcast.Config{}, "", errors.New("cluster: shard with negative window constant, alpha, or rounds")
 	}
 	cfg := faultcast.Config{
 		Graph:   g,
@@ -184,21 +195,22 @@ func (r *ShardRequest) Config() (faultcast.Config, error) {
 		Rounds:  r.Rounds,
 	}
 	if cfg.Model, err = faultcast.ParseModel(r.Model); err != nil {
-		return faultcast.Config{}, err
+		return faultcast.Config{}, "", err
 	}
 	if cfg.Fault, err = faultcast.ParseFault(r.Fault); err != nil {
-		return faultcast.Config{}, err
+		return faultcast.Config{}, "", err
 	}
 	if cfg.Adversary, err = faultcast.ParseAdversary(r.Adversary); err != nil {
-		return faultcast.Config{}, err
+		return faultcast.Config{}, "", err
 	}
 	if cfg.Algorithm, err = faultcast.ParseAlgorithm(r.Algorithm); err != nil {
-		return faultcast.Config{}, err
+		return faultcast.Config{}, "", err
 	}
-	if r.PlanKey != "" && cfg.Fingerprint() != r.PlanKey {
-		return faultcast.Config{}, ErrPlanKeyMismatch
+	key := cfg.Fingerprint()
+	if r.PlanKey != "" && key != r.PlanKey {
+		return faultcast.Config{}, "", ErrPlanKeyMismatch
 	}
-	return cfg, nil
+	return cfg, key, nil
 }
 
 // CheckShard validates the shard-range fields against a worker's trial

@@ -24,7 +24,6 @@ import (
 	"context"
 	"math/bits"
 	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
@@ -94,27 +93,22 @@ type Cell struct {
 	// its batches); remote dispatchers hang one child span per shard off
 	// it, carrying worker identity, retries, and the worker-side subtree.
 	Trace *telemetry.Span
-	// NewTrial builds a worker-private trial function. It is called at
-	// most once per (worker, SharedKey) pair, so per-trial state — a
-	// reusable engine runner — persists across every batch a worker
-	// executes for this cell. It is unused when NewBlock is set.
+	// NewTrial builds the trial function a worker runs for this cell. It
+	// is called at most once per (worker, cell) pair, so state the
+	// function holds — a reusable engine runner, say — persists across
+	// every batch that worker executes for the cell. It is unused when
+	// NewBlock is set.
 	NewTrial stat.TrialMaker
-	// NewBlock, when non-nil, builds a worker-private block-trial function
-	// (the lane-transposed engine core) and takes precedence over
-	// NewTrial everywhere, the local failover of a remote dispatcher
-	// included. Workers then claim trials in stat.BlockWidth-sized
-	// chunks, clipped to batch boundaries — so batch totals, stop
-	// decisions, and the final Proportion are those per-trial verdicts
-	// would give; only the per-trial cost drops. A cell sets one of the
-	// two; if it sets both, their verdicts must be bit-identical over the
-	// same seeds.
+	// NewBlock, when non-nil, builds the block-trial function (the
+	// lane-transposed engine core) a worker runs for this cell, called
+	// like NewTrial, and takes precedence over NewTrial everywhere, the
+	// local failover of a remote dispatcher included. Workers then claim
+	// trials in stat.BlockWidth-sized chunks, clipped to batch boundaries
+	// — so batch totals, stop decisions, and the final Proportion are
+	// those per-trial verdicts would give; only the per-trial cost drops.
+	// A cell sets one of the two; if it sets both, their verdicts must be
+	// bit-identical over the same seeds.
 	NewBlock stat.TrialBlockMaker
-	// SharedKey, when non-empty, lets a worker reuse one Trial (or
-	// TrialBlock) across all cells carrying the same key. Cells may share
-	// a key only when their trial functions are interchangeable — e.g.
-	// cells compiled from the same plan, whose trials differ only in the
-	// seed argument.
-	SharedKey string
 	// Scenario is an opaque wire description of the cell's computation,
 	// consumed by remote Dispatchers (the cluster coordinator ships it to
 	// workers, which recompile the plan there). The in-process Dispatcher
@@ -266,8 +260,8 @@ func (s *sched) emit(i int, p stat.Proportion) {
 // way the claimed range folds into the same batch totals (and the same
 // observation buckets), so results are identical.
 func (s *sched) worker(w int) {
-	trials := map[string]stat.Trial{}
-	blocks := map[string]stat.TrialBlock{}
+	trials := make([]stat.Trial, len(s.cells))
+	blocks := make([]stat.TrialBlock, len(s.cells))
 	cursor := w % len(s.cells)
 	for {
 		s.mu.Lock()
@@ -309,27 +303,23 @@ func (s *sched) worker(w int) {
 		cs.inflight += claim
 		s.mu.Unlock()
 
-		key := spec.SharedKey
-		if key == "" {
-			key = "#" + strconv.Itoa(ci)
-		}
 		var engStart time.Time
 		if spec.Probe != nil {
 			engStart = time.Now()
 		}
 		var word uint64 // verdict bit i: trial seedIdx+i succeeded
 		if spec.NewBlock != nil {
-			block := blocks[key]
+			block := blocks[ci]
 			if block == nil {
 				block = spec.NewBlock()
-				blocks[key] = block
+				blocks[ci] = block
 			}
 			word = block(spec.BaseSeed+uint64(seedIdx), claim)
 		} else {
-			trial := trials[key]
+			trial := trials[ci]
 			if trial == nil {
 				trial = spec.NewTrial()
-				trials[key] = trial
+				trials[ci] = trial
 			}
 			if trial(spec.BaseSeed + uint64(seedIdx)) {
 				word = 1

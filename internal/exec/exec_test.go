@@ -215,29 +215,6 @@ func repeatSizes(size, n, tail int) []int {
 	return append(out, tail)
 }
 
-// TestSharedKeyReusesTrials: cells with one SharedKey must instantiate at
-// most one Trial per worker, not one per (worker, cell).
-func TestSharedKeyReusesTrials(t *testing.T) {
-	var made atomic.Int64
-	const workers = 3
-	cells := make([]Cell, 12)
-	for i := range cells {
-		cells[i] = Cell{
-			MaxTrials: 64, BaseSeed: uint64(i) * 1000, SharedKey: "same-plan",
-			NewTrial: func() stat.Trial {
-				made.Add(1)
-				return fakeTrial(0.5)
-			},
-		}
-	}
-	if err := Run(context.Background(), workers, cells, nil); err != nil {
-		t.Fatal(err)
-	}
-	if n := made.Load(); n > workers {
-		t.Fatalf("NewTrial called %d times for %d workers sharing one key", n, workers)
-	}
-}
-
 // TestEarlyStoppedCellYieldsWorkers: schedule one cell that stops after
 // its first batch next to one that runs a long full sample; both must
 // finish, and the early cell must report its decided batch count.

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -30,9 +32,13 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 	return bw.Flush()
 }
 
+// maxEdgeListVertices caps the vertex count ReadEdgeList builds: the
+// header is untrusted, and Build allocates per declared vertex.
+const maxEdgeListVertices = 1 << 20
+
 // ReadEdgeList parses the WriteEdgeList format. Blank lines and lines
 // starting with '#' are ignored; the "n <count>" header must precede the
-// first edge.
+// first edge, and the count may not exceed 1<<20.
 func ReadEdgeList(r io.Reader, name string) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	var b *Builder
@@ -48,8 +54,11 @@ func ReadEdgeList(r io.Reader, name string) (*Graph, error) {
 			if b != nil {
 				return nil, fmt.Errorf("graph: line %d: duplicate vertex-count header", lineNo)
 			}
-			var n int
-			if _, err := fmt.Sscanf(fields[1], "%d", &n); err != nil || len(fields) != 2 || n < 0 {
+			if len(fields) != 2 {
+				return nil, fmt.Errorf("graph: line %d: bad header %q", lineNo, line)
+			}
+			n, err := scanInt(fields[1], true)
+			if err != nil || n < 0 {
 				return nil, fmt.Errorf("graph: line %d: bad header %q", lineNo, line)
 			}
 			b = NewBuilder(n)
@@ -61,11 +70,15 @@ func ReadEdgeList(r io.Reader, name string) (*Graph, error) {
 		if len(fields) != 2 {
 			return nil, fmt.Errorf("graph: line %d: want \"u v\", got %q", lineNo, line)
 		}
-		var u, v int
-		if _, err := fmt.Sscanf(line, "%d %d", &u, &v); err != nil {
+		u, err := scanInt(fields[0], false)
+		v := 0
+		if err == nil {
+			v, err = scanInt(fields[1], true)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
 		}
-		if u < 0 || v < 0 || u >= bN(b) || v >= bN(b) || u == v {
+		if u < 0 || v < 0 || u >= b.n || v >= b.n || u == v {
 			return nil, fmt.Errorf("graph: line %d: invalid edge (%d,%d)", lineNo, u, v)
 		}
 		b.AddEdge(u, v)
@@ -76,10 +89,38 @@ func ReadEdgeList(r io.Reader, name string) (*Graph, error) {
 	if b == nil {
 		return nil, fmt.Errorf("graph: missing \"n <count>\" header")
 	}
+	if b.n > maxEdgeListVertices {
+		return nil, fmt.Errorf("graph: %d vertices exceed the edge-list limit of %d", b.n, maxEdgeListVertices)
+	}
 	return b.Build(name), nil
 }
 
-func bN(b *Builder) int { return b.n }
+// scanInt reads an integer field as fmt's %d verb did in the parser's
+// "%d %d" and "%d" formats: an optional sign, then decimal digits, with
+// %d's errors, so that line errors read as they always have. A field that
+// is not last on its line must end with its digits; after the last one,
+// trailing bytes were never read and still are not.
+func scanInt(field string, last bool) (int, error) {
+	i := 0
+	if field[0] == '+' || field[0] == '-' {
+		i = 1
+	}
+	j := i
+	for j < len(field) && '0' <= field[j] && field[j] <= '9' {
+		j++
+	}
+	if j == i {
+		if last && i == len(field) {
+			return 0, io.EOF
+		}
+		return 0, errors.New("expected integer")
+	}
+	n, err := strconv.ParseInt(field[:j], 10, 64)
+	if err == nil && !last && j < len(field) {
+		err = errors.New("expected space in input to match format")
+	}
+	return int(n), err
+}
 
 // Fingerprint returns a SHA-256 digest of the graph's structure: the
 // vertex count followed by every edge {u, v} with u < v, in the canonical

@@ -26,48 +26,60 @@ import (
 // applied to all of the depth's vertices at once.
 
 // NewLaneKernel returns the transposed protocol instance for the given
-// symbol-alphabet size.
+// symbol-alphabet size. Its instruction tables are the Proto's, built on
+// first use and shared by every kernel; a kernel owns only its registers
+// and instruction cursors.
 func (p *Proto) NewLaneKernel(symbols int) sim.LaneKernel {
+	p.laneOnce.Do(p.compileLanes)
 	n := p.tree.N()
 	cols := symbols - 1
-	maxDepth := 0
-	for _, d := range p.tree.Depth {
-		if d > maxDepth {
-			maxDepth = d
-		}
-	}
-	byDepth := make([][]int, maxDepth+1)
-	for v, d := range p.tree.Depth {
-		byDepth[d] = append(byDepth[d], v)
-	}
-	progs := make([]*laneDepthProg, maxDepth+1)
-	maxW := 1
-	for d := range progs {
-		progs[d] = newLaneDepthProg(&p.prog.Positions[d])
-		for _, c := range progs[d].combines {
-			if c.width > maxW {
-				maxW = c.width
-			}
-		}
-	}
 	k := &laneKernel{
 		proto:   p,
-		byDepth: byDepth,
-		progs:   progs,
+		cursors: make([]laneCursor, len(p.lane.progs)),
 		reg:     make([][][]uint64, cols),
 		pending: make([][]uint64, cols),
 	}
 	for c := 0; c < cols; c++ {
 		k.reg[c] = make([][]uint64, n)
 		for v := 0; v < n; v++ {
-			k.reg[c][v] = make([]uint64, progs[p.tree.Depth[v]].nregs)
+			k.reg[c][v] = make([]uint64, p.lane.progs[p.tree.Depth[v]].nregs)
 		}
 		k.pending[c] = make([]uint64, n)
 	}
 	for i := range k.scratch {
-		k.scratch[i] = make([]uint64, maxW)
+		k.scratch[i] = make([]uint64, p.lane.maxW)
 	}
 	return k
+}
+
+// laneProgram is a Proto's compiled lane program: the vertices at each
+// tree depth and each depth's instruction table. It is immutable once
+// built, so kernels share it.
+type laneProgram struct {
+	byDepth [][]int
+	progs   []laneDepthProg
+	maxW    int // widest combine counter
+}
+
+// compileLanes builds p.lane; New materializes exactly the positions
+// 0..height the tree's depths index.
+func (p *Proto) compileLanes() {
+	depths := len(p.prog.Positions)
+	lp := &laneProgram{
+		byDepth: make([][]int, depths),
+		progs:   make([]laneDepthProg, depths),
+		maxW:    1,
+	}
+	for v, d := range p.tree.Depth {
+		lp.byDepth[d] = append(lp.byDepth[d], v)
+	}
+	for d := range lp.progs {
+		lp.progs[d] = newLaneDepthProg(&p.prog.Positions[d])
+		for _, c := range lp.progs[d].combines {
+			lp.maxW = max(lp.maxW, c.width)
+		}
+	}
+	p.lane = lp
 }
 
 // LaneTargets returns the per-vertex send-target lists (the tree children
@@ -96,16 +108,21 @@ type laneDepthProg struct {
 	recvs    []laneInstr
 	sends    []laneInstr
 	combines []laneCombine
-
-	// Cursors, reset per trial; instructions are consumed in the scalar
-	// node's order (receives of rounds < r, combines of rounds <= r,
-	// then the send of round r).
-	nextRecv, nextCombine, nextSend int
 }
 
-func newLaneDepthProg(pos *posProgram) *laneDepthProg {
-	dp := &laneDepthProg{}
-	idx := make(map[int]int)
+// laneCursor is a kernel's position in one depth's instruction table,
+// reset per trial; instructions are consumed in the scalar node's order
+// (receives of rounds < r, combines of rounds <= r, then the send of
+// round r).
+type laneCursor struct {
+	recv, combine, send int
+}
+
+func newLaneDepthProg(pos *posProgram) laneDepthProg {
+	var dp laneDepthProg
+	// Every register is written by one receive or combine: sizing the
+	// map up front halves the cost of a lane program's compile.
+	idx := make(map[int]int, 1+len(pos.Recvs)+len(pos.Combines))
 	dense := func(reg int) int {
 		i, ok := idx[reg]
 		if !ok {
@@ -140,8 +157,7 @@ func newLaneDepthProg(pos *posProgram) *laneDepthProg {
 
 type laneKernel struct {
 	proto   *Proto
-	byDepth [][]int
-	progs   []*laneDepthProg
+	cursors []laneCursor // per depth
 
 	// reg[c][vertex][dense register] is symbol column c of the register's
 	// value; pending[c][vertex] the in-flight receive's columns (all clear
@@ -154,17 +170,13 @@ type laneKernel struct {
 func (k *laneKernel) Reset() {
 	for c := range k.reg {
 		for v := range k.reg[c] {
-			for j := range k.reg[c][v] {
-				k.reg[c][v][j] = 0
-			}
+			clear(k.reg[c][v])
 			k.pending[c][v] = 0
 		}
 	}
-	for _, dp := range k.progs {
-		dp.nextRecv, dp.nextCombine, dp.nextSend = 0, 0, 0
-	}
+	clear(k.cursors)
 	// Position 0's input register is the source message itself.
-	k.reg[0][k.proto.tree.Root][k.progs[0].final] = ^uint64(0)
+	k.reg[0][k.proto.tree.Root][k.proto.lane.progs[0].final] = ^uint64(0)
 }
 
 // combine runs one combine instruction for vertex v.
@@ -199,28 +211,29 @@ func (k *laneKernel) combine(c *laneCombine, v int) {
 }
 
 func (k *laneKernel) Transmit(round int, intent []uint64, pay [][]uint64) {
-	for d, dp := range k.progs {
-		vs := k.byDepth[d]
-		for dp.nextRecv < len(dp.recvs) && dp.recvs[dp.nextRecv].round < round {
-			reg := dp.recvs[dp.nextRecv].reg
+	lp := k.proto.lane
+	for d := range lp.progs {
+		dp, cur, vs := &lp.progs[d], &k.cursors[d], lp.byDepth[d]
+		for cur.recv < len(dp.recvs) && dp.recvs[cur.recv].round < round {
+			reg := dp.recvs[cur.recv].reg
 			for c := range k.reg {
 				for _, v := range vs {
 					k.reg[c][v][reg] = k.pending[c][v]
 					k.pending[c][v] = 0
 				}
 			}
-			dp.nextRecv++
+			cur.recv++
 		}
-		for dp.nextCombine < len(dp.combines) && dp.combines[dp.nextCombine].round <= round {
-			c := &dp.combines[dp.nextCombine]
+		for cur.combine < len(dp.combines) && dp.combines[cur.combine].round <= round {
+			c := &dp.combines[cur.combine]
 			for _, v := range vs {
 				k.combine(c, v)
 			}
-			dp.nextCombine++
+			cur.combine++
 		}
-		if dp.nextSend < len(dp.sends) && dp.sends[dp.nextSend].round == round {
-			reg := dp.sends[dp.nextSend].reg
-			dp.nextSend++
+		if cur.send < len(dp.sends) && dp.sends[cur.send].round == round {
+			reg := dp.sends[cur.send].reg
+			cur.send++
 			for _, v := range vs {
 				if len(k.proto.tree.Children[v]) == 0 {
 					continue
@@ -235,12 +248,13 @@ func (k *laneKernel) Transmit(round int, intent []uint64, pay [][]uint64) {
 }
 
 func (k *laneKernel) Absorb(round int, heard []uint64, sym [][]uint64) {
-	for d, dp := range k.progs {
+	lp := k.proto.lane
+	for d := range lp.progs {
 		// Record the payload for the receive scheduled this round, if any
 		// (cursors already consumed everything earlier, so a match can
 		// only sit at the front).
-		if dp.nextRecv < len(dp.recvs) && dp.recvs[dp.nextRecv].round == round {
-			for _, v := range k.byDepth[d] {
+		if dp, i := &lp.progs[d], k.cursors[d].recv; i < len(dp.recvs) && dp.recvs[i].round == round {
+			for _, v := range lp.byDepth[d] {
 				for c := range k.pending {
 					k.pending[c][v] = heard[v] & sym[c][v]
 				}
@@ -250,10 +264,11 @@ func (k *laneKernel) Absorb(round int, heard []uint64, sym [][]uint64) {
 }
 
 func (k *laneKernel) Verdict() uint64 {
+	lp := k.proto.lane
 	and := ^uint64(0)
-	for d, dp := range k.progs {
-		for _, v := range k.byDepth[d] {
-			and &= k.reg[0][v][dp.final]
+	for d := range lp.progs {
+		for _, v := range lp.byDepth[d] {
+			and &= k.reg[0][v][lp.progs[d].final]
 		}
 	}
 	return and

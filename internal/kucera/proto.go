@@ -3,6 +3,7 @@ package kucera
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"faultcast/internal/graph"
 	"faultcast/internal/protocol"
@@ -15,6 +16,10 @@ import (
 type Proto struct {
 	prog *Program
 	tree *graph.Tree
+
+	// lane is the compiled lane program, built by the first NewLaneKernel.
+	laneOnce sync.Once
+	lane     *laneProgram
 }
 
 // New compiles a plan for the BFS tree of g rooted at source. The plan

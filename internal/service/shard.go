@@ -32,11 +32,11 @@ func (s *Server) ShardInflight() int { return int(s.shardInflight.Load()) }
 // rebuild the scenario from the wire (verifying the coordinator's plan
 // key), reuse or compile the plan through the same seed-less plan cache
 // every other endpoint shares — so all shards of a scenario compile at
-// most once per worker — run the shard's exact seed range with no
-// stopping rule, and return the per-batch success tally. Shards occupy
-// an admission slot like any other execution, so a worker under
-// coordinator load still backpressures with 429 rather than oversubscribe
-// its cores.
+// most once per worker, and reuse the runners the cached plan lends —
+// run the shard's exact seed range with no stopping rule, and return the
+// per-batch success tally. Shards occupy an admission slot like any other
+// execution, so a worker under coordinator load still backpressures with
+// 429 rather than oversubscribe its cores.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	s.c.shardCalls.Add(1)
 	start := time.Now()
@@ -65,7 +65,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Code: "bad-json"})
 		return
 	}
-	cfg, err := req.Config()
+	cfg, key, err := req.Config()
 	if err != nil {
 		s.c.badRequests.Add(1)
 		if errors.Is(err, cluster.ErrPlanKeyMismatch) {
@@ -136,7 +136,6 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release()
 
-	key := cfg.Fingerprint() // cfg is seed-less by wire construction
 	psp := tr.StartSpan("plan")
 	plan, cached, err := s.plan(psp, key, cfg)
 	psp.End()

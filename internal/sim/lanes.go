@@ -241,7 +241,7 @@ func (s *LaneSpec) Validate() error {
 
 // LaneRunner executes blocks of up to 64 trials of one LaneSpec, reusing
 // all state across blocks (the lane analogue of Runner). Not safe for
-// concurrent use: one runner per worker goroutine.
+// concurrent use: one caller at a time.
 type LaneRunner struct {
 	spec   *LaneSpec
 	kernel LaneKernel

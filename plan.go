@@ -21,15 +21,21 @@ import (
 // (lanes or bitset; bit-identical, as the differential tests prove).
 //
 // Compile once per scenario, then call Run per trial or Estimate per
-// sweep point. A Plan is immutable after Compile and safe for concurrent
-// use by multiple goroutines — except that when Config.Trace is set,
-// concurrent Run calls would interleave unsynchronized writes to the one
-// trace writer, so traced plans must run one trial at a time (Estimate
-// ignores Trace).
+// sweep point. A Plan's scenario is fixed at Compile, and a Plan is safe
+// for concurrent use by multiple goroutines — except that when
+// Config.Trace is set, concurrent Run calls would interleave
+// unsynchronized writes to the one trace writer, so traced plans must run
+// one trial at a time (Estimate ignores Trace).
 type Plan struct {
 	cfg   Config        // the scenario, as passed to Compile (Trace/Seed included)
 	sim   *sim.Config   // compiled engine configuration template
 	lanes *sim.LaneSpec // lane-transposed lowering; nil: estimation runs on bitset
+
+	// runners holds the engine state estimation trials borrow:
+	// *sim.LaneRunner on a lane plan, *sim.Runner otherwise. A pool, not a
+	// free list, so that an idle plan (a cached one, say) pins no runner
+	// past the next garbage collections.
+	runners sync.Pool
 
 	// storeKey memoises StoreKey on first use: the hash is paid once per
 	// plan, and only by plans that touch a tally store.
@@ -40,8 +46,17 @@ type Plan struct {
 }
 
 // Compile lowers the configuration to a reusable execution plan. It
-// performs every per-scenario computation exactly once; the returned
-// Plan's Run and Estimate only pay per-trial simulation cost.
+// performs every per-scenario computation exactly once, and the plan owns
+// the engine state its estimation trials run on, so Estimate, TallyShard
+// and SweepPlan.Run pay only per-trial simulation cost once the plan has
+// built its runners (Run, the single-trial path, sets up one engine state
+// per call).
+//
+// Lending rule: each trial call, or each block of up to 64 lane trials,
+// borrows a runner from the plan and puts it back when the call ends. No
+// runner outlives the call that borrowed it, so any number of goroutines
+// may estimate on one plan at once, and runners an idle plan holds are
+// dropped at garbage collection.
 //
 // The estimation engine is chosen here, once: the lane core when the
 // scenario has a lane lowering (and is not heldOnRoundCore), the bitset
@@ -217,9 +232,9 @@ func WithBatchProbe(f func(exec.BatchStat)) EstimateOption {
 
 // Estimate runs up to `trials` independent simulations (seeds Seed+i)
 // across worker goroutines and estimates the success probability with a
-// 95% Wilson interval. Each sequential worker reuses one engine state for
-// its whole trial stream, so per-trial cost is simulation only — no plan
-// rebuilding, no state reallocation.
+// 95% Wilson interval. Trials run on runners borrowed from the plan (see
+// Compile), so per-trial cost is simulation only — no plan rebuilding,
+// no state reallocation.
 //
 // With a stopping option (WithTarget, WithAlmostSafeTarget,
 // WithHalfWidth), the estimate stops early once decided; Estimate.Trials
@@ -371,36 +386,44 @@ func (p *Plan) withTrials(c exec.Cell) exec.Cell {
 	return c
 }
 
-// newTrialMaker returns the per-worker trial constructor for this plan:
-// a reusable round-engine Runner per worker.
+// newTrialMaker returns the trial constructor of a round-engine plan. The
+// trial it hands every worker borrows one of the plan's Runners per call
+// and puts it back when the call ends, so it is safe for concurrent use.
 func (p *Plan) newTrialMaker() stat.TrialMaker {
-	return func() stat.Trial {
-		runner, err := sim.NewRunner(p.sim)
-		if err != nil {
-			panic(fmt.Sprintf("faultcast: estimate trial: %v", err)) // unreachable: compiled
-		}
-		return func(seed uint64) bool {
-			res, err := runner.Run(seed)
-			if err != nil {
-				panic(fmt.Sprintf("faultcast: estimate trial: %v", err))
+	trial := func(seed uint64) bool {
+		runner, _ := p.runners.Get().(*sim.Runner)
+		if runner == nil {
+			var err error
+			if runner, err = sim.NewRunner(p.sim); err != nil {
+				panic(fmt.Sprintf("faultcast: estimate trial: %v", err)) // unreachable: compiled
 			}
-			return res.Success
 		}
+		defer p.runners.Put(runner)
+		res, err := runner.Run(seed)
+		if err != nil {
+			panic(fmt.Sprintf("faultcast: estimate trial: %v", err))
+		}
+		return res.Success
 	}
+	return func() stat.Trial { return trial }
 }
 
-// newBlockMaker returns the per-worker block-trial constructor of a lane
-// plan: a reusable lane-transposed runner per worker, computing 64 trials
-// per call with verdicts bit-identical to newTrialMaker's.
+// newBlockMaker returns the block-trial constructor of a lane plan: 64
+// trials per call with verdicts bit-identical to newTrialMaker's, each
+// call on a LaneRunner borrowed from the plan as newTrialMaker's are.
 func (p *Plan) newBlockMaker() stat.TrialBlockMaker {
-	spec := p.lanes
-	return func() stat.TrialBlock {
-		lr, err := sim.NewLaneRunner(spec)
-		if err != nil {
-			panic(fmt.Sprintf("faultcast: estimate block: %v", err)) // unreachable: validated at Compile
+	block := func(seed uint64, k int) uint64 {
+		lr, _ := p.runners.Get().(*sim.LaneRunner)
+		if lr == nil {
+			var err error
+			if lr, err = sim.NewLaneRunner(p.lanes); err != nil {
+				panic(fmt.Sprintf("faultcast: estimate block: %v", err)) // unreachable: validated at Compile
+			}
 		}
-		return lr.Run
+		defer p.runners.Put(lr)
+		return lr.Run(seed, k)
 	}
+	return func() stat.TrialBlock { return block }
 }
 
 // publicResult converts an engine result to the public Result.

@@ -167,7 +167,7 @@ type SweepCell struct {
 	// cell's result: Run executes cells with equal Key once.
 	Key string
 	// PlanKey is the seed-less fingerprint: cells sharing it share one
-	// compiled plan (and, during a run, per-worker engine state).
+	// compiled plan, and with it the runners the plan lends its trials.
 	PlanKey string
 
 	plan *Plan
@@ -430,7 +430,6 @@ func (sp *SweepPlan) Run(ctx context.Context, emit func(CellResult), opts ...Swe
 			BaseSeed:  c.Config.Seed,
 			Start:     stat.Proportion{Successes: prevs[gi].Succeeds, Trials: prevs[gi].Trials},
 			Rule:      sp.budget.rule(c.plan),
-			SharedKey: c.PlanKey,
 			Scenario:  c.Config,
 			Trace:     o.span,
 			Probe:     o.probe,
