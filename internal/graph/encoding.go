@@ -95,11 +95,12 @@ func ReadEdgeList(r io.Reader, name string) (*Graph, error) {
 	return b.Build(name), nil
 }
 
-// scanInt reads an integer field as fmt's %d verb did in the parser's
-// "%d %d" and "%d" formats: an optional sign, then decimal digits, with
-// %d's errors, so that line errors read as they always have. A field that
-// is not last on its line must end with its digits; after the last one,
-// trailing bytes were never read and still are not.
+// scanInt reads an integer field: an optional sign, then decimal digits,
+// and nothing after them. A field without digits, or the digits of one
+// that is not last on its line running into other bytes, fails with the
+// error fmt's %d verb gave in the parser's "%d %d" and "%d" formats, so
+// those line errors read as they always have; the last field's trailing
+// bytes, which %d never read, are rejected too.
 func scanInt(field string, last bool) (int, error) {
 	i := 0
 	if field[0] == '+' || field[0] == '-' {
@@ -116,8 +117,11 @@ func scanInt(field string, last bool) (int, error) {
 		return 0, errors.New("expected integer")
 	}
 	n, err := strconv.ParseInt(field[:j], 10, 64)
-	if err == nil && !last && j < len(field) {
+	if err == nil && j < len(field) {
 		err = errors.New("expected space in input to match format")
+		if last {
+			err = fmt.Errorf("unexpected %q after integer", field[j:])
+		}
 	}
 	return int(n), err
 }

@@ -49,6 +49,9 @@ func TestReadEdgeListErrors(t *testing.T) {
 		{"self loop", "n 3\n1 1\n"},
 		{"empty", ""},
 		{"garbage edge", "n 3\na b\n"},
+		{"bytes after the count", "n 12abc\n"},
+		{"hex count", "n 0x10\n"},
+		{"bytes after an edge", "n 3\n0 1x\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -82,9 +85,12 @@ func TestReadEdgeListIsolatedVertices(t *testing.T) {
 
 // refReadEdgeList is the parse loop ReadEdgeList had when it scanned with
 // fmt.Sscanf, kept as the reference for which inputs are rejected and
-// with what error. It returns the declared vertex count and the error,
-// or panicked for the one shape that loop crashed on (a bare "n" line).
-// It never builds the graph, so a huge declared count costs nothing.
+// with what error, plus the one rule added since: a number field ends
+// with its digits (fmt's %d stopped reading there, so "n 0x10" declared
+// 0 vertices and "0 1x" was edge (0,1)). It returns the declared vertex
+// count and the error, or panicked for the one shape that loop crashed on
+// (a bare "n" line). It never builds the graph, so a huge declared count
+// costs nothing.
 func refReadEdgeList(in string) (n int, err error, panicked bool) {
 	defer func() {
 		if recover() != nil {
@@ -104,7 +110,7 @@ func refReadEdgeList(in string) (n int, err error, panicked bool) {
 			if n >= 0 {
 				return n, fmt.Errorf("graph: line %d: duplicate vertex-count header", lineNo), false
 			}
-			if _, err := fmt.Sscanf(fields[1], "%d", &n); err != nil || len(fields) != 2 || n < 0 {
+			if _, err := fmt.Sscanf(fields[1], "%d", &n); err != nil || len(fields) != 2 || n < 0 || afterDigits(fields[1]) != "" {
 				return n, fmt.Errorf("graph: line %d: bad header %q", lineNo, line), false
 			}
 			continue
@@ -119,6 +125,9 @@ func refReadEdgeList(in string) (n int, err error, panicked bool) {
 		if _, err := fmt.Sscanf(line, "%d %d", &u, &v); err != nil {
 			return n, fmt.Errorf("graph: line %d: %v", lineNo, err), false
 		}
+		if rest := afterDigits(fields[1]); rest != "" {
+			return n, fmt.Errorf("graph: line %d: unexpected %q after integer", lineNo, rest), false
+		}
 		if u < 0 || v < 0 || u >= n || v >= n || u == v {
 			return n, fmt.Errorf("graph: line %d: invalid edge (%d,%d)", lineNo, u, v), false
 		}
@@ -132,12 +141,22 @@ func refReadEdgeList(in string) (n int, err error, panicked bool) {
 	return n, nil, false
 }
 
+// afterDigits returns what follows a number field's optional sign and
+// decimal digits.
+func afterDigits(field string) string {
+	if field != "" && (field[0] == '+' || field[0] == '-') {
+		field = field[1:]
+	}
+	return strings.TrimLeft(field, "0123456789")
+}
+
 // FuzzReadEdgeList: the shard wire carries the graph as untrusted bytes.
 // The parser must never panic; it must reject exactly what the fmt-based
-// parser rejected, with the same error (plus vertex counts over its cap,
-// and the bare "n" line that parser crashed on); and every graph it
-// accepts must re-serialise through WriteEdgeList and re-parse to the
-// same Fingerprint.
+// parser rejected, with the same error, plus number fields with bytes
+// after their digits (and vertex counts over its cap, and the bare "n"
+// line that parser crashed on); and every graph it accepts must have no
+// such field, and must re-serialise through WriteEdgeList and re-parse to
+// the same Fingerprint.
 func FuzzReadEdgeList(f *testing.F) {
 	for _, g := range []*Graph{Line(5), Grid(3, 3), Star(4), NewBuilder(0).Build("empty")} {
 		var sb strings.Builder
@@ -152,7 +171,7 @@ func FuzzReadEdgeList(f *testing.F) {
 		"n 3\n1 1\n", "n 3\na b\n", "n 3\n3x 1\n", "n 3\n1 x\n", "n 3\n- 1\n",
 		"n 3\n1 -\n", "n 3\n1 +x\n", "n 99999999999999999999\n",
 		"n 3\n99999999999999999999x 1\n", "n 3\n0 1\r\n", "n 1048577\n",
-		"n 100000000000000\n0 0\n",
+		"n 100000000000000\n0 0\n", "n 3\n0 1x\n5 5\n", "n 3\n0 +1\n",
 	} {
 		f.Add(in)
 	}
@@ -170,6 +189,15 @@ func FuzzReadEdgeList(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		for _, line := range strings.Split(in, "\n") {
+			if fields := strings.Fields(line); len(fields) > 0 && !strings.HasPrefix(fields[0], "#") {
+				for _, field := range fields {
+					if field != "n" && afterDigits(field) != "" {
+						t.Fatalf("%q: accepted the number field %q", in, field)
+					}
+				}
+			}
 		}
 		var sb strings.Builder
 		if err := g.WriteEdgeList(&sb); err != nil {

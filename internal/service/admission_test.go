@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
 	"faultcast/internal/store"
+	"faultcast/internal/telemetry"
 )
 
 // waitFor polls cond until it holds or the deadline passes. The admission
@@ -90,6 +92,60 @@ func TestAdmissionCountersDeterministic(t *testing.T) {
 		st.Coalesced != 0 || st.CoalescedErrors != 0 || st.Canceled != 0 {
 		t.Fatalf("final counters: executions=%d rejected=%d waiting=%d coalesced=%d coalesced_errors=%d canceled=%d; want %d/%d/0/0/0/0",
 			st.Executions, st.Rejected, st.Waiting, st.Coalesced, st.CoalescedErrors, st.Canceled, Q, D)
+	}
+}
+
+// TestAdmissionRejectsEveryEndpoint pins the one admission gate on all
+// three executing endpoints: with the only slot held and no queue, each
+// answers 429 with Retry-After: 1, code "overloaded", its own message
+// and its trace id, and counts exactly one rejection.
+func TestAdmissionRejectsEveryEndpoint(t *testing.T) {
+	shard, err := json.Marshal(shardRequest(t, shardCfg, 1000, 96, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path, body, msg string
+	}{
+		{"/v1/estimate", `{"graph":"line:8","p":0.2,"trials":64}`, "estimation capacity exhausted; retry shortly"},
+		{"/v1/sweep", `{"graphs":["line:8"],"ps":[0.2],"trials":64}`, "estimation capacity exhausted; retry shortly"},
+		{"/v1/shard", string(shard), "shard capacity exhausted; re-dispatch elsewhere or retry shortly"},
+	} {
+		t.Run(strings.TrimPrefix(tc.path, "/v1/"), func(t *testing.T) {
+			s, ts := testServer(t, Options{MaxInflight: 1, MaxQueue: -1})
+			s.slots <- struct{}{} // hold the only execution slot
+			req, err := http.NewRequest(http.MethodPost, ts.URL+tc.path, bytes.NewReader([]byte(tc.body)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A shard records a trace only for a coordinator that sent one.
+			req.Header.Set(telemetry.TraceHeader, "coordinator-trace")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			raw, _ := io.ReadAll(resp.Body)
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("status %d, want 429: %s", resp.StatusCode, raw)
+			}
+			if got := resp.Header.Get("Retry-After"); got != "1" {
+				t.Fatalf("Retry-After %q, want 1", got)
+			}
+			var er ErrorResponse
+			if err := json.Unmarshal(raw, &er); err != nil {
+				t.Fatalf("unstructured 429 body: %s", raw)
+			}
+			if er.Code != "overloaded" || er.Error != tc.msg || er.RetryAfterSeconds != 1 {
+				t.Fatalf("429 body %+v, want code overloaded, message %q", er, tc.msg)
+			}
+			if _, ok := s.Traces().Get(er.TraceID); er.TraceID == "" || !ok {
+				t.Fatalf("429 trace id %q not retained", er.TraceID)
+			}
+			if st := s.Stats(); st.Rejected != 1 {
+				t.Fatalf("rejected = %d, want 1", st.Rejected)
+			}
+		})
 	}
 }
 

@@ -61,6 +61,9 @@ func TestPlanCacheEviction(t *testing.T) {
 	if er.Served != "cache" || er.TrialsSimulated != 0 || st.StoreHits != 1 {
 		t.Fatalf("repeat after plan eviction: %+v, store_hits=%d", er, st.StoreHits)
 	}
+	if st.Executions != 4 {
+		t.Fatalf("zero-trial repeat counted as an execution: executions=%d, want 4", st.Executions)
+	}
 }
 
 // TestPlanSharedAcrossSeeds: the plan cache must not split on the seed —

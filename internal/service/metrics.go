@@ -71,10 +71,10 @@ func (s *Server) buildMetrics() *telemetry.Registry {
 			emit([]telemetry.Label{{Name: "outcome", Value: "shared"}}, float64(s.c.coalesced.Load()))
 		})
 	counter("faultcast_executions_total",
-		"Estimate executions that reached the engine (fresh or refining).",
+		"Estimates that simulated trials on the engine (fresh or refining); zero-trial store replays are not counted.",
 		func() float64 { return float64(s.c.executions.Load()) })
 	r.Counter("faultcast_executions_by_core_total",
-		"Simulating executions (estimates, sweep cells, shards) by estimation engine.",
+		"Estimates, sweep cells and shards that simulated trials on the engine, by estimation engine.",
 		func(emit func([]telemetry.Label, float64)) {
 			emit([]telemetry.Label{{Name: "core", Value: "bitset"}}, float64(s.c.coreBitset.Load()))
 			emit([]telemetry.Label{{Name: "core", Value: "lanes"}}, float64(s.c.coreLanes.Load()))

@@ -200,8 +200,10 @@ type counters struct {
 	coreBitset atomic.Uint64
 }
 
-// countCore bumps the execution counter of the named estimation core.
-func (c *counters) countCore(core string) {
+// ranOnEngine counts work that reached an estimation engine: its trials,
+// and one execution of the named core.
+func (c *counters) ranOnEngine(core string, trials int) {
+	c.trialsSimulated.Add(uint64(trials))
 	if core == "lanes" {
 		c.coreLanes.Add(1)
 	} else {
@@ -280,20 +282,13 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.lat.estimate.Observe(time.Since(start)) }()
 	tr := s.tel.StartTrace("estimate")
 	defer tr.Finish()
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req EstimateRequest
-	if err := dec.Decode(&req); err != nil {
-		s.c.badRequests.Add(1)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Code: "bad-json", TraceID: tr.ID()})
+	if !s.decode(w, r, 1<<20, &req, tr.ID()) {
 		return
 	}
 	cfg, trials, err := req.config(s.opts)
 	if err != nil {
-		s.c.badRequests.Add(1)
-		re := err.(*requestError)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: re.msg, Code: re.code, Field: re.field, TraceID: tr.ID()})
+		s.reject(w, tr.ID(), err)
 		return
 	}
 	key := cfg.Fingerprint()
@@ -356,11 +351,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if out.status != http.StatusOK {
-		if out.status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", strconv.Itoa(out.errResp.RetryAfterSeconds))
-		}
-		out.errResp.TraceID = tr.ID()
-		writeJSON(w, out.status, out.errResp)
+		writeError(w, tr.ID(), out.status, out.errResp)
 		return
 	}
 	annotate(&out.resp)
@@ -413,10 +404,10 @@ func (s *Server) recall(tr *telemetry.Trace, cfg faultcast.Config, key, planKey 
 	if !ok {
 		return EstimateResponse{}, false
 	}
-	s.c.cacheHits.Add(1)
-	s.c.storeHits.Add(1)
-	tr.Root().SetAttr("served", "cache")
-	return s.response(cfg, key, est, plan.Rounds(), plan.EstimationCore(), "cache", 0), true
+	core := plan.EstimationCore()
+	served, _ := s.ledger(false, core, est.Trials, est.Trials)
+	tr.Root().SetAttr("served", served)
+	return s.response(cfg, key, est, plan.Rounds(), core, served, 0), true
 }
 
 // execute is the singleflight leader's path: admission, plan lookup or
@@ -431,30 +422,10 @@ func (s *Server) execute(ctx context.Context, tr *telemetry.Trace, cfg faultcast
 	if resp, ok := s.recall(tr, cfg, key, planKey, trials, halfWidth); ok {
 		return outcome{status: http.StatusOK, resp: resp}
 	}
-	adm := tr.StartSpan("admission")
-	verdict := s.acquire(ctx)
-	adm.End()
-	switch verdict {
-	case admitted:
-		adm.SetAttr("outcome", "admitted")
-	case admitFull:
-		adm.SetAttr("outcome", "rejected")
-		s.c.rejected.Add(1)
-		return outcome{status: http.StatusTooManyRequests, errResp: ErrorResponse{
-			Error:             "estimation capacity exhausted; retry shortly",
-			Code:              "overloaded",
-			RetryAfterSeconds: 1,
-		}}
-	case admitCanceled:
-		// Unreachable in practice — handleEstimate detaches the leader's
-		// cancellation — but a canceled caller is not capacity exhaustion:
-		// no rejected bump, no Retry-After.
-		adm.SetAttr("outcome", "canceled")
-		s.c.canceled.Add(1)
-		return outcome{status: statusClientClosedRequest, errResp: ErrorResponse{
-			Error: "request canceled by the client while queued",
-			Code:  "canceled",
-		}}
+	// Cancellation is unreachable here in practice: handleEstimate
+	// detaches the leader's.
+	if status, refusal := s.admit(ctx, tr, estimationRefusals); status != http.StatusOK {
+		return outcome{status: status, errResp: refusal}
 	}
 	defer s.release()
 
@@ -496,23 +467,11 @@ func (s *Server) execute(ctx context.Context, tr *telemetry.Trace, cfg faultcast
 	xsp.SetAttr("core", core)
 	agg.annotate(xsp)
 	xsp.End()
-	s.c.executions.Add(1)
-	s.c.countCore(core)
-	simulated := est.Trials - resumed
-	s.c.trialsSimulated.Add(uint64(simulated))
-	served := "simulated"
-	switch {
-	case simulated == 0:
-		// The stored prefix already decided the request — recall's answer,
-		// reached without the plan cache (e.g. the first ask after a warm
-		// restart, before the plan is compiled).
-		served = "cache"
-		s.c.cacheHits.Add(1)
-		s.c.storeHits.Add(1)
-	case resumed > 0:
-		served = "refined"
-		s.c.refines.Add(1)
-	}
+	// A stored prefix that already decides the request is recall's answer,
+	// reached without the plan cache (e.g. the first ask after a warm
+	// restart, before the plan is compiled): the ledger serves it as
+	// "cache", and it never reached the engine.
+	served, simulated := s.ledger(false, core, est.Trials, resumed)
 	tr.Root().SetAttr("served", served)
 	tr.Root().SetAttr("trials_simulated", simulated)
 	if resumed > 0 {
@@ -539,6 +498,40 @@ const (
 // client went away before we could answer"; the body is unreadable by
 // definition, the code only feeds access logs and tests.
 const statusClientClosedRequest = 499
+
+// refusals are an endpoint's admission error messages: when capacity is
+// exhausted, and when the caller gave up while queued.
+type refusals struct{ full, canceled string }
+
+var estimationRefusals = refusals{
+	full:     "estimation capacity exhausted; retry shortly",
+	canceled: "request canceled by the client while queued",
+}
+
+// admit is the one admission gate of /v1/estimate, /v1/sweep and
+// /v1/shard: it takes an execution slot, timing the wait as tr's
+// "admission" span, and returns 200 once admitted — the caller must then
+// release the slot. A refused request gets its status and error body:
+// 429 "overloaded" with a one-second retry hint when capacity is
+// exhausted (rejected +1), or 499 "canceled" when ctx ended while queued
+// (canceled +1, no retry hint: nobody is listening for one).
+func (s *Server) admit(ctx context.Context, tr *telemetry.Trace, msg refusals) (int, ErrorResponse) {
+	adm := tr.StartSpan("admission")
+	verdict := s.acquire(ctx)
+	adm.End()
+	switch verdict {
+	case admitFull:
+		adm.SetAttr("outcome", "rejected")
+		s.c.rejected.Add(1)
+		return http.StatusTooManyRequests, ErrorResponse{Error: msg.full, Code: "overloaded", RetryAfterSeconds: 1}
+	case admitCanceled:
+		adm.SetAttr("outcome", "canceled")
+		s.c.canceled.Add(1)
+		return statusClientClosedRequest, ErrorResponse{Error: msg.canceled, Code: "canceled"}
+	}
+	adm.SetAttr("outcome", "admitted")
+	return http.StatusOK, ErrorResponse{}
+}
 
 // acquire takes an execution slot, waiting while the queue has room.
 // It returns admitFull once MaxInflight executions are running AND
@@ -614,6 +607,74 @@ func (s *Server) response(cfg faultcast.Config, key string, est faultcast.Estima
 	}
 }
 
+// ledger classifies one answer — an estimate or a sweep cell — by where
+// its trials came from, and counts it. It is the one place that decides
+// served: "cache" when the tally store's replay decided the answer with
+// zero trials simulated (a store hit, and a cache hit of the endpoint's
+// kind), "refined" when a stored prefix was topped up by the marginal
+// trials, "simulated" otherwise. Only answers that simulated reached the
+// engine, so only they count toward trials_simulated, executions_by_core
+// and, for estimates, executions.
+func (s *Server) ledger(sweepCell bool, core string, trials, resumed int) (served string, simulated int) {
+	simulated = trials - resumed
+	if simulated == 0 {
+		s.c.storeHits.Add(1)
+		if sweepCell {
+			s.c.sweepCellCacheHits.Add(1)
+		} else {
+			s.c.cacheHits.Add(1)
+		}
+		return "cache", 0
+	}
+	served = "simulated"
+	if resumed > 0 {
+		served = "refined"
+		s.c.refines.Add(1)
+	}
+	if !sweepCell {
+		s.c.executions.Add(1)
+	}
+	s.c.ranOnEngine(core, simulated)
+	return served, simulated
+}
+
+// decode reads r's JSON body into v — at most limit bytes, no unknown
+// fields — for every POST endpoint. A body that fails to decode is
+// answered 400 "bad-json", and decode returns false.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, limit int64, v any, traceID string) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		s.c.badRequests.Add(1)
+		writeError(w, traceID, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Code: "bad-json"})
+		return false
+	}
+	return true
+}
+
+// reject answers a request that validation or compilation refused with
+// 400 and counts it: a *requestError keeps its code and field, any other
+// error is "bad-request".
+func (s *Server) reject(w http.ResponseWriter, traceID string, err error) {
+	s.c.badRequests.Add(1)
+	e := ErrorResponse{Error: err.Error(), Code: "bad-request"}
+	if re, ok := err.(*requestError); ok {
+		e.Code, e.Field = re.code, re.field
+	}
+	writeError(w, traceID, http.StatusBadRequest, e)
+}
+
+// writeError writes an error answer stamped with the request's trace id,
+// with a Retry-After header mirroring the body's retry hint, if any.
+func writeError(w http.ResponseWriter, traceID string, status int, e ErrorResponse) {
+	if e.RetryAfterSeconds > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(e.RetryAfterSeconds))
+	}
+	e.TraceID = traceID
+	writeJSON(w, status, e)
+}
+
 // Stats is the body of GET /v1/stats.
 type Stats struct {
 	UptimeSeconds      float64 `json:"uptime_seconds"`
@@ -629,8 +690,10 @@ type Stats struct {
 	// was saved — the follower just shared the leader's error).
 	Coalesced       uint64 `json:"coalesced"`
 	CoalescedErrors uint64 `json:"coalesced_errors"`
-	Executions      uint64 `json:"executions"`
-	Refines         uint64 `json:"refines"`
+	// Executions counts estimates that simulated trials on the engine; an
+	// estimate the tally store's replay answers is a cache hit instead.
+	Executions uint64 `json:"executions"`
+	Refines    uint64 `json:"refines"`
 	// Rejected counts every 429 actually returned (leaders and riders
 	// alike), so it matches the reject rate a load harness observes.
 	// Canceled counts callers whose own request died while queued for a

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"time"
@@ -28,6 +27,12 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // running — zero once a drain has quiesced.
 func (s *Server) ShardInflight() int { return int(s.shardInflight.Load()) }
 
+// shardRefusals are /v1/shard's admission error messages.
+var shardRefusals = refusals{
+	full:     "shard capacity exhausted; re-dispatch elsewhere or retry shortly",
+	canceled: "shard canceled by the coordinator while queued",
+}
+
 // handleShard executes one shard of a remote coordinator's trial stream:
 // rebuild the scenario from the wire (verifying the coordinator's plan
 // key), reuse or compile the plan through the same seed-less plan cache
@@ -43,8 +48,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.lat.shard.Observe(time.Since(start)) }()
 	if s.draining.Load() {
 		s.c.shardsDrained.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{
+		writeError(w, "", http.StatusServiceUnavailable, ErrorResponse{
 			Error:             "worker is draining; re-dispatch the shard elsewhere",
 			Code:              "draining",
 			RetryAfterSeconds: 1,
@@ -56,39 +60,29 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	s.shardInflight.Add(1)
 	defer s.shardInflight.Add(-1)
 
-	r.Body = http.MaxBytesReader(w, r.Body, 16<<20)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req cluster.ShardRequest
-	if err := dec.Decode(&req); err != nil {
-		s.c.badRequests.Add(1)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Code: "bad-json"})
+	if !s.decode(w, r, 16<<20, &req, "") {
 		return
 	}
 	cfg, key, err := req.Config()
-	if err != nil {
+	if errors.Is(err, cluster.ErrPlanKeyMismatch) {
+		// 409, not 400: the request was well-formed, but the two sides
+		// disagree on what scenario it names — version drift the
+		// coordinator must surface, not retry around.
 		s.c.badRequests.Add(1)
-		if errors.Is(err, cluster.ErrPlanKeyMismatch) {
-			// 409, not 400: the request was well-formed, but the two sides
-			// disagree on what scenario it names — version drift the
-			// coordinator must surface, not retry around.
-			writeJSON(w, http.StatusConflict, ErrorResponse{Error: err.Error(), Code: "plan-key-mismatch"})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Code: "bad-request"})
+		writeError(w, "", http.StatusConflict, ErrorResponse{Error: err.Error(), Code: "plan-key-mismatch"})
+		return
+	}
+	if err != nil {
+		s.reject(w, "", err)
 		return
 	}
 	if n := cfg.Graph.N(); n > s.opts.MaxNodes {
-		s.c.badRequests.Add(1)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{
-			Error: "shard graph exceeds this worker's max_nodes",
-			Code:  "graph-too-large", Field: "graph",
-		})
+		s.reject(w, "", &requestError{code: "graph-too-large", field: "graph", msg: "shard graph exceeds this worker's max_nodes"})
 		return
 	}
 	if err := req.CheckShard(s.opts.MaxTrials); err != nil {
-		s.c.badRequests.Add(1)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Code: "bad-request"})
+		s.reject(w, "", err)
 		return
 	}
 
@@ -105,33 +99,10 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		defer tr.Finish()
 	}
 
-	adm := tr.StartSpan("admission")
-	verdict := s.acquire(r.Context())
-	adm.End()
-	switch verdict {
-	case admitted:
-		adm.SetAttr("outcome", "admitted")
-	case admitFull:
-		adm.SetAttr("outcome", "rejected")
-		s.c.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
-			Error:             "shard capacity exhausted; re-dispatch elsewhere or retry shortly",
-			Code:              "overloaded",
-			RetryAfterSeconds: 1,
-			TraceID:           tr.ID(),
-		})
-		return
-	case admitCanceled:
-		// The coordinator abandoned the shard while it was queued (its
-		// own deadline or caller hung up); this worker was not overloaded.
-		adm.SetAttr("outcome", "canceled")
-		s.c.canceled.Add(1)
-		writeJSON(w, statusClientClosedRequest, ErrorResponse{
-			Error:   "shard canceled by the coordinator while queued",
-			Code:    "canceled",
-			TraceID: tr.ID(),
-		})
+	// A canceled shard was abandoned by its coordinator while queued (its
+	// own deadline, or its caller hung up).
+	if status, refusal := s.admit(r.Context(), tr, shardRefusals); status != http.StatusOK {
+		writeError(w, tr.ID(), status, refusal)
 		return
 	}
 	defer s.release()
@@ -142,8 +113,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// Compile rejects scenario mismatches validation cannot see
 		// (e.g. flooding requested under the radio model).
-		s.c.badRequests.Add(1)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Code: "bad-request", TraceID: tr.ID()})
+		s.reject(w, tr.ID(), err)
 		return
 	}
 	xsp := tr.StartSpan("execute")
@@ -152,9 +122,8 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	xsp.SetAttr("trials", tally.Trials)
 	xsp.End()
 	s.c.shardsExecuted.Add(1)
-	s.c.countCore(plan.EstimationCore())
 	s.c.shardTrials.Add(uint64(tally.Trials))
-	s.c.trialsSimulated.Add(uint64(tally.Trials))
+	s.c.ranOnEngine(plan.EstimationCore(), tally.Trials)
 	source := "compiled"
 	if cached {
 		source = "cache"

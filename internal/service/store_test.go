@@ -68,6 +68,12 @@ func TestWarmRestartServesFromStore(t *testing.T) {
 	if stats.StoreHits != 1 || stats.TrialsSimulated != 0 {
 		t.Fatalf("warm stats: store_hits=%d trials_simulated=%d", stats.StoreHits, stats.TrialsSimulated)
 	}
+	// The warm answer came from execute (no plan was cached to recall
+	// with), but it never reached the engine, so it is not an execution.
+	if stats.Executions != 0 || stats.ExecutionsByCore["lanes"] != 0 || stats.ExecutionsByCore["bitset"] != 0 {
+		t.Fatalf("warm stats count a zero-trial answer as engine work: executions=%d by_core=%v",
+			stats.Executions, stats.ExecutionsByCore)
+	}
 
 	// A bigger budget against the restarted server refines: it resumes
 	// all stored trials and simulates only the margin.

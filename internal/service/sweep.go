@@ -311,61 +311,27 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.lat.sweep.Observe(time.Since(start)) }()
 	tr := s.tel.StartTrace("sweep")
 	defer tr.Finish()
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req SweepRequest
-	if err := dec.Decode(&req); err != nil {
-		s.c.badRequests.Add(1)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Code: "bad-json", TraceID: tr.ID()})
+	if !s.decode(w, r, 1<<20, &req, tr.ID()) {
 		return
 	}
 	spec, err := req.spec(s.opts)
 	if err != nil {
-		s.c.badRequests.Add(1)
-		re := err.(*requestError)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: re.msg, Code: re.code, Field: re.field, TraceID: tr.ID()})
+		s.reject(w, tr.ID(), err)
 		return
 	}
 	// The size gate is arithmetic (axis-length product), so an oversized
 	// grid is rejected before any cell compiles; compilation itself then
 	// happens inside the admission slot, bounded like any execution.
 	if n := spec.CellCount(); n > s.opts.MaxSweepCells {
-		s.c.badRequests.Add(1)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{
-			Error:   fmt.Sprintf("sweep expands to %d cells; this server serves at most %d", n, s.opts.MaxSweepCells),
-			Code:    "sweep-too-large",
-			TraceID: tr.ID(),
+		s.reject(w, tr.ID(), &requestError{
+			code: "sweep-too-large",
+			msg:  fmt.Sprintf("sweep expands to %d cells; this server serves at most %d", n, s.opts.MaxSweepCells),
 		})
 		return
 	}
-	adm := tr.StartSpan("admission")
-	verdict := s.acquire(r.Context())
-	adm.End()
-	switch verdict {
-	case admitted:
-		adm.SetAttr("outcome", "admitted")
-	case admitFull:
-		adm.SetAttr("outcome", "rejected")
-		s.c.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
-			Error:             "estimation capacity exhausted; retry shortly",
-			Code:              "overloaded",
-			RetryAfterSeconds: 1,
-			TraceID:           tr.ID(),
-		})
-		return
-	case admitCanceled:
-		// The client hung up while queued. Not overload: no rejected
-		// bump, no Retry-After — nobody is listening for one anyway.
-		adm.SetAttr("outcome", "canceled")
-		s.c.canceled.Add(1)
-		writeJSON(w, statusClientClosedRequest, ErrorResponse{
-			Error:   "request canceled by the client while queued",
-			Code:    "canceled",
-			TraceID: tr.ID(),
-		})
+	if status, refusal := s.admit(r.Context(), tr, estimationRefusals); status != http.StatusOK {
+		writeError(w, tr.ID(), status, refusal)
 		return
 	}
 	defer s.release()
@@ -376,8 +342,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// Compile rejects scenario mismatches validation cannot see
 		// (e.g. flooding requested under the radio model).
-		s.c.badRequests.Add(1)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Code: "bad-request", TraceID: tr.ID()})
+		s.reject(w, tr.ID(), err)
 		return
 	}
 
@@ -409,26 +374,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Emit calls are serialized by the sweep runner, so the encoder and
 	// summary tallies need no extra locking.
 	runErr := sp.Run(r.Context(), func(res faultcast.CellResult) {
-		simulated := res.Estimate.Trials - res.Resumed
-		served := "simulated"
-		switch {
-		case simulated == 0:
-			served = "cache"
-			s.c.sweepCellCacheHits.Add(1)
+		served, simulated := s.ledger(true, res.Cell.Plan().EstimationCore(), res.Estimate.Trials, res.Resumed)
+		switch served {
+		case "cache":
 			summary.CacheHits++
-		case res.Resumed > 0:
-			served = "refined"
-			s.c.refines.Add(1)
+		case "refined":
 			summary.Refined++
 		}
-		if res.Resumed > 0 && simulated == 0 {
-			s.c.storeHits.Add(1)
-		}
-		if simulated > 0 {
-			s.c.trialsSimulated.Add(uint64(simulated))
-			summary.TrialsSimulated += simulated
-			s.c.countCore(res.Cell.Plan().EstimationCore())
-		}
+		summary.TrialsSimulated += simulated
 		s.c.sweepCells.Add(1)
 		cfg := res.Cell.Config
 		n := cfg.Graph.N()

@@ -25,11 +25,13 @@ type StopRule struct {
 	// It always reads the 95% band, independent of Z, since it bounds the
 	// precision of the reported interval rather than deciding a test.
 	HalfWidth float64
-	// Z is the interval width used by the target check (default 1.96,
-	// i.e. 95%). Stopping is a sequential test: the band is consulted
+	// Z is the interval width used by the target check; zero reads as
+	// 1.96 (95%). Stopping is a sequential test: the band is consulted
 	// after every batch, so the chance that SOME look is momentarily
 	// decided exceeds the band's nominal level. Callers whose downstream
-	// verdict reads a z-band should stop on a strictly wider one.
+	// verdict reads a z-band should stop on a strictly wider one, as
+	// faultcast's requests do: they never leave Z zero with a target set,
+	// but fill in 2.576 (faultcast.CellBudget.Z).
 	Z float64
 	// Batch is the number of trials between stopping checks (default
 	// DefaultBatch — a fixed constant, so the executed trial count does

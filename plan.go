@@ -117,15 +117,12 @@ func (p *Plan) Run(seed uint64) (Result, error) {
 // estimateOptions collects Estimate tuning; see the EstimateOption
 // constructors for semantics.
 type estimateOptions struct {
-	baseSeed     *uint64
-	workers      int
-	rule         stat.StopRule
-	almostSafe   bool
-	dispatcher   exec.Dispatcher
-	store        TallyStore
+	runOptions
+	baseSeed *uint64
+	// stop is the stopping policy, lowered by CellBudget.rule like a sweep
+	// cell's; its Trials is unused.
+	stop         CellBudget
 	resumeReport func(resumedTrials int)
-	span         *telemetry.Span
-	probe        func(exec.BatchStat)
 }
 
 // EstimateOption tunes Plan.Estimate.
@@ -156,25 +153,22 @@ func WithWorkers(n int) EstimateOption {
 // 1%.
 func WithTarget(target float64) EstimateOption {
 	return func(o *estimateOptions) {
-		o.rule.Target = target
-		o.rule.UseTarget = true
-		o.almostSafe = false
+		o.stop.Target = target
+		o.stop.UseTarget = true
+		o.stop.AlmostSafe = false
 	}
 }
 
 // WithAlmostSafeTarget is WithTarget at the paper's almost-safety bound
 // 1 − 1/n for the plan's graph — the stopping rule for feasibility sweeps.
 func WithAlmostSafeTarget() EstimateOption {
-	return func(o *estimateOptions) {
-		o.rule.UseTarget = true
-		o.almostSafe = true
-	}
+	return func(o *estimateOptions) { o.stop.AlmostSafe = true }
 }
 
 // WithHalfWidth enables early stopping once the 95% Wilson interval
 // half-width shrinks to w ("estimate until this precise").
 func WithHalfWidth(w float64) EstimateOption {
-	return func(o *estimateOptions) { o.rule.HalfWidth = w }
+	return func(o *estimateOptions) { o.stop.HalfWidth = w }
 }
 
 // WithDispatcher routes the estimate's trial stream through d — e.g. a
@@ -242,41 +236,76 @@ func WithBatchProbe(f func(exec.BatchStat)) EstimateOption {
 // rule refines an earlier estimate through WithTallyStore: the stored
 // prefix is replayed and only the marginal trials run.
 func (p *Plan) Estimate(trials int, opts ...EstimateOption) (Estimate, error) {
-	o, baseSeed := p.options(opts)
-	// One cell on the shared scheduler (internal/exec): the estimate is a
-	// single-cell schedule, so standalone estimates and sweep cells run on
-	// the same machinery with the same determinism contract. A configured
-	// dispatcher (WithDispatcher) replaces the in-process pool; the cell
-	// carries its Config so a remote dispatcher can ship the scenario.
-	cell := p.withTrials(exec.Cell{
-		MaxTrials: trials,
-		BaseSeed:  baseSeed,
-		Rule:      o.rule,
-		Scenario:  p.cfg,
-		Trace:     o.span,
-		Probe:     o.probe,
-	})
-	var rec *tallyRecorder
-	if o.store != nil {
-		replaySpan := o.span.StartChild("store-replay")
-		rec = resumeFromStore(o.store, p.StoreKey(), &cell)
-		replaySpan.SetAttr("resumed_trials", cell.Start.Trials)
-		replaySpan.End()
+	o, rule, baseSeed := p.options(opts)
+	// The carried Config lets a remote dispatcher ship the scenario.
+	cell := runCell{plan: p, cell: exec.Cell{MaxTrials: trials, BaseSeed: baseSeed, Rule: rule, Scenario: p.cfg}}
+	var est Estimate
+	resumed := 0
+	// Background context: a lone estimate has no cancellation surface.
+	err := o.run(context.Background(), []runCell{cell}, func(_ int, e Estimate, r int) { est, resumed = e, r })
+	if err != nil {
+		return Estimate{}, err
 	}
-	var prop stat.Proportion
+	if o.resumeReport != nil {
+		o.resumeReport(resumed)
+	}
+	return est, nil
+}
+
+// runOptions are the execution settings Estimate and SweepPlan.Run share;
+// none of them changes an answer's bits.
+type runOptions struct {
+	workers    int
+	dispatcher exec.Dispatcher
+	store      TallyStore
+	span       *telemetry.Span
+	probe      func(exec.BatchStat)
+}
+
+// runCell is one request lowered onto a plan's trial stream: the scheduler
+// cell minus its trial constructor and observation hooks, which run adds.
+type runCell struct {
+	plan *Plan
+	cell exec.Cell
+}
+
+// run is the one path from lowered requests to scheduled cells, shared by
+// Estimate (one cell) and SweepPlan.Run (one cell per distinct cell key),
+// so standalone estimates and sweep cells run on the same machinery with
+// the same determinism contract. With a tally store, each cell that has no
+// prior trials resumes from the store's replay, all under one
+// "store-replay" span. Every cell then runs on the dispatcher (the
+// in-process pool by default), and done receives its estimate and the
+// trials it started from once it is decided and its marginal batches are
+// appended back to the store. done calls are serialized.
+func (o *runOptions) run(ctx context.Context, cells []runCell, done func(i int, est Estimate, resumed int)) error {
+	xcells := make([]exec.Cell, len(cells))
+	recs := make([]*tallyRecorder, len(cells))
+	var replaySpan *telemetry.Span
+	if o.store != nil {
+		replaySpan = o.span.StartChild("store-replay")
+	}
+	resumed := 0
+	for i, rc := range cells {
+		xcells[i] = rc.plan.withTrials(rc.cell)
+		xcells[i].Trace, xcells[i].Probe = o.span, o.probe
+		if o.store != nil && rc.cell.Start.Trials == 0 {
+			recs[i] = resumeFromStore(o.store, rc.plan.StoreKey(), &xcells[i])
+			resumed += xcells[i].Start.Trials
+		}
+	}
+	replaySpan.SetAttr("resumed_trials", resumed)
+	replaySpan.End()
 	d := o.dispatcher
 	if d == nil {
 		d = exec.Local{}
 	}
-	// Background context: a lone estimate has no cancellation surface.
-	if err := d.Run(context.Background(), o.workers, []exec.Cell{cell}, func(_ int, got stat.Proportion) { prop = got }); err != nil {
-		return Estimate{}, err
-	}
-	rec.flush()
-	if o.resumeReport != nil {
-		o.resumeReport(cell.Start.Trials)
-	}
-	return estimateOf(prop), nil
+	return d.Run(ctx, o.workers, xcells, func(i int, p stat.Proportion) {
+		// onDone is serialized and ordered after the cell's last fold, so
+		// the recorder's buckets are complete and safely visible here.
+		recs[i].flush()
+		done(i, estimateOf(p), xcells[i].Start.Trials)
+	})
 }
 
 // Recall answers an Estimate request from the WithTallyStore store's
@@ -289,34 +318,26 @@ func (p *Plan) Estimate(trials int, opts ...EstimateOption) (Estimate, error) {
 // Options other than the base seed, the stopping rule and the store are
 // ignored.
 func (p *Plan) Recall(trials int, opts ...EstimateOption) (est Estimate, ok bool) {
-	o, baseSeed := p.options(opts)
+	o, rule, baseSeed := p.options(opts)
 	if o.store == nil {
 		return Estimate{}, false
 	}
-	stored, err := o.store.LoadTally(p.StoreKey(), baseSeed, storeBatch(o.rule))
-	prop, done := replayStored(stored, trials, o.rule)
+	stored, err := o.store.LoadTally(p.StoreKey(), baseSeed, storeBatch(rule))
+	prop, done := replayStored(stored, trials, rule)
 	return estimateOf(prop), err == nil && done
 }
 
-// options applies opts and fills in the plan's defaults: the almost-safe
-// target, the stop band, and the base seed.
-func (p *Plan) options(opts []EstimateOption) (o estimateOptions, baseSeed uint64) {
+// options applies opts and lowers them: the stopping rule (through the
+// same CellBudget.rule a sweep cell's budget takes) and the base seed.
+func (p *Plan) options(opts []EstimateOption) (o estimateOptions, rule stat.StopRule, baseSeed uint64) {
 	for _, f := range opts {
 		f(&o)
-	}
-	if o.almostSafe {
-		o.rule.Target = p.AlmostSafeTarget()
-	}
-	if o.rule.UseTarget && o.rule.Z == 0 {
-		// Stop on a 99% band so the reported 95% interval is always
-		// decided the same way whenever the stream stops early.
-		o.rule.Z = 2.576
 	}
 	baseSeed = p.cfg.Seed
 	if o.baseSeed != nil {
 		baseSeed = *o.baseSeed
 	}
-	return o, baseSeed
+	return o, o.stop.rule(p), baseSeed
 }
 
 // estimateOf reports a folded proportion with its 95% Wilson interval.

@@ -322,6 +322,82 @@ func TestStoreBackedEstimateSurvivesCorruption(t *testing.T) {
 	}
 }
 
+// TestSweepMatchesPerCellEstimate: each cell of a sweep must estimate
+// bit-identically to Plan.Estimate run on that cell alone, with the
+// cell's derived seed and the options matching its budget, for every
+// kind of stopping rule a budget lowers to. It must do so cold, and again
+// against a warm tally store.
+func TestSweepMatchesPerCellEstimate(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		budget faultcast.CellBudget
+		opts   []faultcast.EstimateOption
+	}{
+		{"none", faultcast.CellBudget{Trials: 200}, nil},
+		{"target", faultcast.CellBudget{Trials: 200, UseTarget: true, Target: 0.6},
+			[]faultcast.EstimateOption{faultcast.WithTarget(0.6)}},
+		{"half-width", faultcast.CellBudget{Trials: 600, HalfWidth: 0.05},
+			[]faultcast.EstimateOption{faultcast.WithHalfWidth(0.05)}},
+		{"almost-safe", faultcast.CellBudget{Trials: 200, AlmostSafe: true, Z: 3},
+			[]faultcast.EstimateOption{faultcast.WithAlmostSafeTarget(), faultcast.WithZ(3)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sp, err := faultcast.CompileSweep(faultcast.SweepSpec{
+				Graphs: []faultcast.SweepGraph{
+					{Spec: "line:12"},
+					{Graph: faultcast.Star(8), Source: 1},
+				},
+				Models:     []faultcast.Model{faultcast.MessagePassing, faultcast.Radio},
+				Algorithms: []faultcast.Algorithm{faultcast.SimpleOmission},
+				Ps:         []float64{0.3, 0.6},
+				Seed:       0x5eed,
+				Budget:     tc.budget,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := store.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := sp.Collect(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The first store-backed pass stocks the store; the second
+			// runs against it warm.
+			var warm []faultcast.CellResult
+			for range 2 {
+				if warm, err = sp.Collect(context.Background(), faultcast.WithSweepTallyStore(st), faultcast.WithSweepWorkers(2)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range sp.Cells() {
+				c := &sp.Cells()[i]
+				opts := append([]faultcast.EstimateOption{faultcast.WithBaseSeed(c.Config.Seed)}, tc.opts...)
+				want, err := c.Plan().Estimate(tc.budget.Trials, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cold[i].Estimate != want {
+					t.Fatalf("cell %d: sweep %+v != per-cell estimate %+v", i, cold[i].Estimate, want)
+				}
+				if warm[i].Estimate != want || warm[i].Resumed != want.Trials {
+					t.Fatalf("cell %d: warm sweep %+v (resumed %d) != per-cell estimate %+v",
+						i, warm[i].Estimate, warm[i].Resumed, want)
+				}
+				recalled, err := c.Plan().Estimate(tc.budget.Trials, append(opts, faultcast.WithTallyStore(st))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if recalled != want {
+					t.Fatalf("cell %d: warm per-cell estimate %+v != cold %+v", i, recalled, want)
+				}
+			}
+		})
+	}
+}
+
 // TestSweepWithTallyStore: a store-backed sweep must emit cell results
 // bit-identical to a storeless run, and a second pass over the same
 // store must simulate nothing.

@@ -46,9 +46,11 @@ type CellBudget struct {
 	// target instead; ignored when AlmostSafe is set.
 	Target    float64
 	UseTarget bool
-	// Z is the Wilson band width of the target check (default 2.576, the
-	// 99% band, strictly wider than the reported 95% interval so a
-	// stopped cell's reported interval is decided the same way).
+	// Z is the Wilson band width of the target check. Zero means 2.576,
+	// the 99% band, strictly wider than the reported 95% interval so a
+	// stopped cell's reported interval is decided the same way; it is
+	// also the band of Plan.Estimate's WithTarget and
+	// WithAlmostSafeTarget.
 	Z float64
 }
 
@@ -59,7 +61,9 @@ func (b CellBudget) withDefaults() CellBudget {
 	return b
 }
 
-// rule lowers the budget to the cell's stopping rule.
+// rule lowers the budget to the cell's stopping rule. It is the one
+// stop-rule lowering: Plan.Estimate's stopping options reach stat through
+// it too.
 func (b CellBudget) rule(plan *Plan) stat.StopRule {
 	var r stat.StopRule
 	switch {
@@ -293,6 +297,9 @@ func CompileSweep(spec SweepSpec) (*SweepPlan, error) {
 			if err != nil {
 				return nil, fmt.Errorf("faultcast: sweep cell %d: %w", i, err)
 			}
+			// planKey is the plan's StoreKey: file it rather than hash the
+			// scenario again on the plan's first tally-store use.
+			plan.storeKey.once.Do(func() { plan.storeKey.key = planKey })
 			plans[planKey] = plan
 		}
 		cfg.Seed = rng.Derive(spec.Seed, canonical)
@@ -317,12 +324,8 @@ func (sp *SweepPlan) Budget() CellBudget { return sp.budget }
 
 // sweepOptions collects Run tuning; see the SweepOption constructors.
 type sweepOptions struct {
-	workers    int
-	prev       func(c *SweepCell) (Estimate, bool)
-	dispatcher exec.Dispatcher
-	store      TallyStore
-	span       *telemetry.Span
-	probe      func(exec.BatchStat)
+	runOptions
+	prev func(c *SweepCell) (Estimate, bool)
 }
 
 // SweepOption tunes SweepPlan.Run.
@@ -410,52 +413,26 @@ func (sp *SweepPlan) Run(ctx context.Context, emit func(CellResult), opts ...Swe
 		}
 		groups[k] = append(groups[k], i)
 	}
-	execCells := make([]exec.Cell, len(order))
-	prevs := make([]Estimate, len(order))
-	recs := make([]*tallyRecorder, len(order))
-	var replaySpan *telemetry.Span
-	resumedTotal := 0
-	if o.store != nil {
-		replaySpan = o.span.StartChild("store-replay")
-	}
+	cells := make([]runCell, len(order))
 	for gi, k := range order {
 		c := &sp.cells[groups[k][0]]
+		var prev Estimate
 		if o.prev != nil {
 			if e, ok := o.prev(c); ok {
-				prevs[gi] = e
+				prev = e
 			}
 		}
-		execCells[gi] = c.plan.withTrials(exec.Cell{
+		cells[gi] = runCell{plan: c.plan, cell: exec.Cell{
 			MaxTrials: sp.budget.Trials,
 			BaseSeed:  c.Config.Seed,
-			Start:     stat.Proportion{Successes: prevs[gi].Succeeds, Trials: prevs[gi].Trials},
+			Start:     stat.Proportion{Successes: prev.Succeeds, Trials: prev.Trials},
 			Rule:      sp.budget.rule(c.plan),
 			Scenario:  c.Config,
-			Trace:     o.span,
-			Probe:     o.probe,
-		})
-		if o.store != nil && prevs[gi].Trials == 0 {
-			recs[gi] = resumeFromStore(o.store, c.PlanKey, &execCells[gi])
-			start := execCells[gi].Start
-			prevs[gi] = Estimate{Trials: start.Trials, Succeeds: start.Successes}
-			resumedTotal += start.Trials
-		}
+		}}
 	}
-	if replaySpan != nil {
-		replaySpan.SetAttr("resumed_trials", resumedTotal)
-		replaySpan.End()
-	}
-	d := o.dispatcher
-	if d == nil {
-		d = exec.Local{}
-	}
-	return d.Run(ctx, o.workers, execCells, func(gi int, p stat.Proportion) {
-		// onDone is serialized and ordered after the cell's last fold, so
-		// the recorder's buckets are complete and safely visible here.
-		recs[gi].flush()
-		est := estimateOf(p)
+	return o.run(ctx, cells, func(gi int, est Estimate, resumed int) {
 		for _, i := range groups[order[gi]] {
-			emit(CellResult{Index: i, Cell: &sp.cells[i], Estimate: est, Resumed: prevs[gi].Trials})
+			emit(CellResult{Index: i, Cell: &sp.cells[i], Estimate: est, Resumed: resumed})
 		}
 	})
 }

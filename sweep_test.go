@@ -100,43 +100,6 @@ func TestSweepSharesPlans(t *testing.T) {
 	}
 }
 
-// TestSweepMatchesPerCellEstimate: the acceptance bar for the scheduler —
-// every cell of a shared-pool sweep must be value-identical to running
-// plan.Estimate cell-by-cell with the same budget and derived base seed
-// (the old per-cell-loop semantics).
-func TestSweepMatchesPerCellEstimate(t *testing.T) {
-	sp, err := CompileSweep(feasibilitySpec(0x5eed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sp.Collect(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sp.Cells() {
-		c := &sp.Cells()[i]
-		want, err := c.Plan().Estimate(200,
-			WithBaseSeed(c.Config.Seed),
-			WithAlmostSafeTarget())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i].Estimate != want {
-			t.Fatalf("cell %d: sweep %+v != per-cell estimate %+v", i, got[i].Estimate, want)
-		}
-	}
-	// And the whole sweep must reproduce itself exactly.
-	again, err := sp.Collect(context.Background(), WithSweepWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i].Estimate != again[i].Estimate {
-			t.Fatalf("cell %d nondeterministic across runs: %+v vs %+v", i, got[i].Estimate, again[i].Estimate)
-		}
-	}
-}
-
 // TestSweepCellPrev: a prior estimate that satisfies the budget must
 // answer the cell with zero new trials; a short one must be topped up by
 // exactly the marginal trials, continuing its seed sequence.
